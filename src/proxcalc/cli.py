@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-at-anchor", type=float, default=None)
     p.add_argument("--grid", required=True, help="potential-tabulation lattice")
     p.add_argument("--queries", required=True, help="CSV of query points")
-    p.add_argument("--quadrature-steps", type=int, default=64)
+    p.add_argument("--quadrature-steps", type=int, default=64,
+                   help="starting Simpson panel count (>= 8) of the "
+                        "path-independence probe, which doubles it until the "
+                        "probe agrees; the lattice integral does not use it")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("compare", help="comparison principle for a pair")

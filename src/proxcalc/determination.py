@@ -5,8 +5,11 @@ rebuilds f by four steps:
 
 1. gradient field: G(x) = prox_f(x + x0) - x0 is the gradient of the
    potential u = (f* - <x0, .>)_1, a C^{1,1} convex function bounded below;
-2. line integration: u(x) - u(0) = int_0^1 <G(t x), x> dt along straight
-   rays from the origin (composite Simpson);
+2. line integration: one oracle batch gives G on the lattice; the
+   cumulative trapezoid of G_i along each axis i, anchored at the lattice
+   point b nearest the origin, composes into staircase paths from b, and
+   the tables of all d! axis orders are averaged; a single Simpson ray
+   from 0 to b (when b != 0) makes the table u(x) - u(0);
 3. constant pinning: inf u = -f(x0), so knowing f(x0) fixes the table
    absolutely (otherwise the output is declared "up to a constant");
 4. conjugate back: u*(x) = f(x + x0) + ||x||^2 / 2, evaluated by grid
@@ -21,13 +24,19 @@ convex l.s.c. function and reconstruction aborts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import functions as fn
 from .conjugation import conjugate_many
-from .errors import AnchorOutsideDomain, DimensionMismatch, NonConservativeField
+from .errors import (
+    AnchorOutsideDomain,
+    DimensionMismatch,
+    NonConservativeField,
+    OracleError,
+)
 from .grids import SampleGrid, ValueTable
 from .reports import (
     CheckReport,
@@ -105,17 +114,27 @@ class ProxOracle:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = fn.as_point(x, self.dim)
         self.call_count += 1
-        out = np.asarray(self._query(x), dtype=float)
-        if out.shape != (self.dim,):
-            raise DimensionMismatch("oracle returned a point of the wrong dimension")
-        return out
+        return _checked(self._query(x), (self.dim,))
 
     def query_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         self.call_count += X.shape[0]
         if self._batch is not None:
-            return np.asarray(self._batch(X), dtype=float)
-        return np.array([self._query(x) for x in X])
+            out = self._batch(X)
+        else:
+            out = [self._query(x) for x in X]
+        return _checked(out, (X.shape[0], self.dim))
+
+
+def _checked(out, shape: tuple) -> np.ndarray:
+    """Oracle output as a float array of the expected shape, all finite."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise DimensionMismatch(
+            f"oracle returned shape {out.shape}, expected {shape}")
+    if not np.all(np.isfinite(out)):
+        raise OracleError("oracle returned a non-finite point")
+    return out
 
 
 @dataclass
@@ -258,10 +277,50 @@ def check_path_independence(oracle: ProxOracle, x0, probes: np.ndarray,
         panels *= 2
 
 
+def _lattice_path_integrals(oracle: ProxOracle, x0: np.ndarray,
+                            grid: SampleGrid):
+    """u(x) - u(b) on every lattice point x, b the lattice point nearest 0.
+
+    One oracle batch gives G on the lattice. The cumulative trapezoid of
+    G_i along axis i, anchored at b, is the leg of a staircase path along
+    axis i; a path in axis order (i1, ..., id) sums the leg of i_k with
+    i_{k+1}, ..., i_d still at b. Returns the mean of the d! path tables,
+    the largest spread between them (a discrete-curl probe over the whole
+    lattice) and b.
+    """
+    axes = grid.axes()
+    shape = tuple(a.size for a in axes)
+    base = [int(np.argmin(np.abs(a))) for a in axes]
+    G = _field_many(oracle, x0, grid.points()).reshape(shape + (grid.dim,))
+    legs = []
+    for i, a in enumerate(axes):
+        Gi = np.moveaxis(G[..., i], i, -1)
+        steps = 0.5 * (Gi[..., 1:] + Gi[..., :-1]) * np.diff(a)
+        leg = np.zeros(Gi.shape)
+        np.cumsum(steps, axis=-1, out=leg[..., 1:])
+        leg -= leg[..., base[i]:base[i] + 1]
+        legs.append(np.moveaxis(leg, -1, i))
+    tables = []
+    for order in itertools.permutations(range(grid.dim)):
+        table = np.zeros(shape)
+        for k, i in enumerate(order):
+            leg = legs[i]
+            for j in order[k + 1:]:
+                leg = leg.take([base[j]], axis=j)
+            table += leg
+        tables.append(table.ravel())
+    b = np.array([a[k] for a, k in zip(axes, base)])
+    return np.mean(tables, axis=0), float(np.max(np.ptp(tables, axis=0))), b
+
+
 def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
                     quadrature_steps: int = 64,
                     f_at_x0: float | None = None):
-    """Tabulate the potential u on the grid by ray integration.
+    """Tabulate the potential u on the grid by lattice-path integration.
+
+    ``quadrature_steps`` is the starting panel count of the path probe,
+    which doubles it until the probe agrees; the Simpson ray from 0 to
+    the lattice point nearest 0 uses the probe's final count.
 
     Without ``f_at_x0`` the table is anchored at u(0) = 0. With it, the
     whole table is shifted so that its minimum equals -f_at_x0, the exact
@@ -280,7 +339,9 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
     probes = grid.points()[sorted(set(probe_idx))]
     path_gap, panels = check_path_independence(oracle, x0, probes, quadrature_steps)
 
-    values = _ray_integrals(oracle, x0, grid.points(), panels)
+    values, lattice_gap, b = _lattice_path_integrals(oracle, x0, grid)
+    if np.any(b != 0.0):
+        values = values + _ray_integrals(oracle, x0, b.reshape(1, -1), panels)[0]
 
     pinned = 0.0
     pin_on_boundary = False
@@ -296,6 +357,7 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
         "gradient_symmetry_residual": sym,
         "path_disagreement": path_gap,
         "quadrature_panels": panels,
+        "lattice_path_gap": lattice_gap,
         "pinned_constant": pinned,
         "pin_min_on_boundary": pin_on_boundary,
     }
@@ -321,7 +383,9 @@ def reconstruct(task: ReconstructionTask) -> ReconstructionReport:
         path_disagreement=diag["path_disagreement"],
         quadrature_panels=diag["quadrature_panels"],
         pin_min_on_boundary=diag["pin_min_on_boundary"],
-        details={"oracle_calls": task.oracle.call_count, "firm_residual": diag["firm_residual"]},
+        details={"oracle_calls": task.oracle.call_count,
+                 "firm_residual": diag["firm_residual"],
+                 "lattice_path_gap": diag["lattice_path_gap"]},
     )
 
 
@@ -423,7 +487,8 @@ def _constant_difference(samples, fv, gv, constant, tol):
         else:
             continue
         if gap > tol and len(witnesses) < 10:
-            witnesses.append((x, f"f={a!r} g={b!r} expected_gap={constant!r}"))
+            witnesses.append((x, f"f={float(a)!r} g={float(b)!r} "
+                                 f"expected_gap={float(constant)!r}"))
         worst = max(worst, gap)
     status = VERIFIED if worst <= tol else COUNTEREXAMPLE
     return status, worst, witnesses

@@ -41,6 +41,10 @@ class NonConservativeField(ProxcalcError):
     """The queried vector field fails the gradient-field consistency checks."""
 
 
+class OracleError(ProxcalcError):
+    """A prox oracle returned a non-finite point."""
+
+
 class AnchorOutsideDomain(ProxcalcError):
     """An anchor point evaluates to +inf where a finite value is required."""
 

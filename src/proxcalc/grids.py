@@ -29,6 +29,8 @@ class SampleGrid:
         if int(np.prod(self.counts)) > GRID_MAX_POINTS:
             raise ValueError(f"grid exceeds {GRID_MAX_POINTS} points")
         self.dim = self.lo.size
+        self._points = None
+        self._boundary = None
 
     @property
     def size(self) -> int:
@@ -40,25 +42,40 @@ class SampleGrid:
         ]
 
     def points(self) -> np.ndarray:
-        """All lattice points, shape (size, dim), last axis fastest."""
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """All lattice points, shape (size, dim), last axis fastest.
+
+        Built once per grid; the array is shared and read-only.
+        """
+        if self._points is None:
+            mesh = np.meshgrid(*self.axes(), indexing="ij")
+            self._points = _read_only(np.stack([m.ravel() for m in mesh], axis=1))
+        return self._points
 
     def boundary_mask(self) -> np.ndarray:
-        """True for lattice points on the outer shell of the grid."""
-        masks = []
-        for count in self.counts:
-            m = np.zeros(count, dtype=bool)
-            m[0] = m[-1] = True
-            masks.append(m)
-        mesh = np.meshgrid(*masks, indexing="ij")
-        out = np.zeros(self.size, dtype=bool)
-        for m in mesh:
-            out |= m.ravel()
-        return out
+        """True for lattice points on the outer shell of the grid.
+
+        Built once per grid; the array is shared and read-only.
+        """
+        if self._boundary is None:
+            masks = []
+            for count in self.counts:
+                m = np.zeros(count, dtype=bool)
+                m[0] = m[-1] = True
+                masks.append(m)
+            mesh = np.meshgrid(*masks, indexing="ij")
+            out = np.zeros(self.size, dtype=bool)
+            for m in mesh:
+                out |= m.ravel()
+            self._boundary = _read_only(out)
+        return self._boundary
 
     def __repr__(self):
         return f"SampleGrid({self.lo.tolist()}, {self.hi.tolist()}, {self.counts.tolist()})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class ValueTable:

@@ -145,7 +145,8 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
         else:
             gap = max((b - g0) - (a - f0), 0.0)
         if gap > tol_c and len(witnesses) < 10:
-            witnesses.append((x, f"g-g(x0)={b - g0!r} exceeds f-f(x0)={a - f0!r}"))
+            witnesses.append((x, f"g-g(x0)={float(b - g0)!r} "
+                                 f"exceeds f-f(x0)={float(a - f0)!r}"))
         concl = max(concl, gap)
     extended = False
     if hyp <= tol_h and concl > tol_c:
@@ -486,7 +487,8 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
         status = HYPOTHESIS_FAILS
         concl = 0.0
         worst = int(np.argmax(gaps))
-        witnesses.append((X[worst], f"prox norm {pnorms[worst]!r} vs distance {dists[worst]!r}"))
+        witnesses.append((X[worst], f"prox norm {float(pnorms[worst])!r} "
+                                    f"vs distance {float(dists[worst])!r}"))
         details = {"forward_residual": forward, "samples": int(X.shape[0])}
     return CheckReport(
         name="support_distance",

@@ -140,6 +140,19 @@ def test_reconstruct_command_with_oracle_table(tmp_path, capsys):
         assert got[q] == pytest.approx(expected, abs=2e-3)
 
 
+def test_reconstruct_nan_oracle_table_exits_2(tmp_path, capsys):
+    table_path = tmp_path / "prox_samples.csv"
+    table_path.write_text("".join(f"{float(x)!r},nan\n" for x in np.linspace(-5.0, 5.0, 11)))
+    queries_path = tmp_path / "q.csv"
+    queries_path.write_text("1.0\n")
+    code, _, err = run_cli([
+        "reconstruct", "--oracle-table", str(table_path), "--anchor", "0",
+        "--grid=-4:4:81", "--queries", str(queries_path),
+    ], capsys)
+    assert code == 2
+    assert "OracleError" in err
+
+
 def test_verify_all_csv_format(sq_spec, tmp_path, capsys):
     out_path = tmp_path / "reports.csv"
     code, _, _ = run_cli([

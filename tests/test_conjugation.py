@@ -40,6 +40,17 @@ def test_grid_caps():
         pc.SampleGrid([-1.0, -1.0], [1.0, 1.0], [1001, 1001])
 
 
+def test_grid_lattice_built_once_and_read_only():
+    grid = pc.SampleGrid([-1.0, -2.0], [1.0, 2.0], [3, 5])
+    P, B = grid.points(), grid.boundary_mask()
+    assert grid.points() is P and grid.boundary_mask() is B
+    assert P.shape == (15, 2) and B.sum() == 12
+    for a in (P, B):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_all_infinite_table_rejected():
     with pytest.raises(ValueError, match="finite"):
         pc.ValueTable(pc.SampleGrid([-1.0], [1.0], [3]), [INF, INF, INF])

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 import proxcalc as pc
-from proxcalc.determination import check_path_independence, validate_field
-from proxcalc.errors import AnchorOutsideDomain, NonConservativeField
+from proxcalc.determination import (
+    _constant_difference,
+    check_path_independence,
+    validate_field,
+)
+from proxcalc.errors import (
+    AnchorOutsideDomain,
+    DimensionMismatch,
+    NonConservativeField,
+    OracleError,
+)
+from proxcalc.verify import battery_samples
 
 
 def shifted_parabola_1d():
@@ -41,6 +51,24 @@ def test_oracle_counts_calls():
     oracle(np.array([1.0]))
     oracle.query_many(np.zeros((5, 1)))
     assert oracle.call_count == 6
+
+
+def test_oracle_nan_output_rejected():
+    oracle = pc.ProxOracle(lambda x: x * np.nan, dim=1,
+                           batch_query=lambda X: np.full(X.shape, np.nan))
+    grid = pc.SampleGrid([-2.0], [2.0], [21])
+    with pytest.raises(OracleError):
+        pc.integrate_tilde(oracle, [0.0], grid)
+
+
+def test_oracle_wrong_batch_width_rejected():
+    # one output column for a 2-D oracle used to broadcast into the field
+    oracle = pc.ProxOracle(lambda x: x[:1], dim=2, batch_query=lambda X: X[:, :1])
+    grid = pc.SampleGrid([-2.0, -2.0], [2.0, 2.0], [11, 11])
+    with pytest.raises(DimensionMismatch):
+        pc.integrate_tilde(oracle, [0.0, 0.0], grid)
+    with pytest.raises(DimensionMismatch):
+        pc.ProxOracle(lambda x: x[:1], dim=2).query_many(np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +130,17 @@ def test_field_validation_residuals():
     assert mono <= 1e-8
     assert firm <= 1e-8  # firm nonexpansiveness of a translated prox
     assert sym <= 1e-3
+
+
+def test_lattice_path_gap_vanishes_for_linear_field():
+    # trapezoid legs are exact for a linear field, so every axis order agrees
+    oracle = pc.ProxOracle.from_function(pc.Translate(pc.Quadratic(np.eye(2)), [-0.5, 0.3]))
+    grid = pc.SampleGrid([-3.0, -3.0], [3.0, 3.0], [31, 41])
+    table, diag = pc.integrate_tilde(oracle, [0.0, 0.0], grid)
+    P = grid.points()
+    expected = np.sum(P * P, axis=1) / 4 + P @ np.array([0.25, -0.15])
+    assert np.allclose(table.values, expected, atol=1e-10)
+    assert diag["lattice_path_gap"] <= 1e-12
 
 
 def test_path_independence_doubles_panels():
@@ -183,6 +222,47 @@ def test_reconstruct_anchored_away_from_origin():
         assert v == pytest.approx(abs(q[0] - 2.0), abs=2e-3)
 
 
+def test_reconstruct_2d_queries_each_lattice_point_about_once():
+    # the tilted norm doubles the path probe to 256 panels
+    f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
+    grid = pc.SampleGrid([-6.0, -6.0], [6.0, 6.0], [241, 241])
+    queries = battery_samples(2, 29, 22, 1.2)
+    rep = pc.reconstruct(pc.ReconstructionTask(
+        pc.ProxOracle.from_function(f), [0.0, 0.0], grid, queries, f_at_x0=0.0))
+    assert rep.quadrature_panels == 256
+    assert rep.details["oracle_calls"] <= 2 * grid.size
+    for q, v in rep.recovered:
+        assert v == pytest.approx(pc.evaluate(f, q), abs=2e-3)
+
+
+def test_reconstruct_origin_off_lattice():
+    # without f_at_x0 the table is anchored at u(0) = 0, so the recovered
+    # values are f - f_1(0), f_1 the Moreau envelope; the nearest lattice
+    # point to 0 is about (0.010, -0.010)
+    f = pc.Translate(pc.Quadratic(np.eye(2)), [-0.5, 0.3])
+    grid = pc.SampleGrid([-5.03, -4.97], [5.0, 5.0], [200, 200])
+    queries = battery_samples(2, 29, 22, 1.2)
+    rep = pc.reconstruct(pc.ReconstructionTask(
+        pc.ProxOracle.from_function(f), [0.0, 0.0], grid, queries))
+    values = np.array([v for _, v in rep.recovered])
+    truth = pc.evaluate_many(f, queries)
+    diffs = (values - values[0]) - (truth - truth[0])
+    assert np.max(np.abs(diffs)) <= 2e-3
+    shift = pc.moreau_envelope(f, 1.0, [0.0, 0.0])
+    assert np.max(np.abs(values - (truth - shift))) <= 2e-3
+
+
+def test_reconstruct_envelope_of_norm_3d():
+    f = pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0, 0.0]), 1.0)
+    grid = pc.SampleGrid([-4.0] * 3, [4.0] * 3, [81] * 3)
+    queries = battery_samples(3, 29, 22, 1.2)
+    rep = pc.reconstruct(pc.ReconstructionTask(
+        pc.ProxOracle.from_function(f), np.zeros(3), grid, queries, f_at_x0=0.0))
+    assert rep.details["oracle_calls"] <= 2 * grid.size
+    for q, v in rep.recovered:
+        assert v == pytest.approx(pc.evaluate(f, q), abs=2e-3)
+
+
 def test_quadrature_steps_validation():
     oracle = pc.ProxOracle.from_function(pc.ScaledNorm(1.0, [0.0]))
     with pytest.raises(ValueError):
@@ -234,6 +314,14 @@ def test_determine_sharpness_example():
     assert rep.hypothesis_residual <= 1e-12
     assert rep.status == "precondition_violated"
     assert rep.details["conjugate_diverges"] == [True, True]
+
+
+def test_constant_difference_witness_prints_plain_floats():
+    samples = np.array([[1.0], [2.0]])
+    status, _, witnesses = _constant_difference(
+        samples, np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.float64(0.5), 1e-6)
+    assert status == "counterexample"
+    assert witnesses[0][1] == "f=1.0 g=0.0 expected_gap=0.5"
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,23 @@ def test_comparison_extends_hypothesis_sweep_before_blaming():
     assert rep.details["hypothesis_sweep_extended"]
 
 
+class _DoubledNorm(pc.ScaledNorm):
+    """Prox of the norm, values of twice the norm: not a consistent pair."""
+
+    def value_many(self, X):
+        return 2.0 * super().value_many(X)
+
+
+def test_comparison_witness_prints_plain_floats(X2):
+    rep = check_comparison(NORM2, _DoubledNorm(1.0, [0.0, 0.0]), [0.0, 0.0], X2)
+    assert rep.status == "counterexample"
+    assert rep.witnesses
+    for _, text in rep.witnesses:
+        assert "np.float64(" not in text
+        gap_g, gap_f = (float(part.split("=")[1]) for part in text.split(" exceeds "))
+        assert gap_g == pytest.approx(2.0 * gap_f)
+
+
 # ---------------------------------------------------------------------------
 # check_gradient_comparison
 # ---------------------------------------------------------------------------
@@ -255,6 +272,13 @@ def test_support_distance_constant_shift(X2):
 def test_support_distance_wrong_function(X2):
     rep = check_support_distance(SQ2, pc.IndicatorBall([0.0, 0.0], 1.0), X2)
     assert rep.status == "hypothesis_fails"
+
+
+def test_support_distance_witness_prints_plain_floats(X2):
+    rep = check_support_distance(SQ2, pc.IndicatorBall([0.0, 0.0], 1.0), X2)
+    (_, text), = rep.witnesses
+    assert text.startswith("prox norm ")
+    assert "np.float64(" not in text
 
 
 def test_support_distance_needs_origin(X2):
