@@ -6,6 +6,11 @@ bound of the true conjugate that becomes exact as the grid refines over the
 region where the supremum is attained; the grid should dominate the query
 range by a healthy margin (5x by default elsewhere in the library), and an
 argmax landing on the grid boundary signals truncation.
+
+One kernel scores every query against the lattice in blocks of bounded
+size (lattice rows x queries) and keeps the first index of each maximum;
+``conjugate_many``, ``conjugate_argmax`` and ``numerical_conjugate`` are
+views of its result.
 """
 
 from __future__ import annotations
@@ -17,37 +22,21 @@ from .errors import AllInfinite, DimensionMismatch
 from .grids import SampleGrid, ValueTable, tabulate
 from .reports import VERIFIED, COUNTEREXAMPLE, HYPOTHESIS_FAILS, CheckReport
 
-_CHUNK = 200_000
+_BLOCK_ROWS = 200_000
+_BLOCK_ENTRIES = 5_000_000
 
 
 def numerical_conjugate(table: ValueTable, query) -> float:
     """max over lattice v of <query, v> - f(v), skipping +inf entries."""
-    value, _, _ = conjugate_argmax(table, query)
-    return value
+    return conjugate_argmax(table, query)[0]
 
 
 def conjugate_argmax(table: ValueTable, query):
     """(value, argmax index, argmax-on-boundary flag) of the discrete sup."""
     q = fn.as_point(query, table.grid.dim)
-    finite = np.isfinite(table.values)
-    if not np.any(finite):
-        raise AllInfinite("value table holds no finite entry")
-    P = table.grid.points()
-    best_val = -np.inf
-    best_idx = -1
-    for start in range(0, P.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, P.shape[0])
-        mask = finite[start:stop]
-        if not np.any(mask):
-            continue
-        scores = P[start:stop] @ q - table.values[start:stop]
-        scores[~mask] = -np.inf
-        i = int(np.argmax(scores))
-        if scores[i] > best_val:
-            best_val = float(scores[i])
-            best_idx = start + i
-    boundary = bool(table.grid.boundary_mask()[best_idx])
-    return best_val, best_idx, boundary
+    vals, arg = _conjugate_kernel(table, q.reshape(1, -1))
+    best_idx = int(arg[0])
+    return float(vals[0]), best_idx, bool(table.grid.boundary_mask()[best_idx])
 
 
 def conjugate_many(table: ValueTable, queries: np.ndarray):
@@ -57,26 +46,44 @@ def conjugate_many(table: ValueTable, queries: np.ndarray):
         Q = Q.reshape(-1, 1) if table.grid.dim == 1 else Q.reshape(1, -1)
     if Q.shape[1] != table.grid.dim:
         raise DimensionMismatch("query dimension does not match the table")
+    vals, arg = _conjugate_kernel(table, Q)
+    return vals, table.grid.boundary_mask()[arg]
+
+
+def _conjugate_kernel(table: ValueTable, Q: np.ndarray):
+    """(values, argmax indices) of the discrete sup for each query row of Q.
+
+    Scores are built in blocks of at most _BLOCK_ROWS lattice rows and
+    _BLOCK_ENTRIES rows x queries, so memory stays bounded however many
+    queries come in. Ties go to the first lattice index.
+    """
     finite = np.isfinite(table.values)
     if not np.any(finite):
         raise AllInfinite("value table holds no finite entry")
     P = table.grid.points()
     vals = np.full(Q.shape[0], -np.inf)
     arg = np.zeros(Q.shape[0], dtype=int)
-    for start in range(0, P.shape[0], _CHUNK):
-        stop = min(start + _CHUNK, P.shape[0])
+    for start in range(0, P.shape[0], _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, P.shape[0])
         mask = finite[start:stop]
         if not np.any(mask):
             continue
-        S = P[start:stop] @ Q.T - table.values[start:stop, None]
-        S[~mask, :] = -np.inf
-        idx = np.argmax(S, axis=0)
-        cand = S[idx, np.arange(Q.shape[0])]
-        better = cand > vals
-        vals[better] = cand[better]
-        arg[better] = start + idx[better]
-    boundary = table.grid.boundary_mask()[arg]
-    return vals, boundary
+        width = _BLOCK_ENTRIES // (stop - start)
+        for lo in range(0, Q.shape[0], width):
+            cols = slice(lo, lo + width)
+            S = P[start:stop] @ Q[cols].T
+            S -= table.values[start:stop, None]
+            S[~mask, :] = -np.inf
+            # first index of each column maximum; np.argmax(S, axis=0) would
+            # copy the whole block. A NaN maximum never wins, as under argmax.
+            best = S.max(axis=0)
+            idx = np.argmax(S == best, axis=0)
+            cand = S[idx, np.arange(S.shape[1])]
+            del S  # before the next block is allocated
+            better = best > vals[cols]
+            vals[cols][better] = cand[better]
+            arg[cols][better] = start + idx[better]
+    return vals, arg
 
 
 class TabulatedConjugate:

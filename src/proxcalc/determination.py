@@ -402,93 +402,66 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     sampled boundedness precondition on f* and g* guards the claim; the
     report carries the sampling radii as the divergence test is heuristic.
     """
+    from .verify import _verdict, sampled_conjugate_infimum
+
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     pf = f.prox_many(1.0, samples)
     pg = g.prox_many(1.0, samples)
 
     if x0 is not None:
-        x0 = fn.as_point(x0, f.dim)
-        f0 = fn.evaluate(f, x0)
-        g0 = fn.evaluate(g, x0)
+        variant, diverges = "anchored", False
+        anchor = fn.as_point(x0, f.dim)
+        f0 = fn.evaluate(f, anchor)
+        g0 = fn.evaluate(g, anchor)
         if not (np.isfinite(f0) and np.isfinite(g0)):
             raise AnchorOutsideDomain("anchor must lie in dom f and dom g")
-        hyp = float(
-            np.max(
-                np.abs(
-                    np.linalg.norm(pf - x0, axis=1) - np.linalg.norm(pg - x0, axis=1)
-                )
-            )
-        )
-        fv = fn.evaluate_many(f, samples)
-        gv = fn.evaluate_many(g, samples)
-        status, concl, witnesses = _constant_difference(
-            samples, fv - f0, gv - g0, 0.0, tol_c
-        )
-        if hyp > tol_h:
-            status = HYPOTHESIS_FAILS
-            concl = 0.0
-            witnesses = []
-        return CheckReport(
-            name="determine_from_norm(anchored)",
-            status=status,
-            hypothesis_residual=hyp,
-            conclusion_residual=concl,
-            tolerance=tol_c,
-            witnesses=witnesses,
-            details={"anchor": x0, "samples": int(samples.shape[0])},
-        )
-
-    # origin variant: anchor 0 without domain requirement; needs bounded conjugates
-    from .verify import sampled_conjugate_infimum
-
-    hyp = float(
-        np.max(np.abs(np.linalg.norm(pf, axis=1) - np.linalg.norm(pg, axis=1)))
-    )
-    inf_f, div_f, radii = sampled_conjugate_infimum(f)
-    inf_g, div_g, _ = sampled_conjugate_infimum(g)
-    fv = fn.evaluate_many(f, samples)
-    gv = fn.evaluate_many(g, samples)
-    status, concl, witnesses = _constant_difference(
-        samples, fv, gv, inf_g - inf_f, tol_c
-    )
-    if hyp > tol_h:
-        status = HYPOTHESIS_FAILS
-        concl = 0.0
-        witnesses = []
-    elif div_f or div_g:
-        status = PRECONDITION_VIOLATED
-    return CheckReport(
-        name="determine_from_norm(origin)",
-        status=status,
-        hypothesis_residual=hyp,
-        conclusion_residual=concl,
-        tolerance=tol_c,
-        witnesses=witnesses,
-        details={
+        constant = 0.0
+        details = {"anchor": anchor, "samples": int(samples.shape[0])}
+    else:
+        # origin variant: anchor 0 without domain requirement; needs bounded conjugates
+        variant, anchor, f0, g0 = "origin", np.zeros(f.dim), 0.0, 0.0
+        inf_f, div_f, radii = sampled_conjugate_infimum(f)
+        inf_g, div_g, _ = sampled_conjugate_infimum(g)
+        constant, diverges = inf_g - inf_f, div_f or div_g
+        details = {
             "sampled_inf_conj_f": inf_f,
             "sampled_inf_conj_g": inf_g,
             "conjugate_diverges": [bool(div_f), bool(div_g)],
             "sampling_radii": list(radii),
             "samples": int(samples.shape[0]),
-        },
+        }
+    hyp = float(np.max(np.abs(
+        np.linalg.norm(pf - anchor, axis=1) - np.linalg.norm(pg - anchor, axis=1))))
+    fv = fn.evaluate_many(f, samples)
+    gv = fn.evaluate_many(g, samples)
+    _, concl, witnesses = _constant_difference(samples, fv - f0, gv - g0, constant, tol_c)
+    status = _verdict(hyp, tol_h, concl, tol_c)
+    if status == HYPOTHESIS_FAILS:
+        concl, witnesses = 0.0, []
+    elif diverges:
+        status = PRECONDITION_VIOLATED
+    return CheckReport(
+        name=f"determine_from_norm({variant})",
+        status=status,
+        hypothesis_residual=hyp,
+        conclusion_residual=concl,
+        tolerance=tol_c,
+        witnesses=witnesses,
+        details=details,
     )
 
 
 def _constant_difference(samples, fv, gv, constant, tol):
-    """Residual of f - g = constant over samples, extended-real aware."""
-    worst = 0.0
-    witnesses = []
-    for x, a, b in zip(samples, fv, gv):
-        fin_a, fin_b = np.isfinite(a), np.isfinite(b)
-        if fin_a and fin_b:
-            gap = abs((a - b) - constant)
-        elif fin_a != fin_b:
-            gap = float("inf")
-        else:
-            continue
-        if gap > tol and len(witnesses) < 10:
-            witnesses.append((x, f"f={float(a)!r} g={float(b)!r} "
-                                 f"expected_gap={float(constant)!r}"))
-        worst = max(worst, gap)
-    status = VERIFIED if worst <= tol else COUNTEREXAMPLE
-    return status, worst, witnesses
+    """(status, residual, witnesses) of f - g = constant over samples,
+    extended-real aware: +inf on one side only is an infinite gap, on both
+    sides none."""
+    fin_a, fin_b = np.isfinite(fv), np.isfinite(gv)
+    both = fin_a & fin_b
+    gaps = np.zeros(len(fv))
+    gaps[both] = np.abs((fv[both] - gv[both]) - constant)
+    gaps[fin_a != fin_b] = np.inf
+    witnesses = [(samples[i], f"f={float(fv[i])!r} g={float(gv[i])!r} "
+                              f"expected_gap={float(constant)!r}")
+                 for i in np.flatnonzero(gaps > tol)[:10]]
+    worst = float(np.fmax.reduce(gaps, initial=0.0))
+    return (VERIFIED if worst <= tol else COUNTEREXAMPLE), worst, witnesses

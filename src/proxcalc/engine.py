@@ -59,11 +59,11 @@ def prox(f, lam: float, x, budget: SolverBudget | None = None,
     if lam <= 0:
         raise ValueError("lam must be > 0")
     x = fn.as_point(x, f.dim)
-    if not force_numerical:
+    if not force_numerical and hasattr(f, "prox_many"):
         try:
             y = f.prox_many(float(lam), x.reshape(1, -1))[0]
             return ProxResult(y, _objective(f, lam, x, y), "closed_form", 0, 0.0)
-        except (UnsupportedProx, AttributeError):
+        except UnsupportedProx:
             pass
     return numerical_prox(f, lam, x, budget)
 
@@ -142,9 +142,11 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
 
 
 def _bounded_subgradients(f) -> bool:
-    while isinstance(f, (fn.Tilt, fn.Translate, fn.AddConst)):
-        f = f.f
-    return isinstance(f, (fn.ScaledNorm, fn.SupportBall, fn.SupportBox, fn.Affine))
+    """True for a norm, support or affine atom under tilts, translations and
+    constants only."""
+    *combinators, atom = fn.chain(f)
+    return (isinstance(atom, (fn.ScaledNorm, fn.SupportBall, fn.SupportBox, fn.Affine))
+            and not any(isinstance(g, (fn.Envelope, fn.AddQuadratic)) for g in combinators))
 
 
 def _find_finite_start(f, lam, x):

@@ -25,10 +25,6 @@ class EmptySubdifferential(ProxcalcError):
     """The subdifferential is empty (query point outside the domain)."""
 
 
-class SolverDidNotConverge(ProxcalcError):
-    """Iterative solver exhausted its budget above tolerance."""
-
-
 class DomainUnreachable(ProxcalcError):
     """Every probe point evaluated to +inf; the solver has nowhere to start."""
 
@@ -39,6 +35,10 @@ class AllInfinite(ProxcalcError):
 
 class NonConservativeField(ProxcalcError):
     """The queried vector field fails the gradient-field consistency checks."""
+
+
+class ExtendedRealError(ProxcalcError, ArithmeticError):
+    """Extended-real arithmetic produced -inf or inf - inf."""
 
 
 class OracleError(ProxcalcError):

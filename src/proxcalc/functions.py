@@ -23,11 +23,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptySubdifferential,
+    ExtendedRealError,
     UnsupportedConjugate,
     UnsupportedProx,
     UnsupportedSubdifferential,
 )
-from .sampling import Lcg
 from .sets import (
     BallSet,
     BoxSet,
@@ -40,7 +40,6 @@ from .sets import (
 INF = float("inf")
 MAX_DIM = 16
 MEMBERSHIP_TOL = 1e-9
-PSD_RAYLEIGH_SAMPLES = 100
 PSD_TOL = -1e-10
 
 
@@ -67,7 +66,7 @@ def _as_batch(X, dim: int) -> np.ndarray:
 
 def _check_no_nan(v: np.ndarray) -> np.ndarray:
     if np.any(np.isnan(v)) or np.any(np.isneginf(v)):
-        raise ArithmeticError("extended-real arithmetic produced -inf or inf - inf")
+        raise ExtendedRealError("extended-real arithmetic produced -inf or inf - inf")
     return v
 
 
@@ -127,8 +126,8 @@ class Affine(ConvexFunction):
 class Quadratic(ConvexFunction):
     """(1/2) <Q x, x> + <b, x> + c with Q symmetric positive semidefinite.
 
-    Positive semidefiniteness is certified by Rayleigh quotients on 100
-    pseudorandom unit vectors (fixed internal seed), tolerance -1e-10.
+    Positive semidefiniteness is certified exactly: the least eigenvalue of
+    Q must be at least -1e-10.
     """
 
     def __init__(self, Q, b=None, c: float = 0.0):
@@ -141,11 +140,8 @@ class Quadratic(ConvexFunction):
         self.dim = _capped_dim(n)
         if np.max(np.abs(self.Q - self.Q.T)) > 1e-10:
             raise ValueError("Q must be symmetric")
-        rng = Lcg(0xA5C3)
-        for _ in range(PSD_RAYLEIGH_SAMPLES):
-            v = rng.unit_vector(n)
-            if float(v @ self.Q @ v) < PSD_TOL:
-                raise ValueError("Q fails the sampled positive-semidefiniteness check")
+        if np.linalg.eigvalsh(self.Q).min() < PSD_TOL:
+            raise ValueError("Q is not positive semidefinite")
 
     def value_many(self, X):
         return 0.5 * np.einsum("ij,jk,ik->i", X, self.Q, X) + X @ self.b + self.c
@@ -504,11 +500,7 @@ class Envelope(ConvexFunction):
         if self.lam <= 0:
             raise ValueError("envelope index must be > 0")
         self.dim = f.dim
-        depth = 1
-        g = f
-        while isinstance(g, (Tilt, Translate, AddConst, Envelope, AddQuadratic)):
-            depth += isinstance(g, Envelope)
-            g = g.f
+        depth = sum(isinstance(g, Envelope) for g in chain(self))
         if depth >= 3:
             import warnings
 
@@ -633,27 +625,32 @@ def minimal_selection(f: ConvexFunction, x) -> np.ndarray:
     return s.min_norm_element()
 
 
+def chain(f: ConvexFunction):
+    """Each node from f down to its leaf atom: f first, the atom last.
+
+    The only place that knows which nodes are combinators."""
+    while True:
+        yield f
+        if not isinstance(f, (Tilt, Translate, AddConst, Envelope, AddQuadratic)):
+            return
+        f = f.f
+
+
 def atom_of(f: ConvexFunction) -> ConvexFunction:
     """The leaf atom under a chain of combinators."""
-    while isinstance(f, (Tilt, Translate, AddConst, Envelope, AddQuadratic)):
-        f = f.f
-    return f
+    *_, atom = chain(f)
+    return atom
 
 
 def is_indicator_chain(f: ConvexFunction) -> bool:
     """True when f is an indicator atom under tilt/translate/constant/quadratic
     combinators only (its prox reduces to a projection)."""
-    while isinstance(f, (Tilt, Translate, AddConst, AddQuadratic)):
-        f = f.f
-    return isinstance(f, (IndicatorPoint, IndicatorBall, IndicatorBox, IndicatorHalfspace))
+    return not contains_envelope(f) and isinstance(
+        atom_of(f), (IndicatorPoint, IndicatorBall, IndicatorBox, IndicatorHalfspace))
 
 
 def contains_envelope(f: ConvexFunction) -> bool:
-    while isinstance(f, (Tilt, Translate, AddConst, Envelope, AddQuadratic)):
-        if isinstance(f, Envelope):
-            return True
-        f = f.f
-    return False
+    return any(isinstance(g, Envelope) for g in chain(f))
 
 
 def structured_probes(f: ConvexFunction) -> list[np.ndarray]:
@@ -661,11 +658,9 @@ def structured_probes(f: ConvexFunction) -> list[np.ndarray]:
     mapped back through translations. Sampling sweeps mix these in so that
     small-domain indicators are probed where they are finite."""
     shift = np.zeros(f.dim)
-    g = f
-    while isinstance(g, (Tilt, Translate, AddConst, Envelope, AddQuadratic)):
+    for g in chain(f):
         if isinstance(g, Translate):
             shift = shift - g.t
-        g = g.f
     pts: list[np.ndarray] = [np.zeros(f.dim)]
     if isinstance(g, IndicatorPoint):
         pts.append(g.p.copy())

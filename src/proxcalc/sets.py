@@ -1,9 +1,11 @@
 """Closed convex set descriptors used for subdifferentials.
 
-Every descriptor supports projection of an arbitrary point, membership
-testing, a support-function evaluation, translation, and sampling. Box
-bounds may be infinite, which covers orthant-style normal cones and the
-full space; every other kind has finite parameters.
+The kinds are singletons, balls, boxes, halflines (rays; normal cones
+anchor them at 0) and the empty set. Every descriptor supports projection
+of an arbitrary point, membership testing, a support-function evaluation,
+translation, and sampling. Box bounds may be infinite, which covers
+orthant-style normal cones and the full space; every other kind has finite
+parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ _TOL = 1e-9
 
 
 class SubdiffSet:
-    """Base class; concrete kinds are Singleton/Ball/Box/Segment/HalflineCone/Empty."""
+    """Base class; concrete kinds are Singleton/Ball/Box/HalflineCone/Empty."""
 
     kind = "abstract"
     dim: int
@@ -144,38 +146,6 @@ class BoxSet(SubdiffSet):
         return f"BoxSet({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-class SegmentSet(SubdiffSet):
-    kind = "segment"
-
-    def __init__(self, p, q):
-        self.p = np.asarray(p, dtype=float)
-        self.q = np.asarray(q, dtype=float)
-        self.dim = self.p.size
-
-    def project(self, z):
-        d = self.q - self.p
-        denom = float(np.dot(d, d))
-        if denom <= _TOL:
-            return self.p.copy()
-        t = float(np.clip(np.dot(z - self.p, d) / denom, 0.0, 1.0))
-        return self.p + t * d
-
-    def contains(self, v, tol=1e-7):
-        return bool(np.linalg.norm(v - self.project(v)) <= tol)
-
-    def support(self, u):
-        return float(max(np.dot(u, self.p), np.dot(u, self.q)))
-
-    def shift(self, w):
-        return SegmentSet(self.p + w, self.q + w)
-
-    def sample(self, count, rng):
-        return np.array([self.p + rng.uniform() * (self.q - self.p) for _ in range(count)])
-
-    def __repr__(self):
-        return f"SegmentSet({self.p.tolist()}, {self.q.tolist()})"
-
-
 class HalflineSet(SubdiffSet):
     """Ray {anchor + t * direction : t >= 0}; normal cones use anchor 0."""
 
@@ -242,7 +212,7 @@ def sets_equal(a: SubdiffSet, b: SubdiffSet, tol: float = 1e-7):
     """Structural comparison; returns True/False, or None when undecidable.
 
     Degenerate kinds are normalized first (a radius-0 ball is its center, a
-    zero-length segment is a point, a box with lo == hi is a point).
+    box with lo == hi is a point).
     """
     a = _normalize(a, tol)
     b = _normalize(b, tol)
@@ -260,10 +230,6 @@ def sets_equal(a: SubdiffSet, b: SubdiffSet, tol: float = 1e-7):
         return bool(np.linalg.norm(a.center - b.center) <= tol and abs(a.radius - b.radius) <= tol)
     if a.kind == "box":
         return bool(_bounds_close(a.lo, b.lo, tol) and _bounds_close(a.hi, b.hi, tol))
-    if a.kind == "segment":
-        fwd = np.linalg.norm(a.p - b.p) <= tol and np.linalg.norm(a.q - b.q) <= tol
-        rev = np.linalg.norm(a.p - b.q) <= tol and np.linalg.norm(a.q - b.p) <= tol
-        return bool(fwd or rev)
     if a.kind == "halfline_cone":
         da = a.direction / np.linalg.norm(a.direction)
         db = b.direction / np.linalg.norm(b.direction)
@@ -274,8 +240,6 @@ def sets_equal(a: SubdiffSet, b: SubdiffSet, tol: float = 1e-7):
 def _normalize(s: SubdiffSet, tol: float) -> SubdiffSet:
     if s.kind == "ball" and s.radius <= tol:
         return SingletonSet(s.center)
-    if s.kind == "segment" and np.linalg.norm(s.p - s.q) <= tol:
-        return SingletonSet(s.p)
     if s.kind == "box" and np.all(np.isfinite(s.lo)) and np.all(s.hi - s.lo <= tol):
         return SingletonSet(0.5 * (s.lo + s.hi))
     return s

@@ -111,6 +111,14 @@ def sampled_conjugate_infimum(f: fn.ConvexFunction, radius: float = INFIMUM_RADI
     return m4, diverges, (radius, 2.0 * radius, 4.0 * radius)
 
 
+def _verdict(hyp: float, tol_h: float, concl: float, tol_c: float) -> str:
+    """hypothesis_fails when the hypothesis residual exceeds its tolerance,
+    else verified or counterexample by the conclusion residual."""
+    if hyp > tol_h:
+        return HYPOTHESIS_FAILS
+    return VERIFIED if concl <= tol_c else COUNTEREXAMPLE
+
+
 def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
                      tol_h: float = TOL_CLOSED, tol_c: float = 1e-6) -> CheckReport:
     """Hypothesis ||prox_f - x0|| <= ||prox_g - x0||, conclusion
@@ -132,22 +140,16 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
     )
     fv = fn.evaluate_many(f, X)
     gv = fn.evaluate_many(g, X)
-    concl = 0.0
-    witnesses = []
-    for x, a, b in zip(X, fv, gv):
-        # want b - g0 <= a - f0 in extended reals
-        if np.isinf(b) and np.isinf(a):
-            continue
-        if np.isinf(b):
-            gap = float("inf")
-        elif np.isinf(a):
-            gap = 0.0
-        else:
-            gap = max((b - g0) - (a - f0), 0.0)
-        if gap > tol_c and len(witnesses) < 10:
-            witnesses.append((x, f"g-g(x0)={float(b - g0)!r} "
-                                 f"exceeds f-f(x0)={float(a - f0)!r}"))
-        concl = max(concl, gap)
+    # want g - g0 <= f - f0 in extended reals: +inf on the right always
+    # holds, +inf on the left alone always fails
+    both = np.isfinite(fv) & np.isfinite(gv)
+    gaps = np.zeros(X.shape[0])
+    gaps[both] = np.maximum((gv[both] - g0) - (fv[both] - f0), 0.0)
+    gaps[np.isinf(gv) & np.isfinite(fv)] = np.inf
+    concl = float(np.fmax.reduce(gaps, initial=0.0))
+    witnesses = [(X[i], f"g-g(x0)={float(gv[i] - g0)!r} "
+                        f"exceeds f-f(x0)={float(fv[i] - f0)!r}")
+                 for i in np.flatnonzero(gaps > tol_c)[:10]]
     extended = False
     if hyp <= tol_h and concl > tol_c:
         # the hypothesis held on the declared samples but the conclusion did
@@ -155,13 +157,9 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
         # since a too-small sample radius can hide hypothesis failures
         hyp = max(hyp, _hypothesis_extended(f, g, x0, X, tol_h))
         extended = True
-    if hyp > tol_h:
-        status = HYPOTHESIS_FAILS
+    status = _verdict(hyp, tol_h, concl, tol_c)
+    if status == HYPOTHESIS_FAILS:
         witnesses = []
-    elif concl <= tol_c:
-        status = VERIFIED
-    else:
-        status = COUNTEREXAMPLE
     return CheckReport(
         name="comparison",
         status=status,
@@ -215,13 +213,9 @@ def check_gradient_comparison(f, g, samples, lam: float | None = None,
     rel_g = gv - np.min(gv)
     gaps = np.maximum(rel_f - rel_g, 0.0)
     concl = float(np.max(gaps))
+    status = _verdict(hyp, tol, concl, tol)
     witnesses = []
-    if hyp > tol:
-        status = HYPOTHESIS_FAILS
-    elif concl <= tol:
-        status = VERIFIED
-    else:
-        status = COUNTEREXAMPLE
+    if status == COUNTEREXAMPLE:
         worst = int(np.argmax(gaps))
         witnesses.append((X[worst], f"gap={gaps[worst]:.3e}"))
     return CheckReport(
@@ -253,16 +247,12 @@ def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
     finite = np.isfinite(gv)
     gaps = np.maximum(gv[finite] - g0 - ell * norms[finite], 0.0)
     concl = float(np.max(gaps)) if gaps.size else 0.0
-    witnesses = []
     if ell == 0.0 and np.any(finite):
         spread = float(np.max(gv[finite]) - np.min(gv[finite]))
         concl = max(concl, spread)
-    if hyp > tol:
-        status = HYPOTHESIS_FAILS
-    elif concl <= tol:
-        status = VERIFIED
-    else:
-        status = COUNTEREXAMPLE
+    status = _verdict(hyp, tol, concl, tol)
+    witnesses = []
+    if status == COUNTEREXAMPLE:
         idx = np.flatnonzero(finite)
         worst = idx[int(np.argmax(gaps))]
         witnesses.append((X[worst], f"gap={gaps.max():.3e}"))
@@ -523,28 +513,15 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
     anchor = fn.as_point(anchor, f.dim)
     extra = fn.structured_probes(f) + fn.structured_probes(g) + [anchor]
     X = battery_samples(f.dim, seed, count, radius, extra)
-    reports: list[CheckReport] = []
-
-    for name, a, b in (("comparison(f,g)", f, g), ("comparison(g,f)", g, f)):
-        try:
-            rep = check_comparison(a, b, anchor, X, tol_c=tol_conclusion)
-            rep.name = name
-        except AnchorOutsideDomain as exc:
-            rep = CheckReport(name, PRECONDITION_VIOLATED, 0.0, 0.0, tol_conclusion,
-                              details={"error": str(exc)})
-        reports.append(rep)
-
-    try:
-        rep = check_equivalences(f, g, X)
-        rep.name = "equivalences(f,g)"
-    except UnsupportedConjugate as exc:
-        rep = CheckReport("equivalences(f,g)", PRECONDITION_VIOLATED, 0.0, 0.0,
-                          TOL_CLOSED, details={"error": str(exc)})
-    reports.append(rep)
+    reports = [_guarded(name, tol_conclusion, AnchorOutsideDomain, check_comparison,
+                        a, b, anchor, X, tol_c=tol_conclusion)
+               for name, a, b in (("comparison(f,g)", f, g), ("comparison(g,f)", g, f))]
+    reports.append(_guarded("equivalences(f,g)", TOL_CLOSED, UnsupportedConjugate,
+                            check_equivalences, f, g, X))
 
     for tag, h in (("f", f), ("g", g)):
         reports.append(_decomposition_report(h, X, tag))
-        reports.append(_envelope_gradient_report(h, X, tag, seed))
+        reports.append(_envelope_gradient_report(h, X, tag))
         if h.dim <= 3:
             grid = SampleGrid([-5.0 * radius / 2] * h.dim, [5.0 * radius / 2] * h.dim,
                               [{1: 2001, 2: 301, 3: 61}[h.dim]] * h.dim)
@@ -558,26 +535,32 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
 
     if ell is not None:
         Y = battery_samples(f.dim, seed + 2, 12, radius / 2)
-        try:
-            reports.append(check_lipschitz(f, ell, X, Y))
-        except ValueError as exc:
-            reports.append(CheckReport(f"lipschitz(ell={ell})", PRECONDITION_VIOLATED,
-                                       0.0, 0.0, TOL_CLOSED, details={"error": str(exc)}))
-        try:
-            rep = check_norm_lower_bound(g, ell, X)
-            reports.append(rep)
-        except AnchorOutsideDomain as exc:
-            reports.append(CheckReport(f"norm_lower_bound(ell={ell})",
-                                       PRECONDITION_VIOLATED, 0.0, 0.0, 1e-6,
-                                       details={"error": str(exc)}))
+        reports.append(_guarded(f"lipschitz(ell={ell})", TOL_CLOSED, ValueError,
+                                check_lipschitz, f, ell, X, Y))
+        reports.append(_guarded(f"norm_lower_bound(ell={ell})", 1e-6, AnchorOutsideDomain,
+                                check_norm_lower_bound, g, ell, X))
 
     if isinstance(g, (fn.IndicatorBall, fn.IndicatorBox, fn.IndicatorPoint)):
-        try:
-            reports.append(check_support_distance(f, g, X))
-        except OriginNotInC as exc:
-            reports.append(CheckReport("support_distance", PRECONDITION_VIOLATED,
-                                       0.0, 0.0, TOL_CLOSED, details={"error": str(exc)}))
+        reports.append(_guarded("support_distance", TOL_CLOSED, OriginNotInC,
+                                check_support_distance, f, g, X))
     return reports
+
+
+def _precondition_report(name: str, tol: float, exc: Exception) -> CheckReport:
+    """The report of a check whose precondition raised exc."""
+    return CheckReport(name, PRECONDITION_VIOLATED, 0.0, 0.0, tol,
+                       details={"error": str(exc)})
+
+
+def _guarded(name, tol, errors, check, *args, **kwargs) -> CheckReport:
+    """check(*args, **kwargs) under the given name, or the precondition
+    report of one of the errors it raised."""
+    try:
+        rep = check(*args, **kwargs)
+    except errors as exc:
+        return _precondition_report(name, tol, exc)
+    rep.name = name
+    return rep
 
 
 def _decomposition_report(h, X, tag) -> CheckReport:
@@ -587,8 +570,7 @@ def _decomposition_report(h, X, tag) -> CheckReport:
     except UnsupportedConjugate as exc:
         # grid conjugation stands in; prox of the surrogate is iterative
         if h.dim > 3:
-            return CheckReport(f"moreau_decomposition({tag})", PRECONDITION_VIOLATED,
-                               0.0, 0.0, TOL_GRID, details={"error": str(exc)})
+            return _precondition_report(f"moreau_decomposition({tag})", TOL_GRID, exc)
         from .conjugation import TabulatedConjugate
 
         span = 5.0 * float(np.max(np.abs(X)))
@@ -597,29 +579,14 @@ def _decomposition_report(h, X, tag) -> CheckReport:
                                        [counts] * h.dim))
         conj = TabulatedConjugate(table)
         tol = TOL_GRID
-    worst = 0.0
-    witness = None
-    for x in X:
-        r = engine.moreau_decomposition_residual(h, x, conj=conj)
-        if r > worst:
-            worst, witness = r, x
-    status = VERIFIED if worst <= tol else COUNTEREXAMPLE
-    witnesses = [(witness, f"residual={worst:.3e}")] if status != VERIFIED else []
-    return CheckReport(
-        name=f"moreau_decomposition({tag})",
-        status=status,
-        hypothesis_residual=0.0,
-        conclusion_residual=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-        details={"samples": int(X.shape[0])},
-    )
+    residuals = [engine.moreau_decomposition_residual(h, x, conj=conj) for x in X]
+    return _worst_sample_report(f"moreau_decomposition({tag})", X, residuals, tol,
+                                "residual", {"samples": int(X.shape[0])})
 
 
-def _envelope_gradient_report(h, X, tag, seed, lam: float = 1.0,
+def _envelope_gradient_report(h, X, tag, lam: float = 1.0,
                               step: float = 1e-5, tol: float = TOL_NUMERICAL) -> CheckReport:
-    worst = 0.0
-    witness = None
+    residuals = []
     for x in X:
         ga = engine.envelope_gradient(h, lam, x)
         gfd = np.empty_like(ga)
@@ -630,17 +597,20 @@ def _envelope_gradient_report(h, X, tag, seed, lam: float = 1.0,
                 engine.moreau_envelope(h, lam, x + e)
                 - engine.moreau_envelope(h, lam, x - e)
             ) / (2 * step)
-        rel = float(np.linalg.norm(ga - gfd) / max(1.0, np.linalg.norm(ga)))
-        if rel > worst:
-            worst, witness = rel, x
+        residuals.append(float(np.linalg.norm(ga - gfd) / max(1.0, np.linalg.norm(ga))))
+    return _worst_sample_report(f"envelope_gradient({tag})", X, residuals, tol,
+                                "relative_error",
+                                {"samples": int(X.shape[0]), "fd_step": step, "lam": lam})
+
+
+def _worst_sample_report(name, X, residuals, tol, label, details) -> CheckReport:
+    """verified when the largest per-sample residual is within tol, else a
+    counterexample witnessed by the first sample attaining it."""
+    worst = 0.0
+    witness = None
+    for x, r in zip(X, residuals):
+        if r > worst:
+            worst, witness = r, x
     status = VERIFIED if worst <= tol else COUNTEREXAMPLE
-    witnesses = [(witness, f"relative_error={worst:.3e}")] if status != VERIFIED else []
-    return CheckReport(
-        name=f"envelope_gradient({tag})",
-        status=status,
-        hypothesis_residual=0.0,
-        conclusion_residual=worst,
-        tolerance=tol,
-        witnesses=witnesses,
-        details={"samples": int(X.shape[0]), "fd_step": step, "lam": lam},
-    )
+    witnesses = [(witness, f"{label}={worst:.3e}")] if status != VERIFIED else []
+    return CheckReport(name, status, 0.0, worst, tol, witnesses, details)

@@ -197,3 +197,15 @@ def test_lcg_is_stable():
     ]
     gen2 = pc.Lcg(7)
     assert gen2.uniform() == pytest.approx(0.15791338920921505, abs=0.0)
+
+
+def test_extended_real_failure_exits_2(tmp_path, capsys):
+    # the tilt overflows to inf - inf at this point: a library error, not a traceback
+    spec = write_spec(tmp_path, "tilt.json",
+                      {"op": "tilt", "a": [1e200],
+                       "f": {"atom": "quadratic", "Q": [[1.0]]}})
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(["envelope", "--f", spec, "--x", "1e200"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ExtendedRealError:")

@@ -193,3 +193,32 @@ def test_table_csv_roundtrip(tmp_path):
     assert np.array_equal(t.values, t2.values)
     assert np.allclose(t.grid.points(), t2.grid.points())
     assert "+inf" in path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# score blocks
+# ---------------------------------------------------------------------------
+
+def test_conjugate_many_memory_bounded_for_many_queries():
+    # 500 queries on a 201^2 table: one score block would hold 20M entries
+    # (160 MB); the kernel caps each block by rows x queries
+    import tracemalloc
+
+    grid = pc.SampleGrid([-4.0, -4.0], [4.0, 4.0], [201, 201])
+    table = pc.tabulate(pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0), grid)
+    Q = pc.Lcg(5).points_in_ball(500, 2, 1.5)
+    grid.points()
+    grid.boundary_mask()
+    tracemalloc.start()
+    try:
+        vals, boundary = conjugate_many(table, Q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # each query scored alone; BLAS rounds a score differently in the last
+    # bit depending on the block shape, so values agree to rounding only
+    for q, v, b in zip(Q, vals, boundary):
+        v1, _, b1 = conjugate_argmax(table, q)
+        assert v == pytest.approx(v1, rel=1e-14, abs=1e-14)
+        assert b == b1

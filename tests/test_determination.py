@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxcalc as pc
 from proxcalc.determination import (
@@ -322,6 +324,41 @@ def test_constant_difference_witness_prints_plain_floats():
         samples, np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.float64(0.5), 1e-6)
     assert status == "counterexample"
     assert witnesses[0][1] == "f=1.0 g=0.0 expected_gap=0.5"
+
+
+def _constant_difference_loop(samples, fv, gv, constant, tol):
+    """Per-sample reference for the vectorized _constant_difference."""
+    worst = 0.0
+    witnesses = []
+    for x, a, b in zip(samples, fv, gv):
+        fin_a, fin_b = np.isfinite(a), np.isfinite(b)
+        if fin_a and fin_b:
+            gap = abs((a - b) - constant)
+        elif fin_a != fin_b:
+            gap = float("inf")
+        else:
+            continue
+        if gap > tol and len(witnesses) < 10:
+            witnesses.append((x, f"f={float(a)!r} g={float(b)!r} "
+                                 f"expected_gap={float(constant)!r}"))
+        worst = max(worst, gap)
+    return ("verified" if worst <= tol else "counterexample"), worst, witnesses
+
+
+_EXTENDED = st.one_of(st.floats(-10.0, 10.0), st.just(float("inf")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_EXTENDED, _EXTENDED), min_size=1, max_size=40),
+       st.floats(-3.0, 3.0), st.sampled_from([1e-6, 0.5]))
+def test_constant_difference_matches_per_sample_loop(pairs, constant, tol):
+    fv = np.array([a for a, _ in pairs])
+    gv = np.array([b for _, b in pairs])
+    samples = np.arange(2.0 * len(pairs)).reshape(-1, 2)
+    got = _constant_difference(samples, fv, gv, constant, tol)
+    want = _constant_difference_loop(samples, fv, gv, constant, tol)
+    assert got[:2] == want[:2]
+    assert [(p.tolist(), t) for p, t in got[2]] == [(p.tolist(), t) for p, t in want[2]]
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_envelope_gradient_finite_differences(rng):
             assert np.linalg.norm(ga - gfd) / max(1.0, np.linalg.norm(ga)) < 1e-4
 
 
+class _BrokenProx(pc.ScaledNorm):
+    """A catalog function whose closed-form prox has a bug."""
+
+    def prox_many(self, lam, X):
+        raise AttributeError("bug inside prox_many")
+
+
+def test_prox_propagates_attribute_error_from_prox_many():
+    # a bug inside a closed form must surface, not become an iterative solve
+    with pytest.raises(AttributeError, match="bug inside prox_many"):
+        pc.prox(_BrokenProx(1.0, [0.0, 0.0]), 1.0, [3.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # moreau_decomposition_residual
 # ---------------------------------------------------------------------------

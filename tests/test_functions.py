@@ -9,7 +9,16 @@ import proxcalc as pc
 from proxcalc.errors import (
     DimensionMismatch,
     EmptySubdifferential,
+    ExtendedRealError,
+    ProxcalcError,
     UnsupportedConjugate,
+)
+from proxcalc.functions import (
+    atom_of,
+    chain,
+    contains_envelope,
+    is_indicator_chain,
+    structured_probes,
 )
 from proxcalc.sets import BallSet, BoxSet, EmptySet, HalflineSet, SingletonSet
 
@@ -54,6 +63,12 @@ def test_quadratic_rejects_indefinite():
         pc.Quadratic(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         pc.Quadratic(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
+
+
+def test_quadratic_rejects_indefinite_direction_sampling_misses():
+    # the only negative direction is e6; the PSD certificate must be exact
+    with pytest.raises(ValueError):
+        pc.Quadratic(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.01]))
 
 
 def test_dimension_cap():
@@ -289,6 +304,37 @@ def test_envelope_subdiff_matches_gradient_formula():
     expected = (x - pc.prox_closed_form(norm2(), 2.0, x)) / 2.0
     assert isinstance(s, SingletonSet)
     assert np.allclose(s.point, expected)
+
+
+def test_extended_real_error_is_library_and_arithmetic_error():
+    f = pc.Tilt(pc.Quadratic(np.eye(1)), [1e200])
+    with np.errstate(all="ignore"), pytest.raises(ExtendedRealError) as info:
+        pc.evaluate(f, [1e200])
+    assert isinstance(info.value, ProxcalcError)
+    assert isinstance(info.value, ArithmeticError)
+
+
+def test_chain_walks_from_root_to_atom():
+    atom = pc.IndicatorBall([0.0, 0.0], 1.0)
+    f = pc.AddConst(pc.Translate(pc.Envelope(pc.Tilt(atom, [1.0, 0.0]), 0.5),
+                                 [0.5, -1.0]), 2.0)
+    nodes = list(chain(f))
+    assert [type(g).__name__ for g in nodes] == [
+        "AddConst", "Translate", "Envelope", "Tilt", "IndicatorBall"]
+    assert nodes[0] is f and nodes[-1] is atom
+    assert list(chain(atom)) == [atom]
+    assert atom_of(f) is atom
+    assert contains_envelope(f) and not is_indicator_chain(f)
+    assert is_indicator_chain(pc.AddQuadratic(pc.Translate(atom, [1.0, 1.0]), 2.0))
+
+
+def test_structured_probes_subtract_translations_in_order():
+    atom = pc.IndicatorPoint([0.3, 0.1])
+    f = pc.Translate(pc.Tilt(pc.Translate(atom, [0.1, 0.7]), [1.0, 1.0]), [0.2, -0.4])
+    probes = structured_probes(f)
+    shift = (np.zeros(2) - np.array([0.2, -0.4])) - np.array([0.1, 0.7])
+    assert np.array_equal(probes[0], shift)
+    assert np.array_equal(probes[1], atom.p + shift)
 
 
 def test_extended_real_guard():

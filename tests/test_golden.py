@@ -1,0 +1,152 @@
+"""Golden report fixtures: CLI output and reports pinned byte for byte.
+
+Each case runs one CLI command (or renders one report) and compares exit
+status, stdout and stderr with the recorded file under ``tests/golden/``.
+A change that alters any report byte, verdict or sample stream fails here.
+The bytes were recorded with numpy's bundled OpenBLAS; another BLAS build
+may round grid-conjugation scores differently in the last bit. When a
+change of bytes is deliberate, re-record with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+and say in the change log which bytes moved and why.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import proxcalc as pc
+from proxcalc.cli import main
+from proxcalc.determination import determine_from_norm
+from proxcalc.reports import render_reports
+from proxcalc.verify import (
+    battery_samples,
+    check_comparison,
+    check_gradient_comparison,
+    check_norm_lower_bound,
+    check_support_distance,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _spec(name):
+    return str(GOLDEN / name)
+
+
+CLI_CASES = {
+    "verify_env_norm_vs_half_sq_ell1": [
+        "verify-all", "--f", _spec("env_norm.json"), "--g", _spec("half_sq.json"),
+        "--anchor", "0,0", "--ell", "1"],
+    "verify_env_norm_vs_unit_ball_seed3": [
+        "verify-all", "--f", _spec("env_norm.json"), "--g", _spec("unit_ball.json"),
+        "--anchor", "0,0", "--seed", "3"],
+    "conjugate_grid_env_norm_two_row_blocks": [
+        "conjugate", "--f", _spec("env_norm.json"), "--x", "0.5,-0.75",
+        "--grid=-4:4:501;-4:4:501"],
+    "conjugate_grid_half_sq_boundary": [
+        "conjugate", "--f", _spec("half_sq.json"), "--x", "10,0.5",
+        "--grid=-3:3:61;-3:3:61"],
+    "verify_off_center_ball_preconditions": [
+        "verify-all", "--f", _spec("off_center_ball.json"),
+        "--g", _spec("off_center_ball.json"), "--anchor", "0,0", "--ell", "1"],
+    "verify_halfspace_vs_norm_4d": [
+        "verify-all", "--f", _spec("halfspace_4d.json"), "--g", _spec("norm_4d.json"),
+        "--anchor", "0,0,0,0", "--samples", "60", "--ell", "1"],
+    "reconstruct_tilted_norm_2d": [
+        "reconstruct", "--f", _spec("tilted_norm.json"), "--anchor", "0,0",
+        "--grid=-3:3:61;-3:3:61", "--queries", _spec("queries.csv")],
+}
+
+
+class _DoubledNorm(pc.ScaledNorm):
+    """Prox of the norm, values of twice the norm: not a consistent pair."""
+
+    def value_many(self, X):
+        return 2.0 * super().value_many(X)
+
+
+class _ShrunkBall(pc.IndicatorBall):
+    """Projection onto the ball, values of the ball of half the radius."""
+
+    def value_many(self, X):
+        return pc.IndicatorBall(self.center, 0.5 * self.radius).value_many(X)
+
+
+def _rendered(reports):
+    text = render_reports(reports, "structured-text") + render_reports(reports, "csv")
+    return 0, text, ""
+
+
+def _comparison_counterexample():
+    norm = pc.ScaledNorm(1.0, [0.0, 0.0])
+    rep = check_comparison(norm, _DoubledNorm(1.0, [0.0, 0.0]), [0.0, 0.0],
+                           battery_samples(2, 17, 150, 6.0))
+    return _rendered([rep])
+
+
+def _inconsistent_pair_reports():
+    """Every checker's verdict branch on pairs whose prox and values disagree."""
+    X = battery_samples(2, 17, 150, 6.0)
+    origin = [0.0, 0.0]
+    norm, doubled = pc.ScaledNorm(1.0, origin), _DoubledNorm(1.0, origin)
+    ball, shrunk = pc.IndicatorBall(origin, 1.0), _ShrunkBall(origin, 1.0)
+    return _rendered([
+        check_comparison(ball, shrunk, origin, X),
+        determine_from_norm(norm, doubled, X, x0=origin),
+        determine_from_norm(ball, shrunk, X, x0=origin),
+        determine_from_norm(norm, doubled, X),
+        check_gradient_comparison(pc.Envelope(doubled, 1.0), pc.Envelope(norm, 1.0), X),
+        check_norm_lower_bound(doubled, 1.0, X),
+        check_support_distance(doubled, ball, X),
+    ])
+
+
+def _run_cli(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _serialize(code, out, err):
+    return f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_matches_golden(name, capsys):
+    got = _serialize(*_run_cli(CLI_CASES[name], capsys))
+    assert got == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+REPORT_CASES = {
+    "comparison_norm_vs_doubled_norm": _comparison_counterexample,
+    "reports_inconsistent_pairs": _inconsistent_pair_reports,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_report_matches_golden(name):
+    got = _serialize(*REPORT_CASES[name]())
+    assert got == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def _record():
+    import contextlib
+    import io
+
+    for name, argv in sorted(CLI_CASES.items()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        (GOLDEN / f"{name}.txt").write_text(
+            _serialize(code, out.getvalue(), err.getvalue()), encoding="utf-8")
+    for name, build in sorted(REPORT_CASES.items()):
+        (GOLDEN / f"{name}.txt").write_text(_serialize(*build()), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    _record()

@@ -3,6 +3,8 @@ equivalences, support distance."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxcalc as pc
 from proxcalc.errors import AnchorOutsideDomain, OriginNotInC
@@ -92,6 +94,61 @@ def test_comparison_witness_prints_plain_floats(X2):
         assert "np.float64(" not in text
         gap_g, gap_f = (float(part.split("=")[1]) for part in text.split(" exceeds "))
         assert gap_g == pytest.approx(2.0 * gap_f)
+
+
+class _Lookup(pc.ConvexFunction):
+    """1-D values read from a table at integer points; prox is the identity,
+    so two lookups always satisfy the comparison hypothesis."""
+
+    dim = 1
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def value_many(self, X):
+        return self.values[X[:, 0].astype(int) % self.values.size]
+
+    def prox_many(self, lam, X):
+        return X.copy()
+
+
+def _comparison_gaps_loop(X, fv, gv, f0, g0, tol_c):
+    """Per-sample reference for the conclusion residual and witnesses."""
+    concl = 0.0
+    witnesses = []
+    for x, a, b in zip(X, fv, gv):
+        if np.isinf(b) and np.isinf(a):
+            continue
+        if np.isinf(b):
+            gap = float("inf")
+        elif np.isinf(a):
+            gap = 0.0
+        else:
+            gap = max((b - g0) - (a - f0), 0.0)
+        if gap > tol_c and len(witnesses) < 10:
+            witnesses.append((x, f"g-g(x0)={float(b - g0)!r} "
+                                 f"exceeds f-f(x0)={float(a - f0)!r}"))
+        concl = max(concl, gap)
+    return concl, witnesses
+
+
+_EXTENDED = st.one_of(st.floats(-10.0, 10.0), st.just(float("inf")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_EXTENDED, _EXTENDED), min_size=1, max_size=40),
+       st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_comparison_conclusion_matches_per_sample_loop(pairs, f0, g0):
+    fv = np.array([f0] + [a for a, _ in pairs])
+    gv = np.array([g0] + [b for _, b in pairs])
+    X = np.arange(fv.size, dtype=float).reshape(-1, 1)
+    rep = check_comparison(_Lookup(fv), _Lookup(gv), [0.0], X)
+    concl, witnesses = _comparison_gaps_loop(X, fv, gv, f0, g0, 1e-6)
+    assert rep.hypothesis_residual == 0.0
+    assert rep.conclusion_residual == concl
+    assert rep.status == ("verified" if concl <= 1e-6 else "counterexample")
+    assert [(p.tolist(), t) for p, t in rep.witnesses] == [
+        (p.tolist(), t) for p, t in witnesses]
 
 
 # ---------------------------------------------------------------------------
