@@ -68,6 +68,24 @@ def prox(f, lam: float, x, budget: SolverBudget | None = None,
     return numerical_prox(f, lam, x, budget)
 
 
+def prox_rows(f, lam: float, X):
+    """(prox_{lam f}, envelope value) at the rows of X: one closed-form batch,
+    with evaluate's checks, when f has one, else numerical_prox row by row."""
+    if lam <= 0:
+        raise ValueError("lam must be > 0")
+    X = np.asarray(X, dtype=float)
+    try:
+        Y = f.prox_many(float(lam), X) if hasattr(f, "prox_many") else None
+    except UnsupportedProx:
+        Y = None
+    if Y is None:
+        rows = [numerical_prox(f, lam, x) for x in X]
+        return np.array([r.minimizer for r in rows]), np.array([r.envelope_value for r in rows])
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("point coordinates must be finite")
+    return Y, fn.evaluate_many(f, Y) + fn.sq_norms(X - Y) / (2.0 * lam)
+
+
 def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> ProxResult:
     """Minimize f(y) + ||x-y||^2/(2 lam) without the closed-form prox table.
 

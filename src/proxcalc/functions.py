@@ -64,6 +64,11 @@ def _as_batch(X, dim: int) -> np.ndarray:
     return A
 
 
+def sq_norms(W: np.ndarray) -> np.ndarray:
+    """np.dot(w, w) for each row w, bit for bit (einsum and row sums round differently)."""
+    return np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
+
+
 def _check_no_nan(v: np.ndarray) -> np.ndarray:
     if np.any(np.isnan(v)) or np.any(np.isneginf(v)):
         raise ExtendedRealError("extended-real arithmetic produced -inf or inf - inf")
@@ -419,7 +424,8 @@ class Tilt(ConvexFunction):
         self.dim = f.dim
 
     def value_many(self, X):
-        return _check_no_nan(self.f.value_many(X) - X @ self.a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _check_no_nan(self.f.value_many(X) - X @ self.a)
 
     def prox_many(self, lam, X):
         return self.f.prox_many(lam, X + lam * self.a)

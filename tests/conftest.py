@@ -1,10 +1,24 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def cli_env():
+    """Environment for a `python -m proxcalc.cli` subprocess: the checkout's
+    src/ in front of PYTHONPATH, which pytest's own pythonpath does not reach."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def brute_force_prox(f, lam, x, lo, hi, n=2001):

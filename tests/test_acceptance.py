@@ -312,7 +312,7 @@ def test_criterion_8_support_distance():
 
 # -- 9 ----------------------------------------------------------------------
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, cli_env):
     t0 = time.perf_counter()
     spec = tmp_path / "sq.json"
     spec.write_text('{"atom": "quadratic", "Q": [[1.0, 0.0], [0.0, 1.0]]}')
@@ -323,7 +323,7 @@ def test_criterion_9_determinism(tmp_path):
             [sys.executable, "-m", "proxcalc.cli", "verify-all",
              "--f", str(spec), "--g", str(spec), "--anchor", "0,0",
              "--seed", "7", "--out", str(out)],
-            capture_output=True,
+            capture_output=True, env=cli_env,
         )
         assert r.returncode == 0, r.stderr.decode()
         blobs.append(out.read_bytes())

@@ -171,7 +171,7 @@ def test_verify_all_csv_format(sq_spec, tmp_path, capsys):
     assert all(len(r) == 6 for r in rows)
 
 
-def test_verify_all_deterministic(sq_spec, tmp_path):
+def test_verify_all_deterministic(sq_spec, tmp_path, cli_env):
     # two subprocess runs with the same seed give byte-identical files
     outs = []
     for name in ("a.txt", "b.txt"):
@@ -180,7 +180,7 @@ def test_verify_all_deterministic(sq_spec, tmp_path):
             [sys.executable, "-m", "proxcalc.cli", "verify-all",
              "--f", sq_spec, "--g", sq_spec, "--anchor", "0,0", "--seed", "7",
              "--samples", "40", "--out", str(out_path)],
-            capture_output=True,
+            capture_output=True, env=cli_env,
         )
         assert r.returncode == 0, r.stderr.decode()
         outs.append(out_path.read_bytes())
@@ -209,3 +209,16 @@ def test_extended_real_failure_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ExtendedRealError:")
+
+
+def test_extended_real_failure_prints_only_the_error_line(tmp_path, cli_env):
+    # no numpy overflow warnings from the tilt reach stderr before the error
+    spec = write_spec(tmp_path, "tilt.json",
+                      {"op": "tilt", "a": [1e200],
+                       "f": {"atom": "quadratic", "Q": [[1.0]]}})
+    r = subprocess.run([sys.executable, "-m", "proxcalc.cli", "envelope", "--f", spec,
+                        "--x", "1e200"], capture_output=True, text=True, env=cli_env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ExtendedRealError:"), r.stderr

@@ -1,11 +1,13 @@
 """Prox engine: dispatch, numerical solver, envelopes, decomposition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import proxcalc as pc
-from proxcalc.engine import SolverBudget, numerical_prox
-from proxcalc.errors import DomainUnreachable
+from proxcalc.engine import SolverBudget, numerical_prox, prox_rows
+from proxcalc.errors import DomainUnreachable, ExtendedRealError
 
 from conftest import brute_force_prox
 
@@ -207,3 +209,62 @@ def test_decomposition_with_grid_conjugate():
     for x in ([2.0], [-1.0], [0.7]):
         r = pc.moreau_decomposition_residual(f, x, conj=conj)
         assert r < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# prox_rows
+# ---------------------------------------------------------------------------
+
+_ROW_EXACT = [
+    pc.ScaledNorm(1.5, [0.5, -1.0]),
+    pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0),
+    pc.IndicatorBall([0.0, 0.0], 1.0),
+]
+_ROW_BLAS = [  # LAPACK solves and BLAS products round per batch shape
+    pc.Quadratic(np.eye(2)),
+    pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5),
+    pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, -0.2]),
+]
+
+
+@pytest.mark.parametrize("f", _ROW_EXACT + _ROW_BLAS, ids=repr)
+def test_prox_rows_matches_prox_row_by_row(f, rng):
+    X = rng.uniform(-5, 5, (60, 2))
+    Y, env = prox_rows(f, 0.7, X)
+    rows = [pc.prox(f, 0.7, x) for x in X]
+    assert all(r.method == "closed_form" for r in rows)
+    Yr = np.array([r.minimizer for r in rows])
+    envr = np.array([r.envelope_value for r in rows])
+    if any(f is g for g in _ROW_EXACT):
+        assert np.array_equal(Y, Yr) and np.array_equal(env, envr)
+    else:
+        np.testing.assert_allclose(Y, Yr, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(env, envr, rtol=1e-13, atol=1e-14)
+
+
+def test_prox_rows_falls_back_to_numerical_prox_per_row():
+    f = pc.IndicatorHalfspace([1.0], 0.5)
+    conj = pc.TabulatedConjugate(pc.tabulate(f, pc.SampleGrid([-30.0], [30.0], [12001])))
+    X = np.array([[2.0], [-1.0], [0.7]])
+    Y, env = prox_rows(conj, 1.0, X)
+    for x, y, v in zip(X, Y, env):
+        r = numerical_prox(conj, 1.0, x)
+        assert np.array_equal(y, r.minimizer) and v == r.envelope_value
+
+
+class _NanProx(pc.ScaledNorm):
+    def prox_many(self, lam, X):
+        return np.full_like(X, np.nan)
+
+
+def test_prox_rows_keeps_evaluate_checks():
+    with pytest.raises(ValueError, match="finite"):
+        prox_rows(_NanProx(1.0, [0.0, 0.0]), 1.0, [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="lam"):
+        prox_rows(pc.Quadratic(np.eye(2)), 0.0, [[1.0, 2.0]])
+    # the tilt overflows to inf - inf: the library error, and no numpy warning
+    tilt = pc.Tilt(pc.Quadratic([[1.0]]), [1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExtendedRealError):
+            prox_rows(tilt, 1.0, [[1e200], [0.0]])

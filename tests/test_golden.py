@@ -55,6 +55,15 @@ CLI_CASES = {
     "verify_halfspace_vs_norm_4d": [
         "verify-all", "--f", _spec("halfspace_4d.json"), "--g", _spec("norm_4d.json"),
         "--anchor", "0,0,0,0", "--samples", "60", "--ell", "1"],
+    "verify_env_norm_vs_norm_1d": [
+        "verify-all", "--f", _spec("env_norm_1d.json"), "--g", _spec("norm_1d.json"),
+        "--anchor", "0", "--ell", "1"],
+    "verify_env_norm_vs_half_sq_3d_seed7": [
+        "verify-all", "--f", _spec("env_norm_3d.json"), "--g", _spec("half_sq_3d.json"),
+        "--anchor", "0,0,0", "--seed", "7", "--ell", "1"],
+    "verify_cross_quadratic_vs_tilted_norm": [
+        "verify-all", "--f", _spec("cross_quadratic.json"), "--g", _spec("tilted_norm.json"),
+        "--anchor", "0,0", "--ell", "1"],
     "reconstruct_tilted_norm_2d": [
         "reconstruct", "--f", _spec("tilted_norm.json"), "--anchor", "0,0",
         "--grid=-3:3:61;-3:3:61", "--queries", _spec("queries.csv")],

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import proxcalc as pc
 from proxcalc.errors import AnchorOutsideDomain, OriginNotInC
 from proxcalc.verify import (
+    _decomposition_report,
+    _envelope_gradient_report,
+    _worst_sample_report,
     battery_samples,
     check_comparison,
     check_equivalences,
@@ -359,3 +362,84 @@ def test_battery_no_verified_above_tolerance():
     for r in reports:
         if r.status == "verified":
             assert r.conclusion_residual <= r.tolerance
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reports: the batched prox rows against the per-sample loops
+# ---------------------------------------------------------------------------
+
+def _worst_loop(X, residuals):
+    """Per-sample reference: the largest residual and the first sample
+    attaining it (NaN never wins)."""
+    worst, witness = 0.0, None
+    for x, r in zip(X, residuals):
+        if r > worst:
+            worst, witness = r, x
+    return worst, witness
+
+
+def _envelope_gradient_loop(h, X, lam=1.0, step=1e-5):
+    residuals = []
+    for x in X:
+        ga = pc.envelope_gradient(h, lam, x)
+        gfd = np.empty_like(ga)
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = step
+            gfd[i] = (pc.moreau_envelope(h, lam, x + e)
+                      - pc.moreau_envelope(h, lam, x - e)) / (2 * step)
+        residuals.append(float(np.linalg.norm(ga - gfd) / max(1.0, np.linalg.norm(ga))))
+    return residuals
+
+
+_SAME_BITS = [  # at lam = 1 these batches round exactly as one-row calls
+    pc.ScaledNorm(1.0, [0.0, 0.0]),
+    pc.Envelope(pc.ScaledNorm(2.0, [0.0, 0.0]), 1.0),
+    pc.Quadratic(np.eye(2)),
+    pc.IndicatorBall([0.5, 0.0], 1.0),
+    pc.ScaledNorm(1.0, [0.0]),
+    pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0, 0.0]), 1.0),
+]
+
+
+@pytest.mark.parametrize("h", _SAME_BITS, ids=repr)
+def test_sample_reports_match_per_sample_loops(h):
+    X = battery_samples(h.dim, 5, 60, 6.0, [np.zeros(h.dim)])
+    rep = _envelope_gradient_report(h, X, "h")
+    worst, witness = _worst_loop(X, _envelope_gradient_loop(h, X))
+    assert rep.conclusion_residual == worst
+    rep = _decomposition_report(h, X, "h")
+    conj = pc.conjugate_closed_form(h)
+    worst, witness = _worst_loop(
+        X, [pc.moreau_decomposition_residual(h, x, conj=conj) for x in X])
+    assert rep.conclusion_residual == worst
+
+
+def test_sample_reports_near_loops_with_blas_batches():
+    # a cross-term quadratic solves its batch in one LAPACK call, which rounds
+    # differently from one call per row; finite differences over a 2e-5 span
+    # of envelope values near 50 carry about 1e-16 * 50 / 2e-5 = 2.5e-10
+    h = pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5)
+    X = battery_samples(2, 5, 60, 6.0)
+    rep = _envelope_gradient_report(h, X, "h")
+    worst, _ = _worst_loop(X, _envelope_gradient_loop(h, X))
+    assert rep.status == "verified" and abs(rep.conclusion_residual - worst) < 1e-9
+
+
+_RESIDUAL = st.one_of(st.sampled_from([0.0, 0.5, 2.0, float("inf"), float("nan")]),
+                      st.floats(0.0, 3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_RESIDUAL, min_size=1, max_size=30), st.floats(0.1, 2.0))
+def test_worst_sample_report_matches_per_sample_loop(residuals, tol):
+    X = np.arange(len(residuals), dtype=float).reshape(-1, 1)
+    rep = _worst_sample_report("r", X, np.array(residuals), tol, "residual", {})
+    worst, witness = _worst_loop(X, residuals)
+    assert rep.conclusion_residual == worst
+    if worst <= tol:
+        assert rep.status == "verified" and rep.witnesses == []
+    else:
+        assert rep.status == "counterexample"
+        assert [(p.tolist(), t) for p, t in rep.witnesses] == [
+            (witness.tolist(), f"residual={worst:.3e}")]
