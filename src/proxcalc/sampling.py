@@ -3,24 +3,36 @@
 The generator is a 64-bit linear congruential generator with Knuth's MMIX
 multiplier, so that a (command, seed) pair produces the same sample stream on
 any platform and any implementation that documents the same constants.
-Sample clouds read that stream in numpy blocks by jump-ahead (F. Brown,
-"Random Number Generation with Arbitrary Strides", 1994), with the draws,
-rejections and final state of a draw-by-draw walk.
+
+Sample clouds follow sample stream version 2. Every point of a cloud in
+dimension d reads a fixed stride of 2m states, m = ceil(d/2), plus one more
+when it has a radius, so a cloud of n points takes exactly n * stride states
+and the stream read for a block can be computed by jump-ahead (F. Brown,
+"Random Number Generation with Arbitrary Strides", 1994):
+
+* uniform: state s gives u = ((s >> 12) + 0.5) 2^-52, exactly, in the open
+  (0, 1) (with the top 53 bits, k + 0.5 would round to 2^53 at the largest k);
+* normal: the j-th pair (a, b) of a point's uniforms gives
+  rho = sqrt(-2 log1p(-a)), z = (rho cos(2 pi b), rho sin(2 pi b))
+  (Box and Muller, 1958); the first d of the 2m normals are kept;
+* direction: z / |z| (Muller, 1959), never 0/0 because rho > 0 and cos
+  has no zero at a double;
+* radius: the last uniform t gives r t^(1/d) for points in the ball of
+  radius r, and r_min (r_max / r_min)^t for log-radial points.
+
+No draw is rejected, so every dimension from 1 to 16 costs the same per
+coordinate.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .functions import sq_norms
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 _MASK64 = (1 << 64) - 1
-_BLOCK = 4096  # states per block of a walk, unless one record needs more
 
 
 def _states(state: int, count: int) -> np.ndarray:
@@ -33,7 +45,8 @@ def _states(state: int, count: int) -> np.ndarray:
 class Lcg:
     """Deterministic 64-bit linear congruential generator.
 
-    state <- (a * state + c) mod 2^64, doubles from the top 53 bits.
+    state <- (a * state + c) mod 2^64; uniform() takes its double from the
+    top 53 bits, sample clouds follow stream version 2 (see the module).
     """
 
     def __init__(self, seed: int):
@@ -50,53 +63,30 @@ class Lcg:
     def point_in_cube(self, dim: int, radius: float) -> np.ndarray:
         return np.array([self.uniform(-radius, radius) for _ in range(dim)])
 
-    def _walk(self, n: int, dim: int, radius: float, floor: float = -math.inf,
-              lead: bool = False):
-        """n records, each an optional leading uniform on [0, 1), then cube
-        draws until one lies in the ball with its norm above floor: returns
-        (leading uniforms, accepted points, their squared norms)."""
-        # share of cube draws that land in the ball: sizes the first block
-        share = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) / 2 ** dim
-        out = [(np.empty(0), np.empty((0, dim)), np.empty(0))]
-        size = 0
-        while n:
-            size = max(size, min(_BLOCK, int(1.1 * n * (lead + dim / share)) + 8 * dim))
-            states = _states(self.state, size)
-            U = (states >> np.uint64(11)) / float(1 << 53)
-            X = -radius + 2 * radius * U
-            W = as_strided(X, (X.size - dim + 1, dim), X.strides * 2, writeable=False)
-            sq = sq_norms(W)  # a cube draw starts at every offset
-            ok = (sq <= radius * radius) & (np.sqrt(sq) > floor)
-            # first[t]: the first accepted offset among t, t + dim, ... (m if
-            # none); a record starting at s ends at ends[s] = first[s + lead] + dim
-            m = ok.size
-            first = np.full((m // dim + 3) * dim, m)
-            first[:m][ok] = np.flatnonzero(ok)
-            first = np.minimum.accumulate(first.reshape(-1, dim)[::-1])[::-1].ravel()
-            ends, walk, s = memoryview(first[int(lead):] + dim), [], 0
-            for _ in range(n):
-                s = ends[s]
-                if s >= m + dim:
-                    break
-                walk.append(s)
-            if not walk:
-                size *= 2  # not one whole record in the block
-                continue
-            E = np.array(walk)
-            self.state = int(states[E[-1] - 1])
-            out.append((U[np.concatenate(([0], E[:-1]))], W[E - dim], sq[E - dim]))
-            n -= E.size
-        return tuple(np.concatenate(part) for part in zip(*out))
+    def _cloud(self, n: int, dim: int, radial: bool):
+        """n unit directions and, if radial, each point's radius uniform as
+        an (n, 1) column (an (n, 0) one otherwise)."""
+        m = (dim + 1) // 2
+        stride = 2 * m + radial
+        states = _states(self.state, n * stride)
+        if n:
+            self.state = int(states[-1])
+        U = ((states >> np.uint64(12)) + 0.5).reshape(n, stride) * 2.0 ** -52
+        rho = np.sqrt(-2.0 * np.log1p(-U[:, 0:2 * m:2]))
+        theta = 2.0 * np.pi * U[:, 1:2 * m:2]
+        Z = np.stack((rho * np.cos(theta), rho * np.sin(theta)), axis=2)
+        Z = Z.reshape(n, 2 * m)[:, :dim]
+        return Z / np.sqrt(sq_norms(Z))[:, None], U[:, 2 * m:]
 
     def point_in_ball(self, dim: int, radius: float) -> np.ndarray:
-        return self._walk(1, dim, radius)[1][0]
+        return self.points_in_ball(1, dim, radius)[0]
 
     def unit_vector(self, dim: int) -> np.ndarray:
-        _, P, sq = self._walk(1, dim, 1.0, floor=1e-3)
-        return P[0] / np.sqrt(sq[0])
+        return self._cloud(1, dim, False)[0][0]
 
     def points_in_ball(self, n: int, dim: int, radius: float) -> np.ndarray:
-        return self._walk(n, dim, radius)[1]
+        V, T = self._cloud(n, dim, True)
+        return radius * T ** (1.0 / dim) * V
 
     def log_radial_points(self, n: int, dim: int, r_min: float, r_max: float) -> np.ndarray:
         """Points with log-uniform radius in [r_min, r_max], uniform direction.
@@ -104,6 +94,5 @@ class Lcg:
         Dense near the origin, so bounded sets of any scale are hit even when
         r_max is large.
         """
-        T, P, sq = self._walk(n, dim, 1.0, floor=1e-3, lead=True)
-        r = np.array([r_min * (r_max / r_min) ** t for t in T.tolist()])
-        return r[:, None] * (P / np.sqrt(sq)[:, None])
+        V, T = self._cloud(n, dim, True)
+        return r_min * (r_max / r_min) ** T * V

@@ -98,12 +98,7 @@ class BallSet(SubdiffSet):
         return BallSet(self.center + w, self.radius)
 
     def sample(self, count, rng):
-        pts = []
-        while len(pts) < count:
-            p = rng.point_in_cube(self.dim, self.radius)
-            if np.linalg.norm(p) <= self.radius:
-                pts.append(self.center + p)
-        return np.array(pts)
+        return self.center + rng.points_in_ball(count, self.dim, self.radius)
 
     def __repr__(self):
         return f"BallSet({self.center.tolist()}, {self.radius})"

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ def test_verify_all_deterministic(sq_spec, tmp_path, cli_env):
         assert r.returncode == 0, r.stderr.decode()
         outs.append(out_path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_verify_all_norm_16d_within_5s(tmp_path, capsys):
+    # the README promises dimensions up to 16; clouds cost the same per
+    # coordinate in every dimension, so the whole battery stays fast
+    spec = write_spec(tmp_path, "norm16.json",
+                      {"atom": "scaled_norm", "ell": 1.0, "center": [0.0] * 16})
+    start = time.perf_counter()
+    code, out, _ = run_cli(["verify-all", "--f", spec, "--g", spec,
+                            "--anchor", ",".join(["0"] * 16)], capsys)
+    elapsed = time.perf_counter() - start
+    statuses = [line.split(": ", 1)[1] for line in out.splitlines()
+                if line.startswith("status:")]
+    assert code == 0
+    assert len(statuses) == 7 and set(statuses) == {"verified"}
+    assert elapsed < 5.0
 
 
 def test_lcg_is_stable():

@@ -9,9 +9,11 @@ change of bytes is deliberate, re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and say in the change log which bytes moved and why.
+which prints, per fixture, the exit and check/status lines that moved;
+say in the change log which bytes moved and why.
 """
 
+import difflib
 import sys
 from pathlib import Path
 
@@ -64,6 +66,9 @@ CLI_CASES = {
     "verify_cross_quadratic_vs_tilted_norm": [
         "verify-all", "--f", _spec("cross_quadratic.json"), "--g", _spec("tilted_norm.json"),
         "--anchor", "0,0", "--ell", "1"],
+    "verify_norm_vs_norm_16d": [
+        "verify-all", "--f", _spec("norm_16d.json"), "--g", _spec("norm_16d.json"),
+        "--anchor", ",".join(["0"] * 16)],
     "reconstruct_tilted_norm_2d": [
         "reconstruct", "--f", _spec("tilted_norm.json"), "--anchor", "0,0",
         "--grid=-3:3:61;-3:3:61", "--queries", _spec("queries.csv")],
@@ -141,6 +146,28 @@ def test_report_matches_golden(name):
     assert got == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def _verdicts(text):
+    """The exit line and one "check: ... status: ..." line per report."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith(("exit:", "check:")):
+            out.append(line)
+        elif line.startswith("status:") and out:
+            out[-1] += "  " + line
+    return out
+
+
+def _write(name, text):
+    """Record one fixture and print the verdict lines it changed."""
+    path = GOLDEN / f"{name}.txt"
+    old = path.read_text(encoding="utf-8") if path.exists() else ""
+    path.write_text(text, encoding="utf-8")
+    moved = [line for line in difflib.ndiff(_verdicts(old), _verdicts(text))
+             if line[:2] in ("- ", "+ ")]
+    if moved:
+        print(f"{name}:", *moved, sep="\n  ")
+
+
 def _record():
     import contextlib
     import io
@@ -149,10 +176,9 @@ def _record():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        (GOLDEN / f"{name}.txt").write_text(
-            _serialize(code, out.getvalue(), err.getvalue()), encoding="utf-8")
+        _write(name, _serialize(code, out.getvalue(), err.getvalue()))
     for name, build in sorted(REPORT_CASES.items()):
-        (GOLDEN / f"{name}.txt").write_text(_serialize(*build()), encoding="utf-8")
+        _write(name, _serialize(*build()))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Seeded sample generator: determinism and geometric guarantees."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proxcalc.sampling import _BLOCK, LCG_INCREMENT, LCG_MULTIPLIER, Lcg, _states
+from proxcalc.sampling import LCG_INCREMENT, LCG_MULTIPLIER, Lcg, _states
 
 
 def test_constants_documented():
@@ -53,92 +55,115 @@ def test_log_radial_covers_small_radii():
 
 
 # ---------------------------------------------------------------------------
-# Block walker against the draw-by-draw walk it replaced
+# Sample stream version 2
 # ---------------------------------------------------------------------------
 
-class SequentialLcg(Lcg):
-    """The per-draw sampling code that the block walker replaced, kept as
-    the reference stream."""
-
-    def point_in_ball(self, dim, radius):
-        while True:
-            p = self.point_in_cube(dim, radius)
-            if np.dot(p, p) <= radius * radius:
-                return p
-
-    def unit_vector(self, dim):
-        while True:
-            p = self.point_in_ball(dim, 1.0)
-            n = np.linalg.norm(p)
-            if n > 1e-3:
-                return p / n
-
-    def points_in_ball(self, n, dim, radius):
-        return np.array([self.point_in_ball(dim, radius) for _ in range(n)]).reshape(n, dim)
-
-    def log_radial_points(self, n, dim, r_min, r_max):
-        out = np.empty((n, dim))
-        for i in range(n):
-            r = r_min * (r_max / r_min) ** self.uniform()
-            out[i] = r * self.unit_vector(dim)
-        return out
+_MOD = 1 << 64
+EPS = np.finfo(float).eps
 
 
-def _same(ours, ref, a, b):
-    assert np.array_equal(ours, ref)
-    assert ours.shape == ref.shape
-    assert a.state == b.state
+def _open_uniform(state):
+    return ((state >> 12) + 0.5) * 2.0 ** -52
+
+
+def _recipe(gen, n, dim, radius_of=None):
+    """The documented stream-v2 recipe, one state at a time with math's
+    log1p/cos/sin: n directions, each scaled by radius_of(last uniform)."""
+    m = (dim + 1) // 2
+    rows = []
+    for _ in range(n):
+        z = []
+        for _ in range(m):
+            a, b = _open_uniform(gen.next_u64()), _open_uniform(gen.next_u64())
+            rho = math.sqrt(-2.0 * math.log1p(-a))
+            z += [rho * math.cos(2.0 * math.pi * b), rho * math.sin(2.0 * math.pi * b)]
+        norm = math.sqrt(sum(c * c for c in z[:dim]))
+        r = radius_of(_open_uniform(gen.next_u64())) if radius_of else 1.0
+        rows.append([r * c / norm for c in z[:dim]])
+    return np.array(rows).reshape(n, dim)
+
+
+def _draw(kind, gen, n, dim, radius):
+    """(cloud, states per point) for one of the three cloud kinds."""
+    m = (dim + 1) // 2
+    if kind == "ball":
+        return gen.points_in_ball(n, dim, radius), 2 * m + 1
+    if kind == "log_radial":
+        return gen.log_radial_points(n, dim, 1e-3 * radius, radius), 2 * m + 1
+    return np.array([gen.unit_vector(dim) for _ in range(n)]).reshape(n, dim), 2 * m
+
+
+def _reference(kind, gen, n, dim, radius):
+    if kind == "ball":
+        return _recipe(gen, n, dim, lambda t: radius * t ** (1.0 / dim))
+    if kind == "log_radial":
+        return _recipe(gen, n, dim, lambda t: 1e-3 * radius * 1e3 ** t)
+    return _recipe(gen, n, dim)
 
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
-dims = st.integers(min_value=1, max_value=6)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, dim=dims, radius=st.floats(1e-3, 1e3), n=st.integers(0, 1500))
-@example(seed=3, dim=2, radius=6.0, n=4000)
-@example(seed=2**64 - 1, dim=4, radius=0.5, n=1500)
-def test_points_in_ball_matches_sequential_walk(seed, dim, radius, n):
-    # from dim 3 on, 1500 points take more than one block of states
-    a, b = Lcg(seed), SequentialLcg(seed)
-    _same(a.points_in_ball(n, dim, radius), b.points_in_ball(n, dim, radius), a, b)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, dim=dims, n=st.integers(0, 1500),
-       r_min=st.floats(1e-4, 1.0), span=st.floats(1.0, 1e4))
-@example(seed=101, dim=2, n=10_000, r_min=1e-3, span=2e5)
-@example(seed=101, dim=3, n=10_000, r_min=1e-3, span=2e5)
-@example(seed=5, dim=6, n=1500, r_min=1.0, span=1.0)
-def test_log_radial_points_matches_sequential_walk(seed, dim, n, r_min, span):
-    a, b = Lcg(seed), SequentialLcg(seed)
-    _same(a.log_radial_points(n, dim, r_min, r_min * span),
-          b.log_radial_points(n, dim, r_min, r_min * span), a, b)
+dims = st.integers(min_value=1, max_value=16)
+kinds = st.sampled_from(["ball", "log_radial", "unit"])
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, dim=dims, radius=st.floats(1e-3, 1e3))
-def test_single_draws_match_sequential_walk(seed, dim, radius):
-    a, b = Lcg(seed), SequentialLcg(seed)
-    for _ in range(3):
-        _same(a.point_in_ball(dim, radius), b.point_in_ball(dim, radius), a, b)
-        _same(a.unit_vector(dim), b.unit_vector(dim), a, b)
-        assert a.uniform() == b.uniform()
+@given(seed=seeds, dim=dims, kind=kinds, radius=st.floats(1e-3, 1e3),
+       n=st.integers(0, 300), k=st.integers(0, 300))
+@example(seed=3, dim=16, kind="ball", radius=6.0, n=5000, k=1700)
+def test_clouds_are_stable_across_splits(seed, dim, kind, radius, n, k):
+    k = min(k, n)
+    whole, split = Lcg(seed), Lcg(seed)
+    head, _ = _draw(kind, split, k, dim, radius)
+    tail, _ = _draw(kind, split, n - k, dim, radius)
+    ref, _ = _draw(kind, whole, n, dim, radius)
+    assert np.array_equal(np.vstack([head, tail]), ref)
+    assert split.state == whole.state
 
 
-def test_unit_vector_floor_rejects_short_draws():
-    # in 1-D a first draw within 1e-3 of 0 lies in the ball but is too short
-    # for a direction; both walks must reject it and draw again
-    hits = 0
-    for seed in range(20_000):
-        if abs(Lcg(seed).uniform(-1.0, 1.0)) <= 1e-3:
-            a, b = Lcg(seed), SequentialLcg(seed)
-            _same(a.unit_vector(1), b.unit_vector(1), a, b)
-            hits += 1
-    assert hits > 0
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, dim=dims, kind=kinds, n=st.integers(0, 200))
+def test_cloud_reads_a_fixed_stride_of_states(seed, dim, kind, n):
+    gen, ref = Lcg(seed), Lcg(seed)
+    P, stride = _draw(kind, gen, n, dim, 2.0)
+    assert P.shape == (n, dim)
+    for _ in range(n * stride):
+        ref.next_u64()
+    assert gen.state == ref.state
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, dim=dims, kind=kinds, radius=st.floats(1e-3, 1e3),
+       n=st.integers(1, 40))
+def test_clouds_match_scalar_recipe(seed, dim, kind, radius, n):
+    # numpy's SIMD log1p/cos/sin may differ from libm in the last bit
+    ours, _ = _draw(kind, Lcg(seed), n, dim, radius)
+    ref = _reference(kind, Lcg(seed), n, dim, radius)
+    scale = np.linalg.norm(ref, axis=1, keepdims=True)
+    assert np.all(np.abs(ours - ref) <= 16 * EPS * scale)
+
+
+def _state_before(target):
+    """The state whose successor is target: (target - c) a^-1 mod 2^64."""
+    return (target - LCG_INCREMENT) * pow(LCG_MULTIPLIER, -1, _MOD) % _MOD
+
+
+@pytest.mark.parametrize("target", [0, _MOD - 1])
+@pytest.mark.parametrize("dim", [1, 2, 16])
+def test_extreme_states_give_finite_rows(target, dim):
+    # state 0 gives the smallest uniform, 2^64 - 1 the largest: neither may
+    # turn into a zero Box-Muller radius, an infinite one or a 0/0 direction
+    gen = Lcg(0)
+    gen.state = _state_before(target)
+    assert gen.next_u64() == target
+    for kind, lo, hi in (("unit", 1.0, 1.0), ("ball", 0.0, 3.0), ("log_radial", 3e-3, 3.0)):
+        gen.state = _state_before(target)
+        P, _ = _draw(kind, gen, 3, dim, 3.0)
+        norms = np.linalg.norm(P, axis=1)
+        assert np.all(np.isfinite(P))
+        assert np.all((norms > 0) & (norms >= lo * (1 - 4 * EPS)) & (norms <= hi * (1 + 4 * EPS)))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4095, 4096, 4097, 8193])
 def test_jump_ahead_states_match_next_u64(count):
     for seed in (0, 7, 2**64 - 1):
         gen = Lcg(seed)
@@ -151,8 +176,8 @@ def test_jump_ahead_coefficients_are_a_power_and_a_geometric_sum():
     # the j-th state after 0 is C_j, and A_j is the difference of the j-th
     # states after 1 and after 0
     mod = 1 << 64
-    zero, one = _states(0, _BLOCK), _states(1, _BLOCK)
-    for j in (1, 2, 3, 1000, _BLOCK - 1, _BLOCK):
+    zero, one = _states(0, 4096), _states(1, 4096)
+    for j in (1, 2, 3, 1000, 4095, 4096):
         geometric = sum(pow(LCG_MULTIPLIER, i, mod) for i in range(j)) % mod
         assert int(zero[j - 1]) == LCG_INCREMENT * geometric % mod
         assert (int(one[j - 1]) - int(zero[j - 1])) % mod == pow(LCG_MULTIPLIER, j, mod)
