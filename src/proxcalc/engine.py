@@ -8,14 +8,27 @@ r"""Prox solver, Moreau envelope, envelope gradient, and decomposition residual.
 which is (1/lam)-strongly convex. The numerical path never consults the
 closed-form prox rules, so it serves as an independent cross-check:
 indicator chains short-circuit to their projection subroutines, chains
-containing an envelope node are smooth and use finite-difference gradients,
-and everything else descends along the least-norm subgradient of F with a
-line search, after a damped averaged-subgradient warm-up (steps 2/(k+2)
-scaled by lam) that is safe without smoothness.
+containing an envelope node are smooth and use finite-difference gradients
+(one batch of 2d shifted rows), and everything else descends along the
+least-norm subgradient of F.
+
+Chains with bounded subgradients first take 60 damped averaged-subgradient
+steps (steps 2/(k+2) scaled by lam), which are safe without smoothness; the
+iterates and their weighted average are scored in one batch at the end, and
+the first of the lowest becomes the start. Each descent step then searches
+t >= 0 on the ray y - t s, relying on the convexity of F along it: a
+geometric bracket of steps lam 2^k, k = -40..60, narrowed until it is
+1e-12 (1 + lam) wide. A minimizer at a kink of F is reached only by landing on the kink,
+so the search narrows a bracket rather than fitting a model. On catalog
+chains a row costs about as much as a batch, so the whole bracket is one
+batch and each zoom round scores 257 evenly spaced points at once. Any
+other f (a grid-conjugation surrogate costs a full lattice pass per row)
+walks the bracket one step at a time and narrows it by golden sections.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +37,10 @@ from . import functions as fn
 from .errors import DomainUnreachable, UnsupportedProx
 
 _WARMUP_ITERS = 60
-_LINE_SEARCH_EVALS = 90
+_BRACKET = np.exp2(np.arange(-40.0, 61.0))  # line-search steps, in units of lam
+_ZOOM_POINTS = 257  # points per batched zoom round, both bracket ends included
+_STEP_RTOL = 1e-14  # relative floor of the step accuracy
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -35,8 +51,8 @@ class SolverBudget:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and > 0")
 
 
 @dataclass
@@ -53,15 +69,19 @@ def _objective(f, lam: float, x: np.ndarray, y: np.ndarray) -> float:
     return fn.evaluate(f, y) + float(np.dot(x - y, x - y)) / (2.0 * lam)
 
 
+def _objective_many(f, lam: float, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """_objective at each row of Y, with evaluate_many's checks on every row."""
+    return fn.evaluate_many(f, Y) + fn.sq_norms(x - Y) / (2.0 * lam)
+
+
 def prox(f, lam: float, x, budget: SolverBudget | None = None,
          force_numerical: bool = False) -> ProxResult:
     """prox_{lam f}(x) plus the envelope value and solver diagnostics."""
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    lam = fn.check_lam(lam)
     x = fn.as_point(x, f.dim)
     if not force_numerical and hasattr(f, "prox_many"):
         try:
-            y = f.prox_many(float(lam), x.reshape(1, -1))[0]
+            y = f.prox_many(lam, x.reshape(1, -1))[0]
             return ProxResult(y, _objective(f, lam, x, y), "closed_form", 0, 0.0)
         except UnsupportedProx:
             pass
@@ -71,11 +91,10 @@ def prox(f, lam: float, x, budget: SolverBudget | None = None,
 def prox_rows(f, lam: float, X):
     """(prox_{lam f}, envelope value) at the rows of X: one closed-form batch,
     with evaluate's checks, when f has one, else numerical_prox row by row."""
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    lam = fn.check_lam(lam)
     X = np.asarray(X, dtype=float)
     try:
-        Y = f.prox_many(float(lam), X) if hasattr(f, "prox_many") else None
+        Y = f.prox_many(lam, X) if hasattr(f, "prox_many") else None
     except UnsupportedProx:
         Y = None
     if Y is None:
@@ -83,7 +102,7 @@ def prox_rows(f, lam: float, X):
         return np.array([r.minimizer for r in rows]), np.array([r.envelope_value for r in rows])
     if not np.all(np.isfinite(Y)):
         raise ValueError("point coordinates must be finite")
-    return Y, fn.evaluate_many(f, Y) + fn.sq_norms(X - Y) / (2.0 * lam)
+    return Y, _objective_many(f, lam, X, Y)
 
 
 def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> ProxResult:
@@ -93,14 +112,14 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     non-converged result is still returned, with ``converged=False`` and the
     final optimality residual attached.
     """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    lam = fn.check_lam(lam)
     budget = budget or SolverBudget()
     x = fn.as_point(x, f.dim)
+    catalog = isinstance(f, fn.ConvexFunction)
 
-    if isinstance(f, fn.ConvexFunction) and fn.is_indicator_chain(f):
+    if catalog and fn.is_indicator_chain(f):
         # Indicator chains reduce to projections; no iteration needed.
-        y = f.prox_many(float(lam), x.reshape(1, -1))[0]
+        y = f.prox_many(lam, x.reshape(1, -1))[0]
         return ProxResult(y, _objective(f, lam, x, y), "numerical", 0, 0.0)
 
     y = x.copy()
@@ -113,41 +132,42 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     iters = 0
     # warm-up for chains with bounded subgradients (norm/support atoms):
     # averaged damped subgradient steps, safe without smoothness
-    if isinstance(f, fn.ConvexFunction) and _bounded_subgradients(f):
-        y_avg = y.copy()
+    if catalog and _bounded_subgradients(f):
+        trail = [y]
+        y_avg = y
         weight = 0.0
-        best_y, best_f = y.copy(), fy
         for k in range(min(_WARMUP_ITERS, budget.max_iters)):
             s = subgrad(y)
             ns = float(np.linalg.norm(s))
             if ns * lam < budget.tol:
                 return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, ns)
-            t = 2.0 * lam / (k + 2.0)
-            y = y - t * s
+            y = y - (2.0 * lam / (k + 2.0)) * s
             w = k + 1.0
             y_avg = (weight * y_avg + w * y) / (weight + w)
             weight += w
             iters += 1
-            fy = _objective(f, lam, x, y)
-            if fy < best_f:
-                best_y, best_f = y.copy(), fy
-        f_avg = _objective(f, lam, x, y_avg)
-        if f_avg < best_f:
-            best_y, best_f = y_avg, f_avg
-        y, fy = best_y, best_f
+            trail.append(y)
+        trail.append(y_avg)
+        values = np.concatenate([[fy], _objective_many(f, lam, x, np.array(trail[1:]))])
+        best = int(np.argmin(values))  # the first of the lowest
+        y, fy = trail[best], float(values[best])
 
     # refinement: least-norm subgradient direction with a line search
+    # (steps in units of lam, so the bracket steps stay finite for any lam)
+    search = _line_search if catalog else _line_search_one_row
+    step_tol = 1e-12 * (1.0 + lam) / lam
     residual = float("inf")
     while iters < budget.max_iters:
         s = subgrad(y)
         residual = float(np.linalg.norm(s))
         if residual * lam < budget.tol:
             return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, residual)
-        t, ft = _line_minimize(lambda t: _objective(f, lam, x, y - t * s), lam)
+        d = lam * s
+        t, ft = search(lambda T: _objective_many(f, lam, x, y - T[:, None] * d), fy, step_tol)
         iters += 1
         if ft < fy:
-            y = y - t * s
-            disp = t * residual
+            y = y - t * d
+            disp = t * lam * residual
             fy = ft
             if disp < budget.tol:
                 return ProxResult(y, fy, "numerical", iters, residual)
@@ -205,38 +225,67 @@ def _subgradient_oracle(f, lam, x):
 
 
 def _fd_gradient(f, y, h: float = 1e-7):
-    g = np.empty(y.size)
-    for i in range(y.size):
-        e = np.zeros(y.size)
-        e[i] = h
-        g[i] = (fn.evaluate(f, y + e) - fn.evaluate(f, y - e)) / (2.0 * h)
-    return g
+    """Central differences, from one batch of the 2d rows y + h e_i, y - h e_i."""
+    E = h * np.eye(y.size)
+    v = fn.evaluate_many(f, np.concatenate([y + E, y - E]))
+    return (v[:y.size] - v[y.size:]) / (2.0 * h)
 
 
-def _line_minimize(phi, scale: float):
-    """Approximate argmin of phi over t >= 0: doubling bracket, then Brent."""
-    from scipy.optimize import minimize_scalar
+def _line_search(phi_many, f0: float, tol: float):
+    """(t, phi(t)) near the argmin over t >= 0 of phi, convex, with phi(0) = f0.
 
-    t_hi = scale
-    f_hi = phi(t_hi)
-    f0 = phi(0.0)
-    expansions = 0
-    while f_hi < f0 and expansions < 60:
-        t_next = 2.0 * t_hi
-        f_next = phi(t_next)
-        if f_next >= f_hi:
-            break
-        t_hi, f_hi = t_next, f_next
-        expansions += 1
-    if expansions >= 60:
-        return t_hi, f_hi
-    res = minimize_scalar(phi, bounds=(0.0, 2.0 * t_hi), method="bounded",
-                          options={"xatol": 1e-12 * (1.0 + scale), "maxiter": _LINE_SEARCH_EVALS})
-    t = float(res.x)
-    ft = float(res.fun)
-    if f_hi < ft:
-        return t_hi, f_hi
-    return t, ft
+    ``phi_many`` scores an array of steps at once. One batch scores every
+    bracket step 2^k; rounds of evenly spaced points then narrow the steps
+    either side of the lowest until they are ``tol`` apart (plus 1e-14 t,
+    the floor float spacing allows). A result with t = 0 means no step
+    descends.
+    """
+    T = np.concatenate([[0.0], _BRACKET])
+    F = np.concatenate([[f0], phi_many(_BRACKET)])
+    j = int(np.argmin(F))  # the first of the lowest
+    if j == T.size - 1:  # still falling at the last step
+        return float(T[j]), float(F[j])
+    while True:
+        a, b = max(j - 1, 0), min(j + 1, T.size - 1)
+        if T[b] - T[a] <= tol + _STEP_RTOL * T[b]:
+            return float(T[j]), float(F[j])
+        T = np.linspace(T[a], T[b], _ZOOM_POINTS)
+        F = np.concatenate([[F[a]], phi_many(T[1:-1]), [F[b]]])
+        j = int(np.argmin(F))
+
+
+def _line_search_one_row(phi_many, f0: float, tol: float):
+    """_line_search for an f whose rows are costly: one row per call.
+
+    A probe at t = tol first tells whether any step descends. The bracket
+    steps 2^k, k >= 0, are then walked until phi rises, and golden sections
+    narrow the bracket around the lowest step.
+    """
+    def phi(t):
+        return float(phi_many(np.array([t]))[0])
+
+    b, fb = tol, phi(tol)
+    if not fb < f0:
+        return 0.0, f0
+    a, c = 0.0, max(1.0, 2.0 * tol)
+    fc = phi(c)
+    while fc < fb:
+        if c >= _BRACKET[-1]:  # still falling at the last step
+            return c, fc
+        a, b, fb = b, c, fc
+        c = 2.0 * c
+        fc = phi(c)
+    while c - a > tol + _STEP_RTOL * c:
+        u = b - _GOLDEN * (b - a) if b - a > c - b else b + _GOLDEN * (c - b)
+        fu = phi(u)
+        if fu < fb:
+            a, c = (a, b) if u < b else (b, c)
+            b, fb = u, fu
+        elif u < b:
+            a = u
+        else:
+            c = u
+    return b, fb
 
 
 def moreau_envelope(f, lam: float, x, budget: SolverBudget | None = None) -> float:

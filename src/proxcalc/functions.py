@@ -18,6 +18,8 @@ pure, so trees can be shared across threads without coordination.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -69,8 +71,17 @@ def sq_norms(W: np.ndarray) -> np.ndarray:
     return np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
 
 
+def check_lam(lam) -> float:
+    """The prox parameter as a float; NaN, infinities and lam <= 0 raise."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lam must be finite and > 0")
+    return lam
+
+
 def _check_no_nan(v: np.ndarray) -> np.ndarray:
-    if np.any(np.isnan(v)) or np.any(np.isneginf(v)):
+    # one reduction: the minimum is NaN if any entry is, and -inf if any entry is
+    if np.size(v) and not np.min(v) > -INF:
         raise ExtendedRealError("extended-real arithmetic produced -inf or inf - inf")
     return v
 
@@ -605,16 +616,13 @@ def conjugate_closed_form(f: ConvexFunction) -> ConvexFunction:
 
 def prox_closed_form(f: ConvexFunction, lam: float, x) -> np.ndarray:
     """Closed-form prox_{lam f}(x); raises UnsupportedProx outside the table."""
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
+    lam = check_lam(lam)
     p = as_point(x, f.dim)
-    return f.prox_many(float(lam), p.reshape(1, -1))[0]
+    return f.prox_many(lam, p.reshape(1, -1))[0]
 
 
 def prox_many_closed_form(f: ConvexFunction, lam: float, X) -> np.ndarray:
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    return f.prox_many(float(lam), _as_batch(X, f.dim))
+    return f.prox_many(check_lam(lam), _as_batch(X, f.dim))
 
 
 def subdifferential(f: ConvexFunction, x) -> SubdiffSet:

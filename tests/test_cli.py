@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def test_prox_numerical_flag(norm_spec, capsys):
     assert code == 0
     vals = [float(v) for v in out.strip().strip("()").split()]
     assert np.allclose(vals, [2.4, 3.2], atol=1e-6)
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("command, extra", [("prox", []), ("prox", ["--numerical"]),
+                                            ("envelope", [])])
+def test_non_finite_lambda_is_a_usage_error(norm_spec, capsys, lam, command, extra):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            [command, "--f", norm_spec, f"--lambda={lam}", "--x", "3,4", *extra], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: lam must be finite and > 0\n"
 
 
 def test_envelope_command(sq_spec, capsys):

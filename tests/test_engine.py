@@ -1,13 +1,19 @@
 """Prox engine: dispatch, numerical solver, envelopes, decomposition."""
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import proxcalc as pc
+from proxcalc import conjugation, engine
 from proxcalc.engine import SolverBudget, numerical_prox, prox_rows
 from proxcalc.errors import DomainUnreachable, ExtendedRealError
+from proxcalc.functions import prox_many_closed_form
 
 from conftest import brute_force_prox
 
@@ -104,6 +110,31 @@ def test_budget_validation():
         SolverBudget(tol=0.0)
     with pytest.raises(ValueError):
         pc.prox(pc.ScaledNorm(1.0, [0.0]), -1.0, [1.0])
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-8])
+def test_budget_tol_must_be_finite_and_positive(tol):
+    # an infinite tol would declare any iterate converged
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        SolverBudget(tol=tol)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_lam_must_be_finite_and_positive(lam):
+    f = pc.ScaledNorm(1.0, [0.0, 0.0])
+    calls = [
+        lambda: pc.prox(f, lam, [3.0, 4.0]),
+        lambda: pc.prox(f, lam, [3.0, 4.0], force_numerical=True),
+        lambda: prox_rows(f, lam, [[3.0, 4.0]]),
+        lambda: numerical_prox(f, lam, [3.0, 4.0]),
+        lambda: pc.prox_closed_form(f, lam, [3.0, 4.0]),
+        lambda: prox_many_closed_form(f, lam, [[3.0, 4.0]]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="lam must be finite and > 0"):
+                call()
 
 
 def test_envelope_value_invariant(rng):
@@ -268,3 +299,113 @@ def test_prox_rows_keeps_evaluate_checks():
         warnings.simplefilter("error")
         with pytest.raises(ExtendedRealError):
             prox_rows(tilt, 1.0, [[1e200], [0.0]])
+
+
+# ---------------------------------------------------------------------------
+# line search and batched objective
+# ---------------------------------------------------------------------------
+
+_STEP_TOL = 2e-12  # the solver's step tolerance 1e-12 (1 + lam) / lam at lam = 1
+
+
+def _convex_piece(a, c, kinks):
+    """t -> a (t - c)^2 + sum b |t - k|, vectorized over t."""
+    def phi_many(T):
+        T = np.asarray(T, dtype=float)
+        return a * (T - c) ** 2 + sum(b * np.abs(T - k) for k, b in kinks)
+    return phi_many
+
+
+_SEARCHES = ["_line_search", "_line_search_one_row"]
+
+
+@pytest.mark.parametrize("search", _SEARCHES)
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.1, 10.0), c=st.floats(-5.0, 20.0),
+       kinks=st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 10.0)), max_size=3))
+@example(a=1.0, c=-2.0, kinks=[])                 # minimum at t = 0
+@example(a=1.0, c=3.3, kinks=[])                  # minimum inside the range
+@example(a=0.5, c=6.0, kinks=[(2.5, 8.0)])        # minimum at a kink
+@example(a=2.0, c=1.0, kinks=[(0.0, 9.0)])        # kink at t = 0: no step descends
+def test_line_search_matches_brute_force(search, a, c, kinks):
+    phi_many = _convex_piece(a, c, kinks)
+    grid = np.concatenate([np.linspace(0.0, 40.0, 400_001), [k for k, _ in kinks]])
+    values = phi_many(grid)
+    t_brute, f_brute = grid[np.argmin(values)], float(np.min(values))
+    t, ft = getattr(engine, search)(phi_many, float(phi_many([0.0])[0]), _STEP_TOL)
+    assert ft == float(phi_many([t])[0])
+    # a step within the step tolerance of the minimizer costs at most
+    # slope * tolerance in value
+    slope = 2.0 * a * 45.0 + sum(b for _, b in kinks)
+    assert ft <= f_brute + slope * _STEP_TOL + 1e-15 * abs(f_brute)
+    assert abs(t - t_brute) <= 1e-4 + 1e-9  # the brute-force grid spacing
+
+
+@pytest.mark.parametrize("search", _SEARCHES)
+@pytest.mark.parametrize("a, c, kinks", [(1.0, -2.0, []), (2.0, 1.0, [(0.0, 9.0)])])
+def test_line_search_reports_no_descent(search, a, c, kinks):
+    phi_many = _convex_piece(a, c, kinks)
+    f0 = float(phi_many([0.0])[0])
+    assert getattr(engine, search)(phi_many, f0, _STEP_TOL) == (0.0, f0)
+
+
+_OBJECTIVE_CASES = [
+    pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5),
+    pc.Quadratic(np.eye(2)),
+    pc.ScaledNorm(1.5, [0.5, -1.0]),
+    pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, 0.2]),
+    pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0),
+    pc.SupportBox([-1.0, -0.5], [1.0, 0.5]),
+]
+
+
+@pytest.mark.parametrize("f", _OBJECTIVE_CASES, ids=repr)
+def test_objective_many_matches_objective_row_by_row(f, rng):
+    # Quadratic batches round differently in the last bit from one row
+    x = rng.uniform(-4, 4, 2)
+    Y = rng.uniform(-4, 4, (50, 2))
+    many = engine._objective_many(f, 0.7, x, Y)
+    rows = np.array([engine._objective(f, 0.7, x, y) for y in Y])
+    np.testing.assert_allclose(many, rows, rtol=1e-13, atol=0.0)
+
+
+def test_numerical_prox_leaves_scipy_optimize_unimported(cli_env):
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import proxcalc as pc\n"
+        "for f in (pc.Quadratic(np.array([[2.0, 0.4], [0.4, 1.0]])),\n"
+        "          pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, 0.2]),\n"
+        "          pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0)):\n"
+        "    res = pc.numerical_prox(f, 1.0, [3.0, -2.0])\n"
+        "    assert res.converged and res.iterations > 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], env=cli_env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def test_table_backed_solves_stay_row_frugal(monkeypatch):
+    # A row of TabulatedConjugate costs a full lattice pass, so the solver
+    # scores such an f one row at a time. The bound, 1,337 rows, is what a
+    # doubling bracket plus bounded Brent search (xatol 1e-12 (1 + lam))
+    # scores on these ten solves.
+    X = np.random.default_rng(0).uniform(-4, 4, (10, 2))
+    r = 5.0 * float(np.max(np.abs(X)))
+    halfspace = pc.IndicatorHalfspace([1.0, 0.0], 1.0)
+    conj = pc.TabulatedConjugate(
+        pc.tabulate(halfspace, pc.SampleGrid([-r, -r], [r, r], [201, 201])))
+    rows = []
+    value_many = conjugation.TabulatedConjugate.value_many
+
+    def counted(self, Y):
+        rows.append(len(Y))
+        return value_many(self, Y)
+
+    monkeypatch.setattr(conjugation.TabulatedConjugate, "value_many", counted)
+    for x in X:
+        res = numerical_prox(conj, 1.0, x)
+        assert np.isfinite(res.envelope_value)
+    assert sum(rows) <= 1337
