@@ -30,7 +30,7 @@ report = pc.reconstruct(task)
 
 print("field checks: monotone residual", f"{report.monotonicity_residual:.1e}",
       " symmetry", f"{report.gradient_symmetry_residual:.1e}",
-      " path gap", f"{report.path_disagreement:.1e}")
+      " lattice path gap", f"{report.details['lattice_path_gap']:.1e}")
 print("convention:", report.convention)
 print("\n   q      recovered   truth")
 for (q, v) in report.recovered:

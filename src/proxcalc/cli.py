@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -99,10 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-at-anchor", type=float, default=None)
     p.add_argument("--grid", required=True, help="potential-tabulation lattice")
     p.add_argument("--queries", required=True, help="CSV of query points")
-    p.add_argument("--quadrature-steps", type=int, default=64,
-                   help="starting Simpson panel count (>= 8) of the "
-                        "path-independence probe, which doubles it until the "
-                        "probe agrees; the lattice integral does not use it")
+    p.add_argument("--quadrature-steps", type=int, default=None,
+                   help="deprecated and ignored (values below 8 are still "
+                        "rejected): reconstruction runs no Simpson path probe")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("compare", help="comparison principle for a pair")
@@ -175,21 +175,24 @@ def run(argv=None) -> int:
             pairs = _read_points_csv(args.oracle_table)
             dim = pairs.shape[1] // 2
             oracle = ProxOracle.from_table(pairs[:, :dim], pairs[:, dim:])
-        task = ReconstructionTask(
-            oracle=oracle,
-            x0=parse_point(args.anchor),
-            tilde_grid=parse_grid(args.grid),
-            query_points=_read_points_csv(args.queries),
-            f_at_x0=args.f_at_anchor,
-            quadrature_steps=args.quadrature_steps,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DeprecationWarning)
+            task = ReconstructionTask(
+                oracle=oracle,
+                x0=parse_point(args.anchor),
+                tilde_grid=parse_grid(args.grid),
+                query_points=_read_points_csv(args.queries),
+                f_at_x0=args.f_at_anchor,
+                quadrature_steps=args.quadrature_steps,
+            )
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         report = reconstruct(task)
         lines = [f"# convention={report.convention}",
                  f"# pinned_constant={fmt_float(report.pinned_constant)}",
                  f"# monotonicity_residual={fmt_float(report.monotonicity_residual)}",
                  f"# gradient_symmetry_residual={fmt_float(report.gradient_symmetry_residual)}",
-                 f"# path_disagreement={fmt_float(report.path_disagreement)}",
-                 f"# quadrature_panels={report.quadrature_panels}",
+                 f"# lattice_path_gap={fmt_float(report.details['lattice_path_gap'])}",
                  f"# boundary_argmax_warnings={report.boundary_argmax_warnings}",
                  f"# pin_min_on_boundary={report.pin_min_on_boundary}"]
         for q, v in report.recovered:

@@ -8,23 +8,25 @@ rebuilds f by four steps:
 2. line integration: one oracle batch gives G on the lattice; the
    cumulative trapezoid of G_i along each axis i, anchored at the lattice
    point b nearest the origin, composes into staircase paths from b, and
-   the tables of all d! axis orders are averaged; a single Simpson ray
-   from 0 to b (when b != 0) makes the table u(x) - u(0);
+   the tables of all d! axis orders are averaged; one batched Simpson
+   ray from 0 to b (when b != 0) makes the table u(x) - u(0);
 3. constant pinning: inf u = -f(x0), so knowing f(x0) fixes the table
    absolutely (otherwise the output is declared "up to a constant");
 4. conjugate back: u*(x) = f(x + x0) + ||x||^2 / 2, evaluated by grid
    conjugation, so f(q) = u*(q - x0) - ||q - x0||^2 / 2.
 
-Before integrating, the field is vetted: monotonicity and firm
-nonexpansiveness on sampled pairs, discrete cross-partial symmetry, and a
-ray-versus-staircase path-independence probe that doubles the quadrature
-until agreement. A field that fails these is not the prox of any proper
-convex l.s.c. function and reconstruction aborts.
+Before integrating, the field is vetted in two oracle batches:
+monotonicity and firm nonexpansiveness on sampled pairs, and discrete
+cross-partial symmetry at sampled probes. A field that fails these is not
+the prox of any proper convex l.s.c. function and reconstruction aborts.
+The spread between the axis-order tables, a discrete curl over the whole
+lattice, is reported as ``lattice_path_gap``.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +54,7 @@ FIRM_TOL = 1e-8
 SYMMETRY_TOL = 1e-3
 PATH_TOL = 1e-4
 MAX_PANELS = 1024
+RAY_PANELS = 64
 
 
 class ProxOracle:
@@ -144,7 +147,7 @@ class ReconstructionTask:
     tilde_grid: SampleGrid
     query_points: np.ndarray
     f_at_x0: float | None = None
-    quadrature_steps: int = 64
+    quadrature_steps: int | None = None  # deprecated and ignored
 
     def __post_init__(self):
         self.x0 = fn.as_point(self.x0, self.oracle.dim)
@@ -153,8 +156,19 @@ class ReconstructionTask:
             raise DimensionMismatch("query points do not match the oracle dimension")
         if self.tilde_grid.dim != self.oracle.dim:
             raise DimensionMismatch("grid does not match the oracle dimension")
-        if self.quadrature_steps < 8:
-            raise ValueError("quadrature_steps must be >= 8")
+        # the generated __init__ sits between __post_init__ and its caller
+        _deprecated_quadrature_steps(self.quadrature_steps, stacklevel=4)
+
+
+def _deprecated_quadrature_steps(steps, stacklevel: int) -> None:
+    """Warn that ``quadrature_steps`` is ignored; values below 8 still raise."""
+    if steps is None:
+        return
+    if steps < 8:
+        raise ValueError("quadrature_steps must be >= 8")
+    warnings.warn("quadrature_steps is deprecated and ignored: reconstruction "
+                  "runs no Simpson path probe", DeprecationWarning,
+                  stacklevel=stacklevel)
 
 
 @dataclass
@@ -165,8 +179,6 @@ class ReconstructionReport:
     monotonicity_residual: float
     boundary_argmax_warnings: int
     convention: str  # "absolute" | "up to additive constant"
-    path_disagreement: float = 0.0
-    quadrature_panels: int = 64
     pin_min_on_boundary: bool = False
     details: dict = field(default_factory=dict)
 
@@ -206,16 +218,11 @@ def validate_field(oracle: ProxOracle, x0, radius: float, seed: int = 13,
     if dim >= 2:
         h = 1e-5
         probes = rng.points_in_ball(12, dim, radius)
-        for p in probes:
-            J = np.empty((dim, dim))
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = h
-                J[:, i] = (
-                    _field_many(oracle, x0, (p + e).reshape(1, -1))[0]
-                    - _field_many(oracle, x0, (p - e).reshape(1, -1))[0]
-                ) / (2 * h)
-            sym = max(sym, float(np.max(np.abs(J - J.T))))
+        # rows p_k + h e_i, then p_k - h e_i, for every probe k and axis i
+        shifts = probes[:, None, :] + np.array([h, -h])[:, None, None, None] * np.eye(dim)
+        G = _field_many(oracle, x0, shifts.reshape(-1, dim)).reshape(shifts.shape)
+        J = (G[0] - G[1]) / (2 * h)  # J[k] is the transposed Jacobian at probe k
+        sym = float(np.max(np.abs(J - np.swapaxes(J, 1, 2))))
 
     if mono > MONOTONE_TOL:
         raise NonConservativeField(f"field is not monotone (residual {mono:.3e})")
@@ -236,13 +243,12 @@ def _simpson_weights(panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ray_integrals(oracle: ProxOracle, x0: np.ndarray, X: np.ndarray,
                    panels: int) -> np.ndarray:
-    """int_0^1 <G(t x), x> dt for every row x of X, composite Simpson."""
+    """int_0^1 <G(t x), x> dt for every row x of X, composite Simpson;
+    every (node, row) pair is scored in one oracle batch."""
     t, w = _simpson_weights(panels)
-    acc = np.zeros(X.shape[0])
-    for tj, wj in zip(t, w):
-        G = _field_many(oracle, x0, tj * X)
-        acc += wj * np.sum(G * X, axis=1)
-    return acc
+    nodes = t[:, None, None] * X[None, :, :]
+    G = _field_many(oracle, x0, nodes.reshape(-1, X.shape[1])).reshape(nodes.shape)
+    return w @ np.sum(G * X, axis=2)
 
 
 def _staircase_integral(oracle: ProxOracle, x0: np.ndarray, x: np.ndarray,
@@ -314,13 +320,11 @@ def _lattice_path_integrals(oracle: ProxOracle, x0: np.ndarray,
 
 
 def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
-                    quadrature_steps: int = 64,
+                    quadrature_steps: int | None = None,
                     f_at_x0: float | None = None):
     """Tabulate the potential u on the grid by lattice-path integration.
 
-    ``quadrature_steps`` is the starting panel count of the path probe,
-    which doubles it until the probe agrees; the Simpson ray from 0 to
-    the lattice point nearest 0 uses the probe's final count.
+    ``quadrature_steps`` is deprecated and ignored; passing it warns.
 
     Without ``f_at_x0`` the table is anchored at u(0) = 0. With it, the
     whole table is shifted so that its minimum equals -f_at_x0, the exact
@@ -329,19 +333,17 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
 
     Returns (ValueTable, diagnostics dict).
     """
+    _deprecated_quadrature_steps(quadrature_steps, stacklevel=3)
     x0 = fn.as_point(x0, oracle.dim)
     if grid.dim != oracle.dim:
         raise DimensionMismatch("grid does not match the oracle dimension")
     mono, firm, sym = validate_field(
         oracle, x0, radius=float(np.max(np.abs(grid.hi - grid.lo))) / 2.0
     )
-    probe_idx = [0, grid.size - 1, grid.size // 2, grid.size // 3]
-    probes = grid.points()[sorted(set(probe_idx))]
-    path_gap, panels = check_path_independence(oracle, x0, probes, quadrature_steps)
 
     values, lattice_gap, b = _lattice_path_integrals(oracle, x0, grid)
     if np.any(b != 0.0):
-        values = values + _ray_integrals(oracle, x0, b.reshape(1, -1), panels)[0]
+        values = values + _ray_integrals(oracle, x0, b.reshape(1, -1), RAY_PANELS)[0]
 
     pinned = 0.0
     pin_on_boundary = False
@@ -355,8 +357,6 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
         "monotonicity_residual": mono,
         "firm_residual": firm,
         "gradient_symmetry_residual": sym,
-        "path_disagreement": path_gap,
-        "quadrature_panels": panels,
         "lattice_path_gap": lattice_gap,
         "pinned_constant": pinned,
         "pin_min_on_boundary": pin_on_boundary,
@@ -366,9 +366,8 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
 
 def reconstruct(task: ReconstructionTask) -> ReconstructionReport:
     """Run the full pipeline and evaluate the recovered function at the queries."""
-    table, diag = integrate_tilde(
-        task.oracle, task.x0, task.tilde_grid, task.quadrature_steps, task.f_at_x0
-    )
+    table, diag = integrate_tilde(task.oracle, task.x0, task.tilde_grid,
+                                  f_at_x0=task.f_at_x0)
     Z = task.query_points - task.x0
     vals, boundary = conjugate_many(table, Z)
     rec = vals - 0.5 * np.sum(Z * Z, axis=1)
@@ -380,8 +379,6 @@ def reconstruct(task: ReconstructionTask) -> ReconstructionReport:
         monotonicity_residual=diag["monotonicity_residual"],
         boundary_argmax_warnings=int(np.sum(boundary)),
         convention=convention,
-        path_disagreement=diag["path_disagreement"],
-        quadrature_panels=diag["quadrature_panels"],
         pin_min_on_boundary=diag["pin_min_on_boundary"],
         details={"oracle_calls": task.oracle.call_count,
                  "firm_residual": diag["firm_residual"],

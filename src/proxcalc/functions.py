@@ -514,8 +514,8 @@ class Envelope(ConvexFunction):
     def __init__(self, f: ConvexFunction, lam: float):
         self.f = f
         self.lam = float(lam)
-        if self.lam <= 0:
-            raise ValueError("envelope index must be > 0")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("envelope index must be finite and > 0")
         self.dim = f.dim
         depth = sum(isinstance(g, Envelope) for g in chain(self))
         if depth >= 3:

@@ -67,6 +67,19 @@ def test_non_finite_lambda_is_a_usage_error(norm_spec, capsys, lam, command, ext
     assert err == "error: lam must be finite and > 0\n"
 
 
+@pytest.mark.parametrize("lam", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_envelope_index_in_spec_is_a_usage_error(tmp_path, capsys, lam):
+    spec = tmp_path / "env.json"
+    spec.write_text('{"op": "envelope", "lambda": %s, "f": {"atom": "scaled_norm", '
+                    '"ell": 1.0, "center": [0.0, 0.0]}}' % lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["envelope", "--f", str(spec), "--x", "3,4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: envelope index must be finite and > 0\n"
+
+
 def test_envelope_command(sq_spec, capsys):
     code, out, _ = run_cli(["envelope", "--f", sq_spec, "--lambda", "1", "--x", "2,0"], capsys)
     assert code == 0
@@ -153,6 +166,21 @@ def test_reconstruct_command_with_oracle_table(tmp_path, capsys):
     got = {float(l.split(",")[0]): float(l.split(",")[1]) for l in lines}
     for q, expected in ((-1.0, 1.0), (0.0, 0.0), (2.0, 2.0)):
         assert got[q] == pytest.approx(expected, abs=2e-3)
+
+
+def test_reconstruct_quadrature_steps_warns_once(tmp_path, norm_spec, capsys):
+    queries_path = tmp_path / "q.csv"
+    queries_path.write_text("1.0,0.5\n")
+    argv = ["reconstruct", "--f", norm_spec, "--anchor", "0,0", "--f-at-anchor", "0",
+            "--grid=-4:4:41;-4:4:41", "--queries", str(queries_path)]
+    code, plain, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(argv + ["--quadrature-steps", "64"], capsys)
+    assert code == 0
+    assert out == plain
+    assert err.count("\n") == 1 and err.startswith("warning: quadrature_steps is deprecated")
+    code, _, err = run_cli(argv + ["--quadrature-steps", "4"], capsys)
+    assert (code, err) == (1, "error: quadrature_steps must be >= 8\n")
 
 
 def test_reconstruct_nan_oracle_table_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Reconstruction of a convex function from its prox oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import proxcalc as pc
 from proxcalc.determination import (
     _constant_difference,
+    _ray_integrals,
     check_path_independence,
     validate_field,
 )
@@ -82,7 +85,7 @@ def test_integrate_shifted_parabola_with_pinning():
     # the pinned table satisfies u(0) = -1/4
     oracle = pc.ProxOracle.from_function(shifted_parabola_1d())
     grid = pc.SampleGrid([-4.0], [4.0], [201])
-    table, diag = pc.integrate_tilde(oracle, [0.0], grid, 64, f_at_x0=0.5)
+    table, diag = pc.integrate_tilde(oracle, [0.0], grid, f_at_x0=0.5)
     xs = grid.points()[:, 0]
     expected = xs**2 / 4 + xs / 2 - 0.25
     assert np.allclose(table.values, expected, atol=1e-10)
@@ -94,14 +97,14 @@ def test_integrate_zero_field():
     # prox of the point indicator at 0: u is constant, pinned table is 0
     oracle = pc.ProxOracle.from_function(pc.IndicatorPoint([0.0]))
     grid = pc.SampleGrid([-2.0], [2.0], [41])
-    table, _ = pc.integrate_tilde(oracle, [0.0], grid, 64, f_at_x0=0.0)
+    table, _ = pc.integrate_tilde(oracle, [0.0], grid, f_at_x0=0.0)
     assert np.allclose(table.values, 0.0, atol=1e-12)
 
 
 def test_integrate_identity_oracle():
     oracle = pc.ProxOracle(lambda x: x, dim=1, batch_query=lambda X: X)
     grid = pc.SampleGrid([-2.0], [2.0], [41])
-    table, _ = pc.integrate_tilde(oracle, [0.0], grid, 64)
+    table, _ = pc.integrate_tilde(oracle, [0.0], grid)
     xs = grid.points()[:, 0]
     assert np.allclose(table.values, xs**2 / 2, atol=1e-12)
 
@@ -224,17 +227,34 @@ def test_reconstruct_anchored_away_from_origin():
         assert v == pytest.approx(abs(q[0] - 2.0), abs=2e-3)
 
 
-def test_reconstruct_2d_queries_each_lattice_point_about_once():
-    # the tilted norm doubles the path probe to 256 panels
-    f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
+def _tilted_norm_rebuild_241(oracle):
     grid = pc.SampleGrid([-6.0, -6.0], [6.0, 6.0], [241, 241])
     queries = battery_samples(2, 29, 22, 1.2)
-    rep = pc.reconstruct(pc.ReconstructionTask(
-        pc.ProxOracle.from_function(f), [0.0, 0.0], grid, queries, f_at_x0=0.0))
-    assert rep.quadrature_panels == 256
-    assert rep.details["oracle_calls"] <= 2 * grid.size
+    return grid, pc.reconstruct(pc.ReconstructionTask(
+        oracle, [0.0, 0.0], grid, queries, f_at_x0=0.0))
+
+
+def test_reconstruct_2d_queries_each_lattice_point_about_once():
+    # the lattice once, plus 128 rows of field validation (0 is on the lattice)
+    f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
+    grid, rep = _tilted_norm_rebuild_241(pc.ProxOracle.from_function(f))
+    assert rep.details["oracle_calls"] <= grid.size + 300
     for q, v in rep.recovered:
         assert v == pytest.approx(pc.evaluate(f, q), abs=2e-3)
+
+
+def test_reconstruct_2d_makes_few_oracle_batches():
+    # two validation pairs batches, one symmetry batch, one lattice batch
+    f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
+    batches = []
+
+    def many(X):
+        batches.append(X.shape[0])
+        return f.prox_many(1.0, X)
+
+    _, rep = _tilted_norm_rebuild_241(pc.ProxOracle(None, 2, many))
+    assert len(batches) <= 5
+    assert sum(batches) == rep.details["oracle_calls"]
 
 
 def test_reconstruct_origin_off_lattice():
@@ -254,6 +274,20 @@ def test_reconstruct_origin_off_lattice():
     assert np.max(np.abs(values - (truth - shift))) <= 2e-3
 
 
+def test_ray_integrals_exact_on_affine_field():
+    # G(x) = A x + c - x0 with the oracle x -> A (x - x0) + c, so the ray
+    # integral is x'Ax/2 + <c - x0, x>; Simpson is exact on the linear integrand
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([0.3, -0.7])
+    x0 = np.array([0.25, -1.5])
+    oracle = pc.ProxOracle(None, 2, lambda X: (X - x0) @ A.T + c)
+    X = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0], [0.01, -0.01]])
+    got = _ray_integrals(oracle, x0, X, 64)
+    exact = 0.5 * np.einsum("ij,jk,ik->i", X, A, X) + X @ (c - x0)
+    assert np.max(np.abs(got - exact)) <= 1e-12
+    assert oracle.call_count == 129 * X.shape[0]
+
+
 def test_reconstruct_envelope_of_norm_3d():
     f = pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0, 0.0]), 1.0)
     grid = pc.SampleGrid([-4.0] * 3, [4.0] * 3, [81] * 3)
@@ -270,6 +304,22 @@ def test_quadrature_steps_validation():
     with pytest.raises(ValueError):
         pc.ReconstructionTask(oracle, [0.0], pc.SampleGrid([-1.0], [1.0], [11]),
                               [[0.0]], quadrature_steps=4)
+
+
+def test_quadrature_steps_is_deprecated_and_ignored():
+    oracle = pc.ProxOracle.from_function(pc.ScaledNorm(1.0, [0.0]))
+    grid = pc.SampleGrid([-4.0], [4.0], [81])
+    with pytest.warns(DeprecationWarning, match="quadrature_steps") as record:
+        task = pc.ReconstructionTask(oracle, [0.0], grid, [[1.0]], f_at_x0=0.0,
+                                     quadrature_steps=64)
+        table, _ = pc.integrate_tilde(oracle, [0.0], grid, 64)
+    # both warnings point at the caller
+    assert [w.filename for w in record] == [__file__, __file__]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain, _ = pc.integrate_tilde(oracle, [0.0], grid)
+        assert pc.reconstruct(task).recovered[0][1] == pytest.approx(1.0, abs=2e-3)
+    assert np.array_equal(table.values, plain.values)
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,12 @@ def test_envelope_subdiff_matches_gradient_formula():
     assert np.allclose(s.point, expected)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), INF, -INF, 0.0])
+def test_envelope_index_must_be_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="envelope index must be finite and > 0"):
+        pc.Envelope(norm2(), lam)
+
+
 def test_extended_real_error_is_library_and_arithmetic_error():
     f = pc.Tilt(pc.Quadratic(np.eye(1)), [1e200])
     with np.errstate(all="ignore"), pytest.raises(ExtendedRealError) as info:
