@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import numpy as np
 
@@ -100,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-at-anchor", type=float, default=None)
     p.add_argument("--grid", required=True, help="potential-tabulation lattice")
     p.add_argument("--queries", required=True, help="CSV of query points")
-    p.add_argument("--quadrature-steps", type=int, default=None,
-                   help="deprecated and ignored (values below 8 are still "
-                        "rejected): reconstruction runs no Simpson path probe")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("compare", help="comparison principle for a pair")
@@ -175,19 +171,13 @@ def run(argv=None) -> int:
             pairs = _read_points_csv(args.oracle_table)
             dim = pairs.shape[1] // 2
             oracle = ProxOracle.from_table(pairs[:, :dim], pairs[:, dim:])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", DeprecationWarning)
-            task = ReconstructionTask(
-                oracle=oracle,
-                x0=parse_point(args.anchor),
-                tilde_grid=parse_grid(args.grid),
-                query_points=_read_points_csv(args.queries),
-                f_at_x0=args.f_at_anchor,
-                quadrature_steps=args.quadrature_steps,
-            )
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        report = reconstruct(task)
+        report = reconstruct(ReconstructionTask(
+            oracle=oracle,
+            x0=parse_point(args.anchor),
+            tilde_grid=parse_grid(args.grid),
+            query_points=_read_points_csv(args.queries),
+            f_at_x0=args.f_at_anchor,
+        ))
         lines = [f"# convention={report.convention}",
                  f"# pinned_constant={fmt_float(report.pinned_constant)}",
                  f"# monotonicity_residual={fmt_float(report.monotonicity_residual)}",
@@ -226,6 +216,8 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 0 if exc.code == 0 else 1
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ lattice, is reported as ``lattice_path_gap``.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +146,6 @@ class ReconstructionTask:
     tilde_grid: SampleGrid
     query_points: np.ndarray
     f_at_x0: float | None = None
-    quadrature_steps: int | None = None  # deprecated and ignored
 
     def __post_init__(self):
         self.x0 = fn.as_point(self.x0, self.oracle.dim)
@@ -156,19 +154,6 @@ class ReconstructionTask:
             raise DimensionMismatch("query points do not match the oracle dimension")
         if self.tilde_grid.dim != self.oracle.dim:
             raise DimensionMismatch("grid does not match the oracle dimension")
-        # the generated __init__ sits between __post_init__ and its caller
-        _deprecated_quadrature_steps(self.quadrature_steps, stacklevel=4)
-
-
-def _deprecated_quadrature_steps(steps, stacklevel: int) -> None:
-    """Warn that ``quadrature_steps`` is ignored; values below 8 still raise."""
-    if steps is None:
-        return
-    if steps < 8:
-        raise ValueError("quadrature_steps must be >= 8")
-    warnings.warn("quadrature_steps is deprecated and ignored: reconstruction "
-                  "runs no Simpson path probe", DeprecationWarning,
-                  stacklevel=stacklevel)
 
 
 @dataclass
@@ -226,6 +211,9 @@ def validate_field(oracle: ProxOracle, x0, radius: float, seed: int = 13,
 
     if mono > MONOTONE_TOL:
         raise NonConservativeField(f"field is not monotone (residual {mono:.3e})")
+    if firm > FIRM_TOL:
+        raise NonConservativeField(
+            f"field is not firmly nonexpansive (residual {firm:.3e})")
     if sym > SYMMETRY_TOL:
         raise NonConservativeField(f"cross-partials asymmetric (residual {sym:.3e})")
     return mono, firm, sym
@@ -319,12 +307,9 @@ def _lattice_path_integrals(oracle: ProxOracle, x0: np.ndarray,
     return np.mean(tables, axis=0), float(np.max(np.ptp(tables, axis=0))), b
 
 
-def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
-                    quadrature_steps: int | None = None,
+def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid, *,
                     f_at_x0: float | None = None):
     """Tabulate the potential u on the grid by lattice-path integration.
-
-    ``quadrature_steps`` is deprecated and ignored; passing it warns.
 
     Without ``f_at_x0`` the table is anchored at u(0) = 0. With it, the
     whole table is shifted so that its minimum equals -f_at_x0, the exact
@@ -333,7 +318,6 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid,
 
     Returns (ValueTable, diagnostics dict).
     """
-    _deprecated_quadrature_steps(quadrature_steps, stacklevel=3)
     x0 = fn.as_point(x0, oracle.dim)
     if grid.dim != oracle.dim:
         raise DimensionMismatch("grid does not match the oracle dimension")

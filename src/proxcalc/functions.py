@@ -79,6 +79,14 @@ def check_lam(lam) -> float:
     return lam
 
 
+def _finite(name: str, value) -> float:
+    """A scalar parameter as a float; NaN and infinities raise."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
 def _check_no_nan(v: np.ndarray) -> np.ndarray:
     # one reduction: the minimum is NaN if any entry is, and -inf if any entry is
     if np.size(v) and not np.min(v) > -INF:
@@ -119,7 +127,7 @@ class Affine(ConvexFunction):
 
     def __init__(self, a, c: float = 0.0):
         self.a = as_point(a)
-        self.c = float(c)
+        self.c = _finite("c", c)
         self.dim = _capped_dim(self.a.size)
 
     def value_many(self, X):
@@ -150,9 +158,11 @@ class Quadratic(ConvexFunction):
         self.Q = np.asarray(Q, dtype=float)
         if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
             raise ValueError("Q must be a square matrix")
+        if not np.all(np.isfinite(self.Q)):
+            raise ValueError("Q entries must be finite")
         n = self.Q.shape[0]
         self.b = as_point(b, n) if b is not None else np.zeros(n)
-        self.c = float(c)
+        self.c = _finite("c", c)
         self.dim = _capped_dim(n)
         if np.max(np.abs(self.Q - self.Q.T)) > 1e-10:
             raise ValueError("Q must be symmetric")
@@ -193,8 +203,8 @@ class ScaledNorm(ConvexFunction):
 
     def __init__(self, ell: float, center=None, dim: int | None = None):
         self.ell = float(ell)
-        if self.ell < 0:
-            raise ValueError("ell must be >= 0")
+        if not (math.isfinite(self.ell) and self.ell >= 0):
+            raise ValueError("ell must be finite and >= 0")
         if center is None:
             if dim is None:
                 raise ValueError("need center or dim")
@@ -269,8 +279,8 @@ class IndicatorBall(ConvexFunction):
     def __init__(self, center, radius: float):
         self.center = as_point(center)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be finite and > 0")
         self.dim = _capped_dim(self.center.size)
 
     def value_many(self, X):
@@ -339,7 +349,7 @@ class IndicatorHalfspace(ConvexFunction):
         self.a = as_point(a)
         if np.linalg.norm(self.a) == 0:
             raise ValueError("halfspace normal must be nonzero")
-        self.beta = float(beta)
+        self.beta = _finite("beta", beta)
         self.dim = _capped_dim(self.a.size)
 
     def value_many(self, X):
@@ -369,8 +379,8 @@ class SupportBall(ConvexFunction):
     def __init__(self, center, radius: float):
         self.center = as_point(center)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be finite and > 0")
         self.dim = _capped_dim(self.center.size)
 
     def value_many(self, X):
@@ -481,7 +491,7 @@ class AddConst(ConvexFunction):
 
     def __init__(self, f: ConvexFunction, c: float):
         self.f = f
-        self.c = float(c)
+        self.c = _finite("c", c)
         self.dim = f.dim
 
     def value_many(self, X):

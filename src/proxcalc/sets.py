@@ -2,10 +2,10 @@
 
 The kinds are singletons, balls, boxes, halflines (rays; normal cones
 anchor them at 0) and the empty set. Every descriptor supports projection
-of an arbitrary point, membership testing, a support-function evaluation,
-translation, and sampling. Box bounds may be infinite, which covers
-orthant-style normal cones and the full space; every other kind has finite
-parameters.
+of an arbitrary point (which gives its least-norm element), a
+support-function evaluation and translation. Box bounds may be infinite,
+which covers orthant-style normal cones and the full space; every other
+kind has finite parameters.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class SubdiffSet:
     def project(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, v: np.ndarray, tol: float = 1e-7) -> bool:
-        raise NotImplementedError
-
     def support(self, u: np.ndarray) -> float:
         """sup over the set of <u, .>; +inf when unbounded in direction u."""
         raise NotImplementedError
@@ -39,10 +36,6 @@ class SubdiffSet:
 
     def min_norm_element(self) -> np.ndarray:
         return self.project(np.zeros(self.dim))
-
-    def sample(self, count: int, rng) -> np.ndarray:
-        """count elements of the set (box M-clamped at 10 for infinite bounds)."""
-        raise NotImplementedError
 
 
 class SingletonSet(SubdiffSet):
@@ -55,17 +48,11 @@ class SingletonSet(SubdiffSet):
     def project(self, z):
         return self.point.copy()
 
-    def contains(self, v, tol=1e-7):
-        return bool(np.linalg.norm(v - self.point) <= tol)
-
     def support(self, u):
         return float(np.dot(u, self.point))
 
     def shift(self, w):
         return SingletonSet(self.point + w)
-
-    def sample(self, count, rng):
-        return np.tile(self.point, (count, 1))
 
     def __repr__(self):
         return f"SingletonSet({self.point.tolist()})"
@@ -88,17 +75,11 @@ class BallSet(SubdiffSet):
             return np.asarray(z, dtype=float).copy()
         return self.center + d * (self.radius / n)
 
-    def contains(self, v, tol=1e-7):
-        return bool(np.linalg.norm(v - self.center) <= self.radius + tol)
-
     def support(self, u):
         return float(np.dot(u, self.center) + self.radius * np.linalg.norm(u))
 
     def shift(self, w):
         return BallSet(self.center + w, self.radius)
-
-    def sample(self, count, rng):
-        return self.center + rng.points_in_ball(count, self.dim, self.radius)
 
     def __repr__(self):
         return f"BallSet({self.center.tolist()}, {self.radius})"
@@ -117,9 +98,6 @@ class BoxSet(SubdiffSet):
     def project(self, z):
         return np.clip(z, self.lo, self.hi)
 
-    def contains(self, v, tol=1e-7):
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
-
     def support(self, u):
         u = np.asarray(u, dtype=float)
         # 0 * inf must contribute 0, not nan
@@ -128,14 +106,6 @@ class BoxSet(SubdiffSet):
 
     def shift(self, w):
         return BoxSet(self.lo + w, self.hi + w)
-
-    def sample(self, count, rng, clamp: float = 10.0):
-        lo = np.maximum(self.lo, -clamp)
-        hi = np.minimum(self.hi, clamp)
-        out = np.empty((count, self.dim))
-        for i in range(count):
-            out[i] = [rng.uniform(a, b) for a, b in zip(lo, hi)]
-        return out
 
     def __repr__(self):
         return f"BoxSet({self.lo.tolist()}, {self.hi.tolist()})"
@@ -159,9 +129,6 @@ class HalflineSet(SubdiffSet):
         t = max(0.0, float(np.dot(z - self.anchor, d) / np.dot(d, d)))
         return self.anchor + t * d
 
-    def contains(self, v, tol=1e-7):
-        return bool(np.linalg.norm(v - self.project(v)) <= tol)
-
     def support(self, u):
         if np.dot(u, self.direction) > _TOL:
             return float("inf")
@@ -169,10 +136,6 @@ class HalflineSet(SubdiffSet):
 
     def shift(self, w):
         return HalflineSet(self.anchor + w, self.direction)
-
-    def sample(self, count, rng, clamp: float = 10.0):
-        d = self.direction / np.linalg.norm(self.direction)
-        return np.array([self.anchor + rng.uniform(0.0, clamp) * d for _ in range(count)])
 
     def __repr__(self):
         return f"HalflineSet({self.anchor.tolist()}, {self.direction.tolist()})"
@@ -187,17 +150,11 @@ class EmptySet(SubdiffSet):
     def project(self, z):
         raise EmptySubdifferential("projection onto the empty set")
 
-    def contains(self, v, tol=1e-7):
-        return False
-
     def support(self, u):
         return float("-inf")
 
     def shift(self, w):
         return self
-
-    def sample(self, count, rng):
-        return np.empty((0, self.dim))
 
     def __repr__(self):
         return f"EmptySet(dim={self.dim})"

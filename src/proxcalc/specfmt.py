@@ -3,8 +3,8 @@
 A document is a JSON tree. Each node is an object carrying either an
 ``"atom"`` key or an ``"op"`` key, plus that node's parameter fields and
 nothing else; unknown keys are errors. Combinator nodes hold their child
-under ``"f"``. Vectors are JSON arrays of decimals, matrices arrays of
-arrays.
+under ``"f"``. Numbers are finite JSON decimals, vectors arrays of them,
+matrices arrays of arrays.
 
 Atoms: affine(a, c), quadratic(Q, b, c), scaled_norm(ell, center),
 indicator_point(p), indicator_ball(center, radius), indicator_box(lo, hi),
@@ -21,29 +21,34 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from . import functions as fn
 from .errors import SpecParseError
 
 _ALIASES = {"ℓ": "ell", "β": "beta", "λ": "lambda"}
 
-_ATOM_FIELDS = {
-    "affine": {"a": True, "c": False},
-    "quadratic": {"Q": True, "b": False, "c": False},
-    "scaled_norm": {"ell": True, "center": True},
-    "indicator_point": {"p": True},
-    "indicator_ball": {"center": True, "radius": True},
-    "indicator_box": {"lo": True, "hi": True},
-    "indicator_halfspace": {"a": True, "beta": True},
-    "support_ball": {"center": True, "radius": True},
-    "support_box": {"lo": True, "hi": True},
+# kind -> (catalog class, fields in constructor order); a trailing "?" marks
+# an optional field, which takes the constructor's default when absent. Ops
+# are the kinds with a child "f".
+_KINDS = {
+    "affine": (fn.Affine, "a", "c?"),
+    "quadratic": (fn.Quadratic, "Q", "b?", "c?"),
+    "scaled_norm": (fn.ScaledNorm, "ell", "center"),
+    "indicator_point": (fn.IndicatorPoint, "p"),
+    "indicator_ball": (fn.IndicatorBall, "center", "radius"),
+    "indicator_box": (fn.IndicatorBox, "lo", "hi"),
+    "indicator_halfspace": (fn.IndicatorHalfspace, "a", "beta"),
+    "support_ball": (fn.SupportBall, "center", "radius"),
+    "support_box": (fn.SupportBox, "lo", "hi"),
+    "tilt": (fn.Tilt, "f", "a"),
+    "translate": (fn.Translate, "f", "t"),
+    "add_const": (fn.AddConst, "f", "c"),
+    "envelope": (fn.Envelope, "f", "lambda"),
 }
 
-_OP_FIELDS = {
-    "tilt": {"f": True, "a": True},
-    "translate": {"f": True, "t": True},
-    "add_const": {"f": True, "c": True},
-    "envelope": {"f": True, "lambda": True},
-}
+# the one field whose constructor keyword and attribute differ from its name
+_ATTRS = {"lambda": "lam"}
 
 
 def parse_document(text: str) -> fn.ConvexFunction:
@@ -62,133 +67,75 @@ def load_document(path: str) -> fn.ConvexFunction:
         return parse_document(handle.read())
 
 
-def build_tree(node) -> fn.ConvexFunction:
-    if not isinstance(node, dict):
-        raise SpecParseError(f"expected an object node, got {type(node).__name__}")
-    node = {_ALIASES.get(k, k): v for k, v in node.items()}
-    has_atom = "atom" in node
-    has_op = "op" in node
-    if has_atom == has_op:
-        raise SpecParseError("each node needs exactly one of 'atom' or 'op'")
-    if has_atom:
-        return _build_atom(node)
-    return _build_op(node)
+def _is_num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _take_fields(node: dict, kind: str, table: dict) -> dict:
-    spec = table[kind]
-    extra = set(node) - set(spec) - {"atom", "op"}
-    if extra:
-        raise SpecParseError(f"unknown keys {sorted(extra)} on '{kind}' node")
-    missing = [k for k, required in spec.items() if required and k not in node]
-    if missing:
-        raise SpecParseError(f"missing keys {missing} on '{kind}' node")
-    return node
-
-
-def _num(node, key, default=None):
-    v = node.get(key, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+def _num(key, v):
+    if not _is_num(v):
         raise SpecParseError(f"field '{key}' must be a number")
     return float(v)
 
 
-def _vec(node, key):
-    v = node.get(key)
-    if not isinstance(v, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
+def _vec(key, v):
+    if not isinstance(v, list) or not all(_is_num(x) for x in v):
         raise SpecParseError(f"field '{key}' must be an array of numbers")
     return [float(x) for x in v]
 
 
-def _mat(node, key):
-    v = node.get(key)
-    if not isinstance(v, list) or not all(isinstance(row, list) for row in v):
-        raise SpecParseError(f"field '{key}' must be an array of arrays")
+def _mat(key, v):
+    if not isinstance(v, list) or not all(
+        isinstance(row, list) and all(_is_num(x) for x in row) for row in v
+    ):
+        raise SpecParseError(f"field '{key}' must be an array of arrays of numbers")
     return [[float(x) for x in row] for row in v]
 
 
-def _build_atom(node: dict) -> fn.ConvexFunction:
-    kind = node["atom"]
-    if kind not in _ATOM_FIELDS:
-        raise SpecParseError(f"unknown atom '{kind}'")
-    node = _take_fields(node, kind, _ATOM_FIELDS)
+_PARSE = {"a": _vec, "b": _vec, "center": _vec, "hi": _vec, "lo": _vec, "p": _vec,
+          "t": _vec, "beta": _num, "c": _num, "ell": _num, "lambda": _num,
+          "radius": _num, "Q": _mat, "f": lambda key, v: build_tree(v)}
+
+
+def _fields(entry) -> list[tuple[str, bool]]:
+    """(name, required) per field of a _KINDS entry."""
+    return [(s.rstrip("?"), not s.endswith("?")) for s in entry[1:]]
+
+
+def build_tree(node) -> fn.ConvexFunction:
+    if not isinstance(node, dict):
+        raise SpecParseError(f"expected an object node, got {type(node).__name__}")
+    node = {_ALIASES.get(k, k): v for k, v in node.items()}
+    if ("atom" in node) == ("op" in node):
+        raise SpecParseError("each node needs exactly one of 'atom' or 'op'")
+    tag = "atom" if "atom" in node else "op"
+    kind = node.pop(tag)
+    entry = _KINDS.get(kind)
+    if entry is None or ("f" in entry) != (tag == "op"):
+        raise SpecParseError(f"unknown {tag} '{kind}'")
+    fields = _fields(entry)
+    extra = set(node) - {name for name, _ in fields}
+    if extra:
+        raise SpecParseError(f"unknown keys {sorted(extra)} on '{kind}' node")
+    missing = [name for name, required in fields if required and name not in node]
+    if missing:
+        raise SpecParseError(f"missing keys {missing} on '{kind}' node")
     try:
-        if kind == "affine":
-            return fn.Affine(_vec(node, "a"), _num(node, "c", 0.0))
-        if kind == "quadratic":
-            b = _vec(node, "b") if "b" in node else None
-            return fn.Quadratic(_mat(node, "Q"), b, _num(node, "c", 0.0))
-        if kind == "scaled_norm":
-            return fn.ScaledNorm(_num(node, "ell"), _vec(node, "center"))
-        if kind == "indicator_point":
-            return fn.IndicatorPoint(_vec(node, "p"))
-        if kind == "indicator_ball":
-            return fn.IndicatorBall(_vec(node, "center"), _num(node, "radius"))
-        if kind == "indicator_box":
-            return fn.IndicatorBox(_vec(node, "lo"), _vec(node, "hi"))
-        if kind == "indicator_halfspace":
-            return fn.IndicatorHalfspace(_vec(node, "a"), _num(node, "beta"))
-        if kind == "support_ball":
-            return fn.SupportBall(_vec(node, "center"), _num(node, "radius"))
-        if kind == "support_box":
-            return fn.SupportBox(_vec(node, "lo"), _vec(node, "hi"))
+        return entry[0](**{_ATTRS.get(name, name): _PARSE[name](name, node[name])
+                           for name, _ in fields if name in node})
     except (ValueError, SpecParseError):
         raise
     except Exception as exc:  # dimension mismatches et al., rewrapped with context
         raise SpecParseError(f"invalid '{kind}' node: {exc}") from None
-    raise AssertionError("unreachable")
-
-
-def _build_op(node: dict) -> fn.ConvexFunction:
-    kind = node["op"]
-    if kind not in _OP_FIELDS:
-        raise SpecParseError(f"unknown op '{kind}'")
-    node = _take_fields(node, kind, _OP_FIELDS)
-    child = build_tree(node["f"])
-    try:
-        if kind == "tilt":
-            return fn.Tilt(child, _vec(node, "a"))
-        if kind == "translate":
-            return fn.Translate(child, _vec(node, "t"))
-        if kind == "add_const":
-            return fn.AddConst(child, _num(node, "c"))
-        if kind == "envelope":
-            return fn.Envelope(child, _num(node, "lambda"))
-    except (ValueError, SpecParseError):
-        raise
-    except Exception as exc:
-        raise SpecParseError(f"invalid '{kind}' node: {exc}") from None
-    raise AssertionError("unreachable")
 
 
 def to_document(f: fn.ConvexFunction) -> dict:
     """Inverse of build_tree for catalog trees expressible in the format."""
-    if isinstance(f, fn.Affine):
-        return {"atom": "affine", "a": f.a.tolist(), "c": f.c}
-    if isinstance(f, fn.Quadratic):
-        return {"atom": "quadratic", "Q": f.Q.tolist(), "b": f.b.tolist(), "c": f.c}
-    if isinstance(f, fn.ScaledNorm):
-        return {"atom": "scaled_norm", "ell": f.ell, "center": f.center.tolist()}
-    if isinstance(f, fn.IndicatorPoint):
-        return {"atom": "indicator_point", "p": f.p.tolist()}
-    if isinstance(f, fn.IndicatorBall):
-        return {"atom": "indicator_ball", "center": f.center.tolist(), "radius": f.radius}
-    if isinstance(f, fn.IndicatorBox):
-        return {"atom": "indicator_box", "lo": f.lo.tolist(), "hi": f.hi.tolist()}
-    if isinstance(f, fn.IndicatorHalfspace):
-        return {"atom": "indicator_halfspace", "a": f.a.tolist(), "beta": f.beta}
-    if isinstance(f, fn.SupportBall):
-        return {"atom": "support_ball", "center": f.center.tolist(), "radius": f.radius}
-    if isinstance(f, fn.SupportBox):
-        return {"atom": "support_box", "lo": f.lo.tolist(), "hi": f.hi.tolist()}
-    if isinstance(f, fn.Tilt):
-        return {"op": "tilt", "f": to_document(f.f), "a": f.a.tolist()}
-    if isinstance(f, fn.Translate):
-        return {"op": "translate", "f": to_document(f.f), "t": f.t.tolist()}
-    if isinstance(f, fn.AddConst):
-        return {"op": "add_const", "f": to_document(f.f), "c": f.c}
-    if isinstance(f, fn.Envelope):
-        return {"op": "envelope", "f": to_document(f.f), "lambda": f.lam}
+    for kind, entry in _KINDS.items():
+        if isinstance(f, entry[0]):
+            doc = {"op" if "f" in entry else "atom": kind}
+            for name, _ in _fields(entry):
+                v = getattr(f, _ATTRS.get(name, name))
+                doc[name] = (to_document(v) if name == "f"
+                             else v.tolist() if isinstance(v, np.ndarray) else v)
+            return doc
     raise SpecParseError(f"{type(f).__name__} is not expressible in the document format")

@@ -168,19 +168,58 @@ def test_reconstruct_command_with_oracle_table(tmp_path, capsys):
         assert got[q] == pytest.approx(expected, abs=2e-3)
 
 
-def test_reconstruct_quadrature_steps_warns_once(tmp_path, norm_spec, capsys):
+def test_reconstruct_quadrature_steps_is_a_usage_error(tmp_path, norm_spec, capsys):
     queries_path = tmp_path / "q.csv"
     queries_path.write_text("1.0,0.5\n")
     argv = ["reconstruct", "--f", norm_spec, "--anchor", "0,0", "--f-at-anchor", "0",
             "--grid=-4:4:41;-4:4:41", "--queries", str(queries_path)]
-    code, plain, err = run_cli(argv, capsys)
+    code, _, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     code, out, err = run_cli(argv + ["--quadrature-steps", "64"], capsys)
-    assert code == 0
-    assert out == plain
-    assert err.count("\n") == 1 and err.startswith("warning: quadrature_steps is deprecated")
-    code, _, err = run_cli(argv + ["--quadrature-steps", "4"], capsys)
-    assert (code, err) == (1, "error: quadrature_steps must be >= 8\n")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: proxcalc")
+    assert "unrecognized arguments: --quadrature-steps 64" in err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    for argv in (["verify-all", "--bogus"], ["no-such-command"], []):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: proxcalc") and "error:" in err
+    code, out, err = run_cli(["verify-all", "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: proxcalc verify-all")
+
+
+def test_reconstruct_expansive_oracle_table_exits_2(tmp_path, capsys):
+    # x -> 2x is monotone but not firmly nonexpansive: the prox of no convex f
+    table_path = tmp_path / "prox_samples.csv"
+    table_path.write_text("".join(f"{x!r},{2.0 * x!r}\n"
+                                  for x in np.linspace(-10.0, 10.0, 201).tolist()))
+    queries_path = tmp_path / "q.csv"
+    queries_path.write_text("1.0\n")
+    code, out, err = run_cli([
+        "reconstruct", "--oracle-table", str(table_path), "--anchor", "0",
+        "--grid=-4:4:81", "--queries", str(queries_path),
+    ], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NonConservativeField: field is not firmly nonexpansive")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"atom": "scaled_norm", "ell": NaN, "center": [0.0, 0.0]}',
+     "ell must be finite and >= 0"),
+    ('{"atom": "indicator_ball", "center": [0.0, 0.0], "radius": Infinity}',
+     "radius must be finite and > 0"),
+    ('{"atom": "quadratic", "Q": [[1.0, 0.0], [0.0, NaN]]}', "Q entries must be finite"),
+    ('{"op": "add_const", "c": -Infinity, '
+     '"f": {"atom": "affine", "a": [1.0, 0.0]}}', "c must be finite"),
+])
+def test_non_finite_document_scalar_is_a_usage_error(tmp_path, capsys, doc, message):
+    spec = tmp_path / "f.json"
+    spec.write_text(doc)
+    code, out, err = run_cli(["envelope", "--f", str(spec), "--x", "3,4"], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_reconstruct_nan_oracle_table_exits_2(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Reconstruction of a convex function from its prox oracle."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +125,15 @@ def test_asymmetric_field_rejected():
     grid = pc.SampleGrid([-2.0, -2.0], [2.0, 2.0], [11, 11])
     with pytest.raises(NonConservativeField):
         pc.integrate_tilde(oracle, [0.0, 0.0], grid)
+
+
+def test_expansive_field_rejected():
+    # G(x) = 2x is monotone with a symmetric Jacobian, yet not firmly
+    # nonexpansive, so no convex f has it as its prox map
+    oracle = pc.ProxOracle(lambda x: 2.0 * x, dim=2, batch_query=lambda X: 2.0 * X)
+    grid = pc.SampleGrid([-2.0, -2.0], [2.0, 2.0], [41, 41])
+    with pytest.raises(NonConservativeField, match="firmly nonexpansive"):
+        pc.reconstruct(pc.ReconstructionTask(oracle, [0.0, 0.0], grid, [[1.0, 0.0]]))
 
 
 def test_field_validation_residuals():
@@ -299,27 +306,23 @@ def test_reconstruct_envelope_of_norm_3d():
         assert v == pytest.approx(pc.evaluate(f, q), abs=2e-3)
 
 
-def test_quadrature_steps_validation():
+def test_reconstruction_task_rejects_quadrature_steps():
     oracle = pc.ProxOracle.from_function(pc.ScaledNorm(1.0, [0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="quadrature_steps"):
         pc.ReconstructionTask(oracle, [0.0], pc.SampleGrid([-1.0], [1.0], [11]),
-                              [[0.0]], quadrature_steps=4)
+                              [[0.0]], quadrature_steps=64)
 
 
-def test_quadrature_steps_is_deprecated_and_ignored():
+def test_integrate_tilde_rejects_quadrature_steps():
     oracle = pc.ProxOracle.from_function(pc.ScaledNorm(1.0, [0.0]))
     grid = pc.SampleGrid([-4.0], [4.0], [81])
-    with pytest.warns(DeprecationWarning, match="quadrature_steps") as record:
-        task = pc.ReconstructionTask(oracle, [0.0], grid, [[1.0]], f_at_x0=0.0,
-                                     quadrature_steps=64)
-        table, _ = pc.integrate_tilde(oracle, [0.0], grid, 64)
-    # both warnings point at the caller
-    assert [w.filename for w in record] == [__file__, __file__]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        plain, _ = pc.integrate_tilde(oracle, [0.0], grid)
-        assert pc.reconstruct(task).recovered[0][1] == pytest.approx(1.0, abs=2e-3)
-    assert np.array_equal(table.values, plain.values)
+    with pytest.raises(TypeError, match="quadrature_steps"):
+        pc.integrate_tilde(oracle, [0.0], grid, quadrature_steps=64)
+    # f_at_x0 is keyword-only: a stale positional 64 must not pin f(x0) = 64
+    with pytest.raises(TypeError):
+        pc.integrate_tilde(oracle, [0.0], grid, 64)
+    table, diag = pc.integrate_tilde(oracle, [0.0], grid, f_at_x0=0.0)
+    assert diag["pinned_constant"] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -248,11 +248,13 @@ def test_subdiff_box_face_normal_cone():
     assert isinstance(s, BoxSet)
     assert s.lo[0] == 0.0 and s.hi[0] == INF
     assert s.lo[1] == 0.0 and s.hi[1] == 0.0
-    # membership sampled from the normal-cone definition <v, c - x> <= 0
+    # elements (projections of seeded points) obey the normal-cone
+    # definition <v, c - x> <= 0 for every c in the box
     rng = np.random.default_rng(3)
     x = np.array([1.0, 0.5])
-    for _ in range(50):
-        v = s.sample(1, pc.Lcg(int(rng.integers(1, 1 << 30))))[0]
+    for z in rng.uniform(-10, 10, (50, 2)):
+        v = s.project(z)
+        assert v[0] == max(z[0], 0.0) and v[1] == 0.0
         c = rng.uniform(0, 1, 2)
         assert float(np.dot(v, c - x)) <= 1e-9
 
@@ -288,12 +290,12 @@ def test_minimal_selection_is_least_norm(rng):
         (pc.IndicatorBox([0, 0], [1, 1]), [1.0, 0.5]),
         (pc.SupportBox([-1, -1], [1, 1]), [0.0, 0.7]),
     ]
-    gen = pc.Lcg(5)
     for f, x in cases:
         s = pc.subdifferential(f, x)
         m = pc.minimal_selection(f, x)
-        assert s.contains(m, tol=1e-7)
-        for v in s.sample(50, gen):
+        assert np.linalg.norm(s.project(m) - m) <= 1e-12  # m lies in the set
+        # projections of seeded points are elements of the set
+        for v in (s.project(z) for z in rng.uniform(-10, 10, (50, 2))):
             assert np.linalg.norm(m) <= np.linalg.norm(v) + 1e-9
 
 
@@ -310,6 +312,23 @@ def test_envelope_subdiff_matches_gradient_formula():
 def test_envelope_index_must_be_finite_and_positive(lam):
     with pytest.raises(ValueError, match="envelope index must be finite and > 0"):
         pc.Envelope(norm2(), lam)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), INF, -INF])
+def test_catalog_scalars_must_be_finite(bad):
+    cases = [
+        (lambda: pc.ScaledNorm(bad, [0.0]), "ell must be finite and >= 0"),
+        (lambda: pc.IndicatorBall([0.0], bad), "radius must be finite and > 0"),
+        (lambda: pc.SupportBall([0.0], bad), "radius must be finite and > 0"),
+        (lambda: pc.IndicatorHalfspace([1.0], bad), "beta must be finite"),
+        (lambda: pc.Affine([1.0], bad), "c must be finite"),
+        (lambda: pc.Quadratic([[1.0]], None, bad), "c must be finite"),
+        (lambda: pc.Quadratic([[1.0, 0.0], [0.0, bad]]), "Q entries must be finite"),
+        (lambda: pc.AddConst(norm2(), bad), "c must be finite"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_extended_real_error_is_library_and_arithmetic_error():

@@ -100,3 +100,54 @@ def test_internal_node_not_serializable():
     assert isinstance(f, pc.AddQuadratic)
     with pytest.raises(SpecParseError):
         pc.to_document(f)
+
+
+def test_roundtrip_every_kind():
+    point = {"atom": "indicator_point", "p": [1.0, -2.0]}
+    docs = [
+        {"atom": "affine", "a": [1.0, 2.0], "c": 0.5},
+        {"atom": "quadratic", "Q": [[2.0, 0.5], [0.5, 1.0]], "b": [0.1, 0.2], "c": -1.0},
+        {"atom": "scaled_norm", "ell": 1.5, "center": [0.5, 0.0]},
+        point,
+        {"atom": "indicator_ball", "center": [0.0, 1.0], "radius": 2.0},
+        {"atom": "indicator_box", "lo": [-1.0, -2.0], "hi": [1.0, 3.0]},
+        {"atom": "indicator_halfspace", "a": [1.0, -1.0], "beta": 0.25},
+        {"atom": "support_ball", "center": [0.3, 0.0], "radius": 1.0},
+        {"atom": "support_box", "lo": [-1.0, -1.0], "hi": [1.0, 2.0]},
+        {"op": "tilt", "f": point, "a": [0.5, -0.5]},
+        {"op": "translate", "f": point, "t": [3.0, 4.0]},
+        {"op": "add_const", "f": point, "c": 7.0},
+        {"op": "envelope", "f": point, "lambda": 0.5},
+    ]
+    assert len({d.get("atom", d.get("op")) for d in docs}) == 13
+    for doc in docs:
+        assert pc.to_document(build_tree(doc)) == doc
+
+
+def test_absent_optional_fields_take_constructor_defaults():
+    # c must bind to c, not to the b that precedes it in the constructor
+    f = build_tree({"atom": "quadratic", "Q": [[1]], "c": 2})
+    assert pc.to_document(f) == {"atom": "quadratic", "Q": [[1.0]], "b": [0.0], "c": 2.0}
+    assert pc.evaluate(f, [1.0]) == pytest.approx(2.5)
+    g = build_tree({"atom": "affine", "a": [3.0]})
+    assert pc.to_document(g) == {"atom": "affine", "a": [3.0], "c": 0.0}
+
+
+@pytest.mark.parametrize("rows", [[["1", 0], [0, True]], [["x", 0], [0, 1]], [[None]]])
+def test_matrix_entries_type_checked(rows):
+    with pytest.raises(SpecParseError, match="array of arrays of numbers"):
+        build_tree({"atom": "quadratic", "Q": rows})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"atom": "scaled_norm", "ell": NaN, "center": [0.0]}', "ell must be finite and >= 0"),
+    ('{"atom": "scaled_norm", "ℓ": Infinity, "center": [0.0]}',
+     "ell must be finite and >= 0"),
+    ('{"atom": "quadratic", "Q": [[-Infinity]]}', "Q entries must be finite"),
+    ('{"op": "add_const", "c": NaN, "f": {"atom": "indicator_point", "p": [0.0]}}',
+     "c must be finite"),
+])
+def test_non_finite_scalars_rejected(text, message):
+    # the constructor's ValueError passes through unwrapped
+    with pytest.raises(ValueError, match=message):
+        pc.parse_document(text)
