@@ -73,10 +73,16 @@ def sq_norms(W: np.ndarray) -> np.ndarray:
 
 def check_lam(lam) -> float:
     """The prox parameter as a float; NaN, infinities and lam <= 0 raise."""
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("lam must be finite and > 0")
-    return lam
+    return check_scalar("lam", lam)
+
+
+def check_scalar(name: str, value, positive: bool = True) -> float:
+    """A scalar parameter as a float; NaN, infinities and values below 0
+    (or at 0, when positive) raise ValueError."""
+    value = float(value)
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0")
+    return value
 
 
 def _finite(name: str, value) -> float:
@@ -523,9 +529,7 @@ class Envelope(ConvexFunction):
 
     def __init__(self, f: ConvexFunction, lam: float):
         self.f = f
-        self.lam = float(lam)
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("envelope index must be finite and > 0")
+        self.lam = check_scalar("envelope index", lam)
         self.dim = f.dim
         depth = sum(isinstance(g, Envelope) for g in chain(self))
         if depth >= 3:

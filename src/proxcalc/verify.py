@@ -122,6 +122,7 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
                      tol_h: float = TOL_CLOSED, tol_c: float = 1e-6) -> CheckReport:
     """Hypothesis ||prox_f - x0|| <= ||prox_g - x0||, conclusion
     g - g(x0) <= f - f(x0), both sampled."""
+    tol_c = fn.check_scalar("tol", tol_c)
     x0 = fn.as_point(x0, f.dim)
     f0 = fn.evaluate(f, x0)
     g0 = fn.evaluate(g, x0)
@@ -233,8 +234,7 @@ def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
                            tol: float = 1e-6) -> CheckReport:
     """Hypothesis ||x|| - ell <= ||prox_g(x)||, conclusion
     g - g(0) <= ell ||.||; with ell = 0, additionally g is constant."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    ell = fn.check_scalar("ell", ell, positive=False)
     g0 = fn.evaluate(g, np.zeros(g.dim))
     if not np.isfinite(g0):
         raise AnchorOutsideDomain("g(0) must be finite")
@@ -275,6 +275,7 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
     over the (x, y) sample product. The two must agree: both clean, or both
     violated.
     """
+    ell = fn.check_scalar("ell", ell, positive=False)
     X = np.atleast_2d(np.asarray(samples_x, dtype=float))
     Y = np.atleast_2d(np.asarray(samples_y, dtype=float))
     fv = fn.evaluate_many(f, X)
@@ -497,6 +498,9 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
 def battery_samples(dim: int, seed: int, count: int = 200, radius: float = 6.0,
                     extra=()) -> np.ndarray:
     """Seeded sample cloud plus structured probes."""
+    if not (isinstance(count, (int, np.integer)) and count >= 1):
+        raise ValueError("samples must be an integer >= 1")
+    radius = fn.check_scalar("radius", radius)
     pts = Lcg(seed).points_in_ball(count, dim, radius)
     return np.vstack([pts, *(np.asarray(p, dtype=float) for p in extra)])
 
@@ -506,6 +510,8 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
                      ell: float | None = None,
                      tol_conclusion: float = 1e-6) -> list[CheckReport]:
     """The verify-all battery for a pair of functions."""
+    if ell is not None:
+        ell = fn.check_scalar("ell", ell, positive=False)
     anchor = fn.as_point(anchor, f.dim)
     extra = fn.structured_probes(f) + fn.structured_probes(g) + [anchor]
     X = battery_samples(f.dim, seed, count, radius, extra)
@@ -520,7 +526,7 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
         reports.append(_envelope_gradient_report(h, X, tag))
         if h.dim <= 3:
             grid = SampleGrid([-5.0 * radius / 2] * h.dim, [5.0 * radius / 2] * h.dim,
-                              [{1: 2001, 2: 301, 3: 61}[h.dim]] * h.dim)
+                              [{1: 101, 2: 21, 3: 21}[h.dim]] * h.dim)
             queries = battery_samples(h.dim, seed + 1, 25, radius / 4)
             try:
                 rep = verify_envelope_conjugate(h, 1.0, grid, queries, tol=TOL_GRID)

@@ -269,6 +269,50 @@ def test_verify_all_deterministic(sq_spec, tmp_path, cli_env):
     assert outs[0] == outs[1]
 
 
+def _statuses(out):
+    names = [line[len("check: "):] for line in out.splitlines() if line.startswith("check: ")]
+    states = [line[len("status: "):] for line in out.splitlines()
+              if line.startswith("status: ")]
+    return dict(zip(names, states))
+
+
+@pytest.mark.parametrize("f, g, args", [
+    ({"atom": "quadratic", "Q": np.eye(3).tolist()},
+     {"atom": "quadratic", "Q": np.eye(3).tolist()}, ["--seed", "7"]),
+    ({"atom": "scaled_norm", "ell": 1.0, "center": [0.0, 0.0]},
+     {"atom": "scaled_norm", "ell": 2.0, "center": [0.0, 0.0]}, ["--ell", "1", "--seed", "4"]),
+    ({"atom": "scaled_norm", "ell": 1.0, "center": [0.0, 0.0]},
+     {"atom": "scaled_norm", "ell": 2.0, "center": [0.0, 0.0]}, ["--ell", "1", "--seed", "6"]),
+], ids=["half_sq_3d_seed7", "norm_vs_2norm_seed4", "norm_vs_2norm_seed6"])
+def test_verify_all_envelope_conjugate_refined_past_the_lattice(tmp_path, capsys, f, g, args):
+    # the plain lattice maximum on 61^3 (spacing 0.5) fell short by 0.0307 on
+    # the first pair, and on 301^2 by 2.2e-3 > 2e-3 on the other two
+    dim = len(f.get("center", f.get("Q")))
+    code, out, _ = run_cli(["verify-all", "--f", write_spec(tmp_path, "f.json", f),
+                            "--g", write_spec(tmp_path, "g.json", g),
+                            "--anchor", ",".join(["0"] * dim), *args], capsys)
+    statuses = _statuses(out)
+    assert statuses["envelope_conjugate(f)"] == "verified"
+    assert statuses["envelope_conjugate(g)"] == "verified"
+    assert code == 0
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("verify-all", "--ell", "nan", "ell must be finite and >= 0"),
+    ("verify-all", "--tol", "nan", "tol must be finite and > 0"),
+    ("compare", "--tol", "nan", "tol must be finite and > 0"),
+    ("verify-all", "--radius", "nan", "radius must be finite and > 0"),
+    ("verify-all", "--samples", "-3", "samples must be an integer >= 1"),
+])
+def test_bad_numeric_options_are_usage_errors(norm_spec, capsys, command, option, value,
+                                              message):
+    code, out, err = run_cli([command, "--f", norm_spec, "--g", norm_spec,
+                              "--anchor", "0,0", f"{option}={value}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_all_norm_16d_within_5s(tmp_path, capsys):
     # the README promises dimensions up to 16; clouds cost the same per
     # coordinate in every dimension, so the whole battery stays fast

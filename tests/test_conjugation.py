@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proxcalc as pc
 from proxcalc.conjugation import conjugate_argmax, conjugate_many
@@ -178,6 +180,41 @@ def test_envelope_conjugate_identity_by_construction(rng):
                 assert lhs == pytest.approx(rhs, abs=1e-12)
             else:
                 assert lhs == INF
+
+
+@st.composite
+def _closed_form_cases(draw):
+    """(f, lam, query seed) in 2-D or 3-D. Every query of the battery's cloud
+    (radius 1.5) stays at least 0.5 inside dom f*: at its edge the objective
+    <q, v> - f_lam(v) has a nearly flat ridge, where the climb may stop
+    short of the certificate (the refined value stays a lower bound)."""
+    dim = draw(st.sampled_from([2, 3]))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=dim, max_size=dim)))
+
+    c = vec(-1.0, 1.0)
+    f = draw(st.sampled_from([
+        lambda: pc.ScaledNorm(draw(st.floats(2.0, 3.0)), c),
+        lambda: pc.Quadratic(np.diag(vec(0.3, 2.0)), vec(-1.0, 1.0)),
+        lambda: pc.IndicatorBall(c, draw(st.floats(0.3, 2.0))),
+        lambda: pc.IndicatorBox(c - vec(0.1, 1.5), c + vec(0.1, 1.5)),
+        lambda: pc.Tilt(pc.ScaledNorm(draw(st.floats(2.5, 3.0)), c), vec(-0.4, 0.4)),
+    ]))()
+    return f, draw(st.floats(0.5, 2.0)), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_closed_form_cases())
+def test_envelope_conjugate_gap_within_certificate(case):
+    # the battery's lattice: 21^d points over +-2.5 radius, radius 6
+    f, lam, seed = case
+    grid = pc.SampleGrid([-15.0] * f.dim, [15.0] * f.dim, [21] * f.dim)
+    Q = pc.Lcg(seed).points_in_ball(25, f.dim, 1.5)
+    rep = pc.verify_envelope_conjugate(f, lam, grid, Q, tol=2e-3)
+    assert rep.details["interior_queries"] > 0
+    assert rep.details["certificate"] <= 2e-5
+    assert rep.conclusion_residual <= rep.details["certificate"] + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcalc as pc
+import proxcalc.verify as verify_module
 from proxcalc.errors import AnchorOutsideDomain, OriginNotInC
 from proxcalc.verify import (
     _decomposition_report,
@@ -362,6 +363,56 @@ def test_battery_no_verified_above_tolerance():
     for r in reports:
         if r.status == "verified":
             assert r.conclusion_residual <= r.tolerance
+
+
+def test_battery_envelope_conjugate_rows_3d(monkeypatch):
+    # the benchmark's huber1-halfsq-3d battery: its two envelope_conjugate
+    # checks tabulated 2 x 61^3 = 2 x 226,981 envelope rows; a 21^3 lattice
+    # plus local refinement needs far fewer
+    rows, inside = [0], [False]
+    value_many = pc.Envelope.value_many
+    check = verify_module.verify_envelope_conjugate
+
+    def counted_value_many(self, X):
+        if inside[0]:  # outermost call only: a nested envelope passes through
+            rows[0] += X.shape[0]
+            inside[0] = False
+            try:
+                return value_many(self, X)
+            finally:
+                inside[0] = True
+        return value_many(self, X)
+
+    def counted_check(*args, **kwargs):
+        inside[0] = True
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(pc.Envelope, "value_many", counted_value_many)
+    monkeypatch.setattr(verify_module, "verify_envelope_conjugate", counted_check)
+    huber = pc.Envelope(pc.ScaledNorm(1.0, [0.0] * 3), 1.0)
+    reports = standard_battery(huber, pc.Quadratic(np.eye(3)), [0.0] * 3, seed=7, ell=1.0)
+    conj = [r for r in reports if r.name.startswith("envelope_conjugate(")]
+    assert [r.status for r in conj] == ["verified", "verified"]
+    assert 2 * 21**3 < rows[0] <= 30_000
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda X: standard_battery(NORM2, NORM2, [0.0, 0.0], 1, ell=float("nan")), "ell"),
+    (lambda X: standard_battery(NORM2, NORM2, [0.0, 0.0], 1, ell=-1.0), "ell"),
+    (lambda X: standard_battery(NORM2, NORM2, [0.0, 0.0], 1, tol_conclusion=0.0), "tol"),
+    (lambda X: battery_samples(2, 1, 200, float("inf")), "radius"),
+    (lambda X: battery_samples(2, 1, 0, 6.0), "samples"),
+    (lambda X: battery_samples(2, 1, 2.5, 6.0), "samples"),
+    (lambda X: check_comparison(NORM2, NORM2, [0.0, 0.0], X, tol_c=float("nan")), "tol"),
+    (lambda X: check_norm_lower_bound(NORM2, float("nan"), X), "ell"),
+    (lambda X: check_lipschitz(NORM2, float("inf"), X, X[:3]), "ell"),
+])
+def test_numeric_options_checked_where_they_enter(X2, call, message):
+    with pytest.raises(ValueError, match=f"^{message} must be"):
+        call(X2)
 
 
 # ---------------------------------------------------------------------------
