@@ -40,7 +40,6 @@ from .functions import (
     subdifferential,
 )
 from .conjugation import (
-    TabulatedConjugate,
     conjugate_argmax,
     numerical_conjugate,
     verify_envelope_conjugate,
@@ -65,7 +64,6 @@ from .verify import (
     check_lipschitz,
     check_norm_lower_bound,
     check_support_distance,
-    sampled_conjugate_infimum,
     standard_battery,
 )
 

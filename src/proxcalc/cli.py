@@ -22,7 +22,7 @@ from . import engine
 from . import functions as fn
 from .conjugation import conjugate_argmax
 from .determination import ProxOracle, ReconstructionTask, reconstruct
-from .errors import ProxcalcError, SpecParseError, UnsupportedConjugate
+from .errors import ProxcalcError, SpecParseError
 from .grids import SampleGrid, tabulate
 from .reports import COUNTEREXAMPLE, fmt_float, fmt_point, render_reports
 from .specfmt import load_document
@@ -155,12 +155,7 @@ def run(argv=None) -> int:
                 print("warning: conjugate argmax on the grid boundary; "
                       "the value is truncated, enlarge the grid", file=sys.stderr)
         else:
-            try:
-                val = fn.evaluate(fn.conjugate_closed_form(f), x)
-            except UnsupportedConjugate:
-                print("no closed-form conjugate; pass --grid for the numerical transform",
-                      file=sys.stderr)
-                return 1
+            val = fn.evaluate(fn.conjugate_closed_form(f), x)
         _emit(fmt_float(val) + "\n", None)
         return 0
 

@@ -92,6 +92,7 @@ def _conjugate_kernel(table: ValueTable, Q: np.ndarray):
     return vals, arg
 
 
+# No library code uses this; perfbench/tracer.py binds it until ROADMAP item 4.
 class TabulatedConjugate:
     """The numerical conjugate of a value table, usable as a function object.
 

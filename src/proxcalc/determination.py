@@ -379,11 +379,11 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     With an anchor x0 (which must lie in both domains), the conclusion
     |(f - f(x0)) - (g - g(x0))| <= tol_c is asserted at finite samples.
     Without one, the check runs the origin variant: the anchor is 0, the
-    conclusion constant is the difference of sampled conjugate infima, and a
-    sampled boundedness precondition on f* and g* guards the claim; the
-    report carries the sampling radii as the divergence test is heuristic.
+    conclusion constant is inf g* - inf f*, and the precondition that f* and
+    g* are bounded below guards the claim. Both are exact: inf f* = -f(0) by
+    Fenchel-Moreau, so the precondition holds when f(0) and g(0) are finite.
     """
-    from .verify import _verdict, sampled_conjugate_infimum
+    from .verify import _verdict
 
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     pf = f.prox_many(1.0, samples)
@@ -401,16 +401,11 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     else:
         # origin variant: anchor 0 without domain requirement; needs bounded conjugates
         variant, anchor, f0, g0 = "origin", np.zeros(f.dim), 0.0, 0.0
-        inf_f, div_f, radii = sampled_conjugate_infimum(f)
-        inf_g, div_g, _ = sampled_conjugate_infimum(g)
-        constant, diverges = inf_g - inf_f, div_f or div_g
-        details = {
-            "sampled_inf_conj_f": inf_f,
-            "sampled_inf_conj_g": inf_g,
-            "conjugate_diverges": [bool(div_f), bool(div_g)],
-            "sampling_radii": list(radii),
-            "samples": int(samples.shape[0]),
-        }
+        inf_f, inf_g = fn.conjugate_infimum(f), fn.conjugate_infimum(g)
+        diverges = not (np.isfinite(inf_f) and np.isfinite(inf_g))
+        constant = 0.0 if diverges else inf_g - inf_f
+        details = {"inf_conj_f": inf_f, "inf_conj_g": inf_g,
+                   "samples": int(samples.shape[0])}
     hyp = float(np.max(np.abs(
         np.linalg.norm(pf - anchor, axis=1) - np.linalg.norm(pg - anchor, axis=1))))
     fv = fn.evaluate_many(f, samples)

@@ -18,12 +18,11 @@ iterates and their weighted average are scored in one batch at the end, and
 the first of the lowest becomes the start. Each descent step then searches
 t >= 0 on the ray y - t s, relying on the convexity of F along it: a
 geometric bracket of steps lam 2^k, k = -40..60, narrowed until it is
-1e-12 (1 + lam) wide. A minimizer at a kink of F is reached only by landing on the kink,
-so the search narrows a bracket rather than fitting a model. On catalog
-chains a row costs about as much as a batch, so the whole bracket is one
-batch and each zoom round scores 257 evenly spaced points at once. Any
-other f (a grid-conjugation surrogate costs a full lattice pass per row)
-walks the bracket one step at a time and narrows it by golden sections.
+1e-12 (1 + lam) / max(lam, 1) wide, so that at any lam the search resolves
+y to about 1e-12 ||s||. A minimizer at a kink of F is reached only by
+landing on the kink, so the search narrows a bracket rather than fitting a
+model: the whole bracket is one batch, and each zoom round scores 257
+evenly spaced points at once.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ _WARMUP_ITERS = 60
 _BRACKET = np.exp2(np.arange(-40.0, 61.0))  # line-search steps, in units of lam
 _ZOOM_POINTS = 257  # points per batched zoom round, both bracket ends included
 _STEP_RTOL = 1e-14  # relative floor of the step accuracy
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -89,17 +87,11 @@ def prox(f, lam: float, x, budget: SolverBudget | None = None,
 
 
 def prox_rows(f, lam: float, X):
-    """(prox_{lam f}, envelope value) at the rows of X: one closed-form batch,
-    with evaluate's checks, when f has one, else numerical_prox row by row."""
+    """(prox_{lam f}, envelope value) at the rows of X: one closed-form
+    batch, with evaluate's checks."""
     lam = fn.check_lam(lam)
     X = np.asarray(X, dtype=float)
-    try:
-        Y = f.prox_many(lam, X) if hasattr(f, "prox_many") else None
-    except UnsupportedProx:
-        Y = None
-    if Y is None:
-        rows = [numerical_prox(f, lam, x) for x in X]
-        return np.array([r.minimizer for r in rows]), np.array([r.envelope_value for r in rows])
+    Y = f.prox_many(lam, X)
     if not np.all(np.isfinite(Y)):
         raise ValueError("point coordinates must be finite")
     return Y, _objective_many(f, lam, X, Y)
@@ -108,9 +100,13 @@ def prox_rows(f, lam: float, X):
 def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> ProxResult:
     """Minimize f(y) + ||x-y||^2/(2 lam) without the closed-form prox table.
 
-    Convergence is declared on iterate displacement below ``budget.tol``; a
-    non-converged result is still returned, with ``converged=False`` and the
-    final optimality residual attached.
+    Convergence is declared on iterate displacement below ``budget.tol``,
+    or when no step descends and the least-norm subgradient s of F meets
+    ||s|| min(lam, 1) <= 1e-5: for lam <= 1 that bounds the distance to the
+    minimizer by 1e-5, for lam >= 1 the error of the envelope gradient
+    (x - y) / lam, and it does not tighten as lam grows. A non-converged
+    result is still returned, with ``converged=False`` and the final
+    optimality residual attached.
     """
     lam = fn.check_lam(lam)
     budget = budget or SolverBudget()
@@ -154,8 +150,7 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
 
     # refinement: least-norm subgradient direction with a line search
     # (steps in units of lam, so the bracket steps stay finite for any lam)
-    search = _line_search if catalog else _line_search_one_row
-    step_tol = 1e-12 * (1.0 + lam) / lam
+    step_tol = 1e-12 * (1.0 + lam) / (lam * max(lam, 1.0))
     residual = float("inf")
     while iters < budget.max_iters:
         s = subgrad(y)
@@ -163,7 +158,8 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
         if residual * lam < budget.tol:
             return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, residual)
         d = lam * s
-        t, ft = search(lambda T: _objective_many(f, lam, x, y - T[:, None] * d), fy, step_tol)
+        t, ft = _line_search(lambda T: _objective_many(f, lam, x, y - T[:, None] * d),
+                             fy, step_tol)
         iters += 1
         if ft < fy:
             y = y - t * d
@@ -174,7 +170,7 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
         else:
             # no descent along the steepest ray: numerical floor reached
             return ProxResult(y, fy, "numerical", iters, residual,
-                              converged=bool(residual * lam <= 1e-5))
+                              converged=bool(residual * min(lam, 1.0) <= 1e-5))
 
     return ProxResult(y, fy, "numerical", iters, residual, converged=False)
 
@@ -252,40 +248,6 @@ def _line_search(phi_many, f0: float, tol: float):
         T = np.linspace(T[a], T[b], _ZOOM_POINTS)
         F = np.concatenate([[F[a]], phi_many(T[1:-1]), [F[b]]])
         j = int(np.argmin(F))
-
-
-def _line_search_one_row(phi_many, f0: float, tol: float):
-    """_line_search for an f whose rows are costly: one row per call.
-
-    A probe at t = tol first tells whether any step descends. The bracket
-    steps 2^k, k >= 0, are then walked until phi rises, and golden sections
-    narrow the bracket around the lowest step.
-    """
-    def phi(t):
-        return float(phi_many(np.array([t]))[0])
-
-    b, fb = tol, phi(tol)
-    if not fb < f0:
-        return 0.0, f0
-    a, c = 0.0, max(1.0, 2.0 * tol)
-    fc = phi(c)
-    while fc < fb:
-        if c >= _BRACKET[-1]:  # still falling at the last step
-            return c, fc
-        a, b, fb = b, c, fc
-        c = 2.0 * c
-        fc = phi(c)
-    while c - a > tol + _STEP_RTOL * c:
-        u = b - _GOLDEN * (b - a) if b - a > c - b else b + _GOLDEN * (c - b)
-        fu = phi(u)
-        if fu < fb:
-            a, c = (a, b) if u < b else (b, c)
-            b, fb = u, fu
-        elif u < b:
-            a = u
-        else:
-            c = u
-    return b, fb
 
 
 def moreau_envelope(f, lam: float, x, budget: SolverBudget | None = None) -> float:

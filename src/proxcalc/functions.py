@@ -43,6 +43,7 @@ INF = float("inf")
 MAX_DIM = 16
 MEMBERSHIP_TOL = 1e-9
 PSD_TOL = -1e-10
+RANK_TOL = 1e-10
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -183,15 +184,11 @@ class Quadratic(ConvexFunction):
         return np.linalg.solve(A, (X - lam * self.b).T).T
 
     def conjugate(self):
-        # needs Q invertible: (1/2) <Q^-1 (y-b), y-b> - c
-        try:
-            np.linalg.cholesky(self.Q)
-        except np.linalg.LinAlgError:
-            raise UnsupportedConjugate("quadratic conjugate needs positive definite Q")
-        Qinv = np.linalg.inv(self.Q)
-        Qinv = 0.5 * (Qinv + Qinv.T)
-        bq = Qinv @ self.b
-        return Quadratic(Qinv, -bq, 0.5 * float(self.b @ bq) - self.c)
+        # (1/2) <Q^+ (y-b), y-b> - c on b + range Q, +inf off it; eigenvalues
+        # below RANK_TOL (relative to the largest) count as 0
+        w, U = np.linalg.eigh(self.Q)
+        keep = w > RANK_TOL * max(1.0, float(np.max(np.abs(w))))
+        return SubspaceQuadratic(U[:, keep], w[keep], self.b, -self.c)
 
     def subdiff(self, x):
         return SingletonSet(self.Q @ x + self.b)
@@ -366,6 +363,9 @@ class IndicatorHalfspace(ConvexFunction):
         excess = np.maximum(X @ self.a - self.beta, 0.0)
         return X - (excess / float(self.a @ self.a))[:, None] * self.a
 
+    def conjugate(self):
+        return SupportHalfspace(self.a, self.beta)
+
     def subdiff(self, x):
         g = float(np.dot(self.a, x)) - self.beta
         tol = MEMBERSHIP_TOL * (1.0 + abs(self.beta))
@@ -436,6 +436,61 @@ class SupportBox(ConvexFunction):
 
     def __repr__(self):
         return f"SupportBox({self.lo.tolist()}, {self.hi.tolist()})"
+
+
+class SupportHalfspace(ConvexFunction):
+    """Support function of {x : <a, x> <= beta}: beta t on the ray y = t a,
+    t >= 0, and +inf off it. Produced by conjugating a halfspace indicator;
+    not part of the document format."""
+
+    def __init__(self, a, beta: float):
+        self.halfspace = IndicatorHalfspace(a, beta)
+        self.a, self.beta, self.dim = self.halfspace.a, self.halfspace.beta, self.halfspace.dim
+
+    def value_many(self, X):
+        t = X @ self.a / float(self.a @ self.a)
+        off = np.linalg.norm(X - t[:, None] * self.a, axis=1) / (1.0 + np.linalg.norm(X, axis=1))
+        on_ray = (t >= -MEMBERSHIP_TOL) & (off <= MEMBERSHIP_TOL)
+        return np.where(on_ray, self.beta * np.maximum(t, 0.0), INF)
+
+    def prox_many(self, lam, X):
+        # the Moreau peel, as for SupportBall: x - lam proj_H(x / lam)
+        return X - lam * self.halfspace.prox_many(1.0, X / lam)
+
+    def conjugate(self):
+        return self.halfspace
+
+    def __repr__(self):
+        return f"SupportHalfspace({self.a.tolist()}, {self.beta})"
+
+
+class SubspaceQuadratic(ConvexFunction):
+    """(1/2) sum_i <u_i, y - b>^2 / w_i + c on b + span{u_i}, +inf off it,
+    for orthonormal columns u_i of U and w > 0: the conjugate of a PSD
+    quadratic with Q = U diag(w) U^T. Not part of the document format."""
+
+    def __init__(self, U, w, b, c: float = 0.0):
+        self.U = np.asarray(U, dtype=float)
+        self.w = np.asarray(w, dtype=float)
+        self.b = as_point(b)
+        self.c = _finite("c", c)
+        self.dim = _capped_dim(self.b.size)
+
+    def value_many(self, X):
+        D = X - self.b
+        R = D @ self.U
+        off = np.linalg.norm(D - R @ self.U.T, axis=1) / (1.0 + np.linalg.norm(D, axis=1))
+        return np.where(off <= MEMBERSHIP_TOL, 0.5 * np.sum(R * R / self.w, axis=1) + self.c, INF)
+
+    def prox_many(self, lam, X):
+        return self.b + ((X - self.b) @ self.U * (self.w / (self.w + lam))) @ self.U.T
+
+    def conjugate(self):
+        Q = (self.U * self.w) @ self.U.T
+        return Quadratic(0.5 * (Q + Q.T), self.b, -self.c)
+
+    def __repr__(self):
+        return f"SubspaceQuadratic(dim={self.dim}, rank={self.w.size})"
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +628,7 @@ class AddQuadratic(ConvexFunction):
 
     def __init__(self, f: ConvexFunction, alpha: float):
         self.f = f
-        self.alpha = float(alpha)
-        if self.alpha <= 0:
-            raise ValueError("quadratic weight must be > 0")
+        self.alpha = check_scalar("quadratic weight", alpha)
         self.dim = f.dim
 
     def value_many(self, X):
@@ -621,11 +674,16 @@ def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
 def conjugate_closed_form(f: ConvexFunction) -> ConvexFunction:
     """The Fenchel conjugate as a catalog tree.
 
-    Raises UnsupportedConjugate when the rule table does not cover the tree
-    (for instance a halfspace indicator, whose support is carried by a ray
-    rather than a catalog atom); callers then fall back to grid conjugation.
+    The rule table covers every tree the document format can build; only a
+    ConvexFunction subclass outside the catalog raises UnsupportedConjugate.
     """
     return f.conjugate()
+
+
+def conjugate_infimum(f: ConvexFunction) -> float:
+    """inf f* exactly: -f**(0) = -f(0) by Fenchel-Moreau, and -inf (f*
+    unbounded below) exactly when 0 lies outside dom f."""
+    return 0.0 - evaluate(f, np.zeros(f.dim))
 
 
 def prox_closed_form(f: ConvexFunction, lam: float, x) -> np.ndarray:

@@ -88,6 +88,7 @@ class Lcg:
         V, T = self._cloud(n, dim, True)
         return radius * T ** (1.0 / dim) * V
 
+    # No library code calls this; perfbench/tracer.py binds it until ROADMAP item 4.
     def log_radial_points(self, n: int, dim: int, r_min: float, r_max: float) -> np.ndarray:
         """Points with log-uniform radius in [r_min, r_max], uniform direction.
 

@@ -13,7 +13,7 @@ set and reports residuals, a status, and witnesses of failure:
 * ``check_lipschitz``: a finite-valued convex l.s.c. f is ell-Lipschitz
   exactly when ||x|| - ell <= ||prox_f(x+y) - y|| for all x, y.
 * ``check_equivalences``: with f* and g* bounded below, five statements
-  (prox-norm equality, equality up to the conjugate-infima constant,
+  (prox-norm equality, equality up to the constant inf g* - inf f*,
   least-norm subgradient equality, subdifferential equality, prox equality)
   hold or fail together.
 * ``check_support_distance``: for closed convex C containing 0,
@@ -26,10 +26,8 @@ precondition_violated; a counterexample on a pair that passes its
 preconditions would contradict a theorem and is treated as build-breaking
 by the test suite.
 
-Infima of conjugates are sampled, not proved: points are drawn log-radially
-out to four times the configured radius, and divergence is declared when
-the running minimum keeps dropping as the radius doubles (or falls below an
-absolute cutoff). Reports carry the radii so the reader can judge adequacy.
+Infima of conjugates are exact: inf f* = -f(0) by Fenchel-Moreau, so f* is
+bounded below exactly when 0 lies in dom f (``functions.conjugate_infimum``).
 """
 
 from __future__ import annotations
@@ -39,14 +37,9 @@ import numpy as np
 from . import engine
 from . import functions as fn
 from .determination import _constant_difference, determine_from_norm
-from .errors import (
-    AnchorOutsideDomain,
-    OriginNotInC,
-    UnsupportedConjugate,
-    UnsupportedSubdifferential,
-)
-from .grids import SampleGrid, tabulate
-from .conjugation import conjugate_many, verify_envelope_conjugate
+from .errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
+from .grids import SampleGrid
+from .conjugation import verify_envelope_conjugate
 from .reports import (
     CheckReport,
     COUNTEREXAMPLE,
@@ -66,39 +59,21 @@ INFIMUM_POINTS = 10_000
 DIVERGENCE_CUTOFF = -1e6
 
 
+# No library code calls this; perfbench/tracer.py binds it until ROADMAP item 4.
 def sampled_conjugate_infimum(f: fn.ConvexFunction, radius: float = INFIMUM_RADIUS,
                               n_points: int = INFIMUM_POINTS, seed: int = 101,
                               cutoff: float = DIVERGENCE_CUTOFF):
-    """(sampled inf of f*, diverges flag, radii used).
+    """(sampled inf of f*, diverges flag, radii used), superseded by the
+    exact ``functions.conjugate_infimum``.
 
-    The conjugate is evaluated in closed form when possible, otherwise by
-    grid conjugation of a tabulation of f. Divergence is declared when the
-    nested minima keep dropping materially from radius 2R to 4R, or fall
-    below the absolute cutoff.
+    Divergence is declared when the nested minima keep dropping materially
+    from radius 2R to 4R, or fall below the absolute cutoff.
     """
-    probes = [np.zeros(f.dim)]
-    try:
-        conj = fn.conjugate_closed_form(f)
-        probes.extend(fn.structured_probes(conj))
-
-        def eval_conj(Y):
-            return fn.evaluate_many(conj, Y)
-    except UnsupportedConjugate:
-        if f.dim > 3:
-            raise UnsupportedConjugate(
-                "no closed-form conjugate and grid conjugation needs dim <= 3"
-            )
-        span = 4.0 * radius
-        counts = {1: 4001, 2: 201, 3: 41}[f.dim]
-        table = tabulate(f, SampleGrid([-span] * f.dim, [span] * f.dim, [counts] * f.dim))
-
-        def eval_conj(Y):
-            return conjugate_many(table, Y)[0]
-
+    conj = fn.conjugate_closed_form(f)
     Y = Lcg(seed).log_radial_points(n_points, f.dim, 1e-3, 4.0 * radius)
-    Y = np.vstack([Y, np.asarray(probes)])
+    Y = np.vstack([Y, np.zeros(f.dim), *fn.structured_probes(conj)])
     norms = np.linalg.norm(Y, axis=1)
-    vals = eval_conj(Y)
+    vals = fn.evaluate_many(conj, Y)
 
     minima = []
     for r in (radius, 2.0 * radius, 4.0 * radius):
@@ -323,21 +298,21 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
 
 
 def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
-                       tol_prox: float = TOL_CLOSED, tol_value: float = 1e-6,
-                       infimum_radius: float = INFIMUM_RADIUS) -> CheckReport:
+                       tol_prox: float = TOL_CLOSED, tol_value: float = 1e-6) -> CheckReport:
     """Truth pattern of the five equivalent statements on a sample sweep.
 
-    On a pair whose conjugates pass the sampled boundedness precondition the
-    pattern must be uniform; a mixed pattern is a counterexample. Items that
-    need unsupported subdifferentials degrade to 'skipped'.
+    The precondition, f* and g* bounded below, is decided exactly: it holds
+    when f(0) and g(0) are finite, and item ii's constant is then
+    inf g* - inf f* = f(0) - g(0). On a pair that meets it the pattern must
+    be uniform; a mixed pattern is a counterexample. Items that need
+    unsupported subdifferentials degrade to 'skipped'.
     """
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     pf = f.prox_many(1.0, X)
     pg = g.prox_many(1.0, X)
 
-    inf_f, div_f, radii = sampled_conjugate_infimum(f, radius=infimum_radius)
-    inf_g, div_g, _ = sampled_conjugate_infimum(g, radius=infimum_radius)
-    precondition_ok = not (div_f or div_g)
+    inf_f, inf_g = fn.conjugate_infimum(f), fn.conjugate_infimum(g)
+    precondition_ok = bool(np.isfinite(inf_f) and np.isfinite(inf_g))
 
     pattern: dict[str, str] = {}
     residuals: dict[str, float] = {}
@@ -348,7 +323,7 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
 
     fv = fn.evaluate_many(f, X)
     gv = fn.evaluate_many(g, X)
-    const = inf_g - inf_f if np.isfinite(inf_g) and np.isfinite(inf_f) else 0.0
+    const = inf_g - inf_f if precondition_ok else 0.0
     _, r2, _ = _constant_difference(X, fv, gv, const, tol_value)
     pattern["ii_constant_shift"] = "holds" if r2 <= tol_value else "fails"
     residuals["ii_constant_shift"] = r2
@@ -393,10 +368,8 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
         details={
             "pattern": [f"{k}={v}" for k, v in sorted(pattern.items())],
             "residuals": [f"{k}={residuals[k]:.3e}" for k in sorted(residuals)],
-            "sampled_inf_conj_f": inf_f,
-            "sampled_inf_conj_g": inf_g,
-            "conjugate_diverges": [div_f, div_g],
-            "sampling_radii": list(radii),
+            "inf_conj_f": inf_f,
+            "inf_conj_g": inf_g,
             "constant": const,
         },
     )
@@ -470,7 +443,7 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
         details = {
             "forward_residual": forward,
             "backward_status": back.status,
-            "constant": back.details.get("sampled_inf_conj_g", 0.0),
+            "constant": back.details.get("inf_conj_g", 0.0),
             "samples": int(X.shape[0]),
         }
     else:
@@ -518,8 +491,9 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
     reports = [_guarded(name, tol_conclusion, AnchorOutsideDomain, check_comparison,
                         a, b, anchor, X, tol_c=tol_conclusion)
                for name, a, b in (("comparison(f,g)", f, g), ("comparison(g,f)", g, f))]
-    reports.append(_guarded("equivalences(f,g)", TOL_CLOSED, UnsupportedConjugate,
-                            check_equivalences, f, g, X))
+    rep = check_equivalences(f, g, X)
+    rep.name = "equivalences(f,g)"
+    reports.append(rep)
 
     for tag, h in (("f", f), ("g", g)):
         reports.append(_decomposition_report(h, X, tag))
@@ -528,12 +502,9 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
             grid = SampleGrid([-5.0 * radius / 2] * h.dim, [5.0 * radius / 2] * h.dim,
                               [{1: 101, 2: 21, 3: 21}[h.dim]] * h.dim)
             queries = battery_samples(h.dim, seed + 1, 25, radius / 4)
-            try:
-                rep = verify_envelope_conjugate(h, 1.0, grid, queries, tol=TOL_GRID)
-                rep.name = f"envelope_conjugate({tag})"
-                reports.append(rep)
-            except UnsupportedConjugate:
-                pass  # identity needs a closed-form conjugate on one side
+            rep = verify_envelope_conjugate(h, 1.0, grid, queries, tol=TOL_GRID)
+            rep.name = f"envelope_conjugate({tag})"
+            reports.append(rep)
 
     if ell is not None:
         Y = battery_samples(f.dim, seed + 2, 12, radius / 2)
@@ -548,42 +519,23 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
     return reports
 
 
-def _precondition_report(name: str, tol: float, exc: Exception) -> CheckReport:
-    """The report of a check whose precondition raised exc."""
-    return CheckReport(name, PRECONDITION_VIOLATED, 0.0, 0.0, tol,
-                       details={"error": str(exc)})
-
-
 def _guarded(name, tol, errors, check, *args, **kwargs) -> CheckReport:
-    """check(*args, **kwargs) under the given name, or the precondition
-    report of one of the errors it raised."""
+    """check(*args, **kwargs) under the given name, or a
+    precondition_violated report of one of the errors it raised."""
     try:
         rep = check(*args, **kwargs)
     except errors as exc:
-        return _precondition_report(name, tol, exc)
+        return CheckReport(name, PRECONDITION_VIOLATED, 0.0, 0.0, tol,
+                           details={"error": str(exc)})
     rep.name = name
     return rep
 
 
 def _decomposition_report(h, X, tag) -> CheckReport:
-    try:
-        conj = fn.conjugate_closed_form(h)
-        tol = TOL_CLOSED
-    except UnsupportedConjugate as exc:
-        # grid conjugation stands in; prox of the surrogate is iterative
-        if h.dim > 3:
-            return _precondition_report(f"moreau_decomposition({tag})", TOL_GRID, exc)
-        from .conjugation import TabulatedConjugate
-
-        span = 5.0 * float(np.max(np.abs(X)))
-        counts = {1: 8001, 2: 201, 3: 41}[h.dim]
-        table = tabulate(h, SampleGrid([-span] * h.dim, [span] * h.dim,
-                                       [counts] * h.dim))
-        conj = TabulatedConjugate(table)
-        tol = TOL_GRID
+    conj = fn.conjugate_closed_form(h)
     P = engine.prox_rows(h, 1.0, X)[0] + engine.prox_rows(conj, 1.0, X)[0]
     return _worst_sample_report(f"moreau_decomposition({tag})", X,
-                                np.sqrt(fn.sq_norms(P - X)), tol,
+                                np.sqrt(fn.sq_norms(P - X)), TOL_CLOSED,
                                 "residual", {"samples": int(X.shape[0])})
 
 

@@ -102,6 +102,23 @@ def test_conjugate_grid_command(tmp_path, capsys):
     assert float(out.strip()) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_conjugate_of_halfspace_is_beta_t_on_the_ray(tmp_path, capsys):
+    spec = write_spec(tmp_path, "halfspace.json",
+                      {"atom": "indicator_halfspace", "a": [1.0, 0.0], "beta": 2.0})
+    for x, want in (("3,0", "6.0"), ("0,0", "0.0"), ("3,0.5", "+inf"), ("-1,0", "+inf")):
+        code, out, err = run_cli(["conjugate", "--f", spec, f"--x={x}"], capsys)
+        assert (code, out, err) == (0, want + "\n", "")
+
+
+def test_prox_numerical_at_large_lambda_converges(norm_spec, capsys):
+    # the stop used to need residual * lam <= 1e-5, out of reach at a kink
+    code, out, _ = run_cli(["prox", "--f", norm_spec, "--numerical", "--lambda", "1e6",
+                            "--x", "3,-2"], capsys)
+    vals = [float(v) for v in out.strip().strip("()").split()]
+    assert np.linalg.norm(vals) <= 2.1e-9
+    assert code == 0
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -295,6 +312,28 @@ def test_verify_all_envelope_conjugate_refined_past_the_lattice(tmp_path, capsys
     assert statuses["envelope_conjugate(f)"] == "verified"
     assert statuses["envelope_conjugate(g)"] == "verified"
     assert code == 0
+
+
+@pytest.mark.parametrize("f, g", [
+    ({"atom": "indicator_halfspace", "a": [1.0, 0.0], "beta": 1.0},
+     {"atom": "indicator_ball", "center": [0.0, 0.0], "radius": 1.0}),
+    ({"atom": "quadratic", "Q": [[1.0, 0.0], [0.0, 0.0]]},
+     {"atom": "quadratic", "Q": [[1.0, 0.0], [0.0, 0.0]]}),
+], ids=["halfspace_vs_unit_ball", "singular_quadratic_self"])
+def test_verify_all_with_thin_domain_conjugates(tmp_path, capsys, f, g):
+    # f* is finite only on a ray or a line; a grid surrogate used to stand in
+    # and reported false moreau_decomposition counterexamples in about 17 s
+    argv = ["verify-all", "--f", write_spec(tmp_path, "f.json", f),
+            "--g", write_spec(tmp_path, "g.json", g), "--anchor", "0,0"]
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(argv, capsys)
+    elapsed = time.perf_counter() - t0
+    statuses = _statuses(out)
+    assert statuses["equivalences(f,g)"] == "verified"
+    assert statuses["moreau_decomposition(f)"] == statuses["moreau_decomposition(g)"] == "verified"
+    assert "counterexample" not in statuses.values()
+    assert code == 0
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command, option, value, message", [

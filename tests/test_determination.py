@@ -368,7 +368,8 @@ def test_determine_sharpness_example():
     rep = pc.determine_from_norm(f, g, X, x0=None)
     assert rep.hypothesis_residual <= 1e-12
     assert rep.status == "precondition_violated"
-    assert rep.details["conjugate_diverges"] == [True, True]
+    # 0 lies outside both domains, so both conjugates are unbounded below
+    assert rep.details["inf_conj_f"] == rep.details["inf_conj_g"] == -np.inf
 
 
 def test_constant_difference_witness_prints_plain_floats():

@@ -70,14 +70,10 @@ def test_fenchel_young_equality_along_chains(rng):
             assert lhs == pytest.approx(float(np.dot(g, x)), abs=1e-8)
 
 
-def test_quadratic_singular_conjugate_unsupported():
-    from proxcalc.errors import UnsupportedConjugate
-
-    f = pc.Quadratic(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(UnsupportedConjugate):
-        pc.conjugate_closed_form(f)
-    # prox still fine: (I + Q)^-1 x
-    assert np.allclose(pc.prox_closed_form(f, 1.0, [2.0, 2.0]), [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_add_quadratic_weight_must_be_finite_and_positive(alpha):
+    with pytest.raises(ValueError, match="quadratic weight must be finite and > 0"):
+        pc.AddQuadratic(pc.ScaledNorm(1.0, [0.0, 0.0]), alpha)
 
 
 def test_halfspace_prox_is_projection(rng):

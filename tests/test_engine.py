@@ -14,6 +14,7 @@ from proxcalc import conjugation, engine
 from proxcalc.engine import SolverBudget, numerical_prox, prox_rows
 from proxcalc.errors import DomainUnreachable, ExtendedRealError
 from proxcalc.functions import prox_many_closed_form
+from proxcalc.verify import battery_samples
 
 from conftest import brute_force_prox
 
@@ -84,6 +85,33 @@ def test_numerical_prox_agrees_with_closed_form(rng):
             a = numerical_prox(f, lam, x).minimizer
             b = pc.prox_closed_form(f, lam, x)
             assert np.linalg.norm(a - b) < 1e-6
+
+
+def test_numerical_prox_converges_at_a_kink_for_huge_lambda():
+    # prox is 0, a kink of the norm; the least-norm subgradient next to it
+    # stays of order 1, so a stop needing residual * lam <= 1e-5 never fired
+    f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, 0.2])
+    res = numerical_prox(f, 1e6, [3.0, -2.0])
+    assert res.converged
+    assert np.linalg.norm(res.minimizer) <= 1e-8
+
+
+_CROSSCHECK_CASES = [  # the iterative solver's benchmark functions
+    pc.ScaledNorm(1.0, [0.0, 0.0]),
+    pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, 0.2]),
+    pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5),
+    pc.SupportBox([-1.0, -0.5], [1.0, 0.5]),
+    pc.Envelope(pc.ScaledNorm(1.5, [0.0, 0.0]), 1.0),
+]
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("f", _CROSSCHECK_CASES, ids=repr)
+def test_numerical_prox_converges_for_every_lambda(f, lam):
+    for x in battery_samples(2, 5, 8, 4.0):
+        res = numerical_prox(f, lam, x)
+        assert res.converged
+        assert np.linalg.norm(res.minimizer - pc.prox_closed_form(f, lam, x)) <= 1e-4
 
 
 def test_numerical_prox_indicator_short_circuit():
@@ -232,11 +260,27 @@ def test_decomposition_quadratic():
     assert pc.moreau_decomposition_residual(pc.Quadratic(np.eye(2)), [2, 0]) < 1e-12
 
 
+_HALFSPACE = pc.IndicatorHalfspace([1.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("f", [
+    _HALFSPACE,
+    pc.Quadratic(np.diag([1.0, 0.0])),
+    pc.Quadratic([[1.0, 2.0], [2.0, 4.0]], [0.3, -0.4], 0.2),
+    pc.Envelope(_HALFSPACE, 1.0),
+], ids=repr)
+def test_decomposition_with_thin_domain_conjugates(f):
+    # conjugates finite only on a ray or a line, at the acceptance-1 tolerance
+    X = battery_samples(2, 43, 200, 5.0)
+    worst = max(pc.moreau_decomposition_residual(f, x) for x in X)
+    assert worst <= 1e-8
+
+
 def test_decomposition_with_grid_conjugate():
-    # halfspace indicator has no closed-form conjugate: use the tabulated one
+    # a grid-conjugation surrogate passed in place of the closed form
     f = pc.IndicatorHalfspace([1.0], 0.5)
     table = pc.tabulate(f, pc.SampleGrid([-30.0], [30.0], [12001]))
-    conj = pc.TabulatedConjugate(table)
+    conj = conjugation.TabulatedConjugate(table)
     for x in ([2.0], [-1.0], [0.7]):
         r = pc.moreau_decomposition_residual(f, x, conj=conj)
         assert r < 1e-4
@@ -273,16 +317,6 @@ def test_prox_rows_matches_prox_row_by_row(f, rng):
         np.testing.assert_allclose(env, envr, rtol=1e-13, atol=1e-14)
 
 
-def test_prox_rows_falls_back_to_numerical_prox_per_row():
-    f = pc.IndicatorHalfspace([1.0], 0.5)
-    conj = pc.TabulatedConjugate(pc.tabulate(f, pc.SampleGrid([-30.0], [30.0], [12001])))
-    X = np.array([[2.0], [-1.0], [0.7]])
-    Y, env = prox_rows(conj, 1.0, X)
-    for x, y, v in zip(X, Y, env):
-        r = numerical_prox(conj, 1.0, x)
-        assert np.array_equal(y, r.minimizer) and v == r.envelope_value
-
-
 class _NanProx(pc.ScaledNorm):
     def prox_many(self, lam, X):
         return np.full_like(X, np.nan)
@@ -316,7 +350,7 @@ def _convex_piece(a, c, kinks):
     return phi_many
 
 
-_SEARCHES = ["_line_search", "_line_search_one_row"]
+_SEARCHES = ["_line_search"]
 
 
 @pytest.mark.parametrize("search", _SEARCHES)
@@ -385,27 +419,3 @@ def test_numerical_prox_leaves_scipy_optimize_unimported(cli_env):
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
-
-
-def test_table_backed_solves_stay_row_frugal(monkeypatch):
-    # A row of TabulatedConjugate costs a full lattice pass, so the solver
-    # scores such an f one row at a time. The bound, 1,337 rows, is what a
-    # doubling bracket plus bounded Brent search (xatol 1e-12 (1 + lam))
-    # scores on these ten solves.
-    X = np.random.default_rng(0).uniform(-4, 4, (10, 2))
-    r = 5.0 * float(np.max(np.abs(X)))
-    halfspace = pc.IndicatorHalfspace([1.0, 0.0], 1.0)
-    conj = pc.TabulatedConjugate(
-        pc.tabulate(halfspace, pc.SampleGrid([-r, -r], [r, r], [201, 201])))
-    rows = []
-    value_many = conjugation.TabulatedConjugate.value_many
-
-    def counted(self, Y):
-        rows.append(len(Y))
-        return value_many(self, Y)
-
-    monkeypatch.setattr(conjugation.TabulatedConjugate, "value_many", counted)
-    for x in X:
-        res = numerical_prox(conj, 1.0, x)
-        assert np.isfinite(res.envelope_value)
-    assert sum(rows) <= 1337

@@ -11,7 +11,6 @@ from proxcalc.errors import (
     EmptySubdifferential,
     ExtendedRealError,
     ProxcalcError,
-    UnsupportedConjugate,
 )
 from proxcalc.functions import (
     atom_of,
@@ -29,6 +28,15 @@ INF = float("inf")
 
 def norm2(center=(0.0, 0.0), ell=1.0):
     return pc.ScaledNorm(ell, center)
+
+
+# conjugates finite only on a ray or an affine subspace
+HALFSPACE = pc.IndicatorHalfspace([1.0, 0.0], 1.0)
+SINGULAR = [
+    pc.Quadratic(np.diag([1.0, 0.0])),
+    pc.Quadratic([[1.0, 2.0], [2.0, 4.0]], [0.3, -0.4], 0.2),  # rank 1, b != 0
+]
+THIN_DOMAIN_CONJUGATES = [HALFSPACE, *SINGULAR, pc.Envelope(HALFSPACE, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +141,32 @@ def test_conjugate_rules_tilt_translate_roundtrip(rng):
             assert lhs == pytest.approx(float(np.dot(gx, x)), abs=1e-9)
 
 
-def test_conjugate_halfspace_unsupported():
-    with pytest.raises(UnsupportedConjugate):
-        pc.conjugate_closed_form(pc.IndicatorHalfspace([1.0, 0.0], 1.0))
+def test_conjugate_halfspace_is_beta_t_on_the_ray():
+    g = pc.conjugate_closed_form(pc.IndicatorHalfspace([2.0, 0.0], 1.5))
+    # y = t a with t >= 0 gives beta t; anywhere off the ray is +inf
+    assert pc.evaluate(g, [4.0, 0.0]) == 3.0
+    assert pc.evaluate(g, [0.0, 0.0]) == 0.0
+    for y in ([4.0, 1e-6], [-1.0, 0.0], [0.0, 1.0]):
+        assert pc.evaluate(g, y) == INF
+    # prox by the Moreau peel: x - proj_H(x) at lam = 1
+    X = np.array([[3.0, 1.0], [-2.0, 5.0], [0.5, 0.0]])
+    H = pc.IndicatorHalfspace([2.0, 0.0], 1.5)
+    assert np.allclose(g.prox_many(1.0, X), X - H.prox_many(1.0, X), atol=1e-15)
+
+
+def test_conjugate_singular_quadratic_lives_on_b_plus_range():
+    f = pc.Quadratic([[1.0, 2.0], [2.0, 4.0]], [0.3, -0.4], 0.2)
+    g = pc.conjugate_closed_form(f)
+    b, u = np.array([0.3, -0.4]), np.array([1.0, 2.0])
+    for t in (-1.0, 0.0, 2.5):
+        # Q^+ = u u^T / 25, so (1/2) <Q^+ t u, t u> = t^2 / 2
+        assert pc.evaluate(g, b + t * u) == pytest.approx(0.5 * t * t - 0.2, abs=1e-12)
+        assert pc.evaluate(g, b + t * u + [2e-3, -1e-3]) == INF
+    # prox still fine on both sides: (I + Q)^-1 (x - b) and its Moreau complement
+    x = np.array([2.0, 2.0])
+    p = pc.prox_closed_form(f, 1.0, x)
+    assert np.allclose(p, np.linalg.solve(np.eye(2) + f.Q, x - b))
+    assert np.allclose(p + pc.prox_closed_form(g, 1.0, x), x, atol=1e-12)
 
 
 def test_conjugate_involution_samples(rng):
@@ -145,6 +176,7 @@ def test_conjugate_involution_samples(rng):
         pc.IndicatorBox([-1.0, -0.5], [1.0, 2.0]),
         pc.SupportBall([0.0, 0.0], 1.0),
         pc.Envelope(norm2(), 0.7),
+        *THIN_DOMAIN_CONJUGATES,
     ]
     for f in cases:
         ff = pc.conjugate_closed_form(pc.conjugate_closed_form(f))
@@ -168,11 +200,14 @@ def test_fenchel_inequality_property(x1, x2, y1, y2):
         pc.Quadratic(np.eye(2)),
         pc.IndicatorBox([-1.0, -1.0], [1.0, 1.0]),
         pc.SupportBall([0.2, 0.0], 1.5),
+        *THIN_DOMAIN_CONJUGATES,
     ):
         g = pc.conjugate_closed_form(f)
-        lhs = pc.evaluate(f, x) + pc.evaluate(g, y)
-        if np.isfinite(lhs):
-            assert lhs >= float(np.dot(x, y)) - 1e-9
+        # y itself, and its prox under f*, which lies in dom f*
+        for v in (y, pc.prox_closed_form(g, 1.0, y)):
+            lhs = pc.evaluate(f, x) + pc.evaluate(g, v)
+            if np.isfinite(lhs):
+                assert lhs >= float(np.dot(x, v)) - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 import proxcalc as pc
 from proxcalc.errors import SpecParseError
-from proxcalc.specfmt import build_tree
+from proxcalc.functions import structured_probes
+from proxcalc.specfmt import _KINDS, build_tree
 
 
 def test_parse_each_atom():
@@ -122,6 +123,46 @@ def test_roundtrip_every_kind():
     assert len({d.get("atom", d.get("op")) for d in docs}) == 13
     for doc in docs:
         assert pc.to_document(build_tree(doc)) == doc
+
+
+# one sample value per document field; a kind with a field missing here
+# fails the guard below until it gets one
+_SAMPLE = {"a": [0.8, -0.6], "b": [0.3, -0.1], "c": 0.5, "Q": [[1.0, 1.0], [1.0, 1.0]],
+           "ell": 1.5, "center": [0.5, 0.0], "p": [1.0, -2.0], "radius": 2.0,
+           "lo": [-1.0, -0.5], "hi": [1.0, 2.0], "beta": 0.25, "t": [0.4, -0.3],
+           "lambda": 0.7, "f": {"atom": "scaled_norm", "ell": 1.0, "center": [0.0, 0.0]}}
+
+
+def _sample_document(kind):
+    entry = _KINDS[kind]
+    doc = {"op" if "f" in entry else "atom": kind}
+    doc.update((name.rstrip("?"), _SAMPLE[name.rstrip("?")]) for name in entry[1:])
+    return doc
+
+
+_GUARD_DOCS = [wrap(_sample_document(kind)) for kind in _KINDS for wrap in (
+    lambda d: d,
+    lambda d: {"op": "envelope", "f": d, "lambda": 0.7},
+    lambda d: {"op": "tilt", "f": d, "a": [0.3, 0.2]},
+    lambda d: {"op": "translate", "f": d, "t": [-0.2, 0.6]},
+)]
+
+
+@pytest.mark.parametrize("doc", _GUARD_DOCS, ids=json.dumps)
+def test_every_document_has_a_closed_form_conjugate(doc, rng):
+    # Fenchel-Young equality f(x) + f*(s) = <x, s> for s in the subdifferential
+    f = build_tree(doc)
+    conj = pc.conjugate_closed_form(f)
+    X = [*rng.uniform(-2.0, 2.0, (20, f.dim)), *structured_probes(f)]
+    tested = 0
+    for x in X:
+        fx = pc.evaluate(f, x)
+        if not np.isfinite(fx):
+            continue
+        s = pc.minimal_selection(f, x)
+        assert fx + pc.evaluate(conj, s) == pytest.approx(float(np.dot(x, s)), abs=1e-8)
+        tested += 1
+    assert tested > 0
 
 
 def test_absent_optional_fields_take_constructor_defaults():

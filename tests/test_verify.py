@@ -275,7 +275,34 @@ def test_equivalences_sharpness_example():
     pattern = dict(p.split("=") for p in rep.details["pattern"])
     assert pattern["i_prox_norms"] == "holds"
     assert pattern["v_prox_maps"] == "fails"
-    assert rep.details["conjugate_diverges"] == [True, True]
+    assert rep.details["inf_conj_f"] == rep.details["inf_conj_g"] == -np.inf
+
+
+@pytest.mark.parametrize("f, inf_conj", [
+    (NORM2, 0.0),
+    (pc.AddConst(NORM2, 2.0), -2.0),
+    (pc.ScaledNorm(2.0, [1.0, -1.0]), -2.0 * np.sqrt(2.0)),  # sampled: -2.775
+    (pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5), -0.5),  # sampled: -0.49989
+    (pc.IndicatorHalfspace([1.0, 0.0], 1.0), 0.0),
+    (pc.IndicatorBall([1.0001, 0.0], 1.0), -np.inf),  # sampled: -0.012, "bounded"
+    (pc.IndicatorPoint([1.0, 0.0]), -np.inf),
+])
+def test_conjugate_infimum_is_exact(f, inf_conj):
+    assert pc.functions.conjugate_infimum(f) == inf_conj
+
+
+def test_ball_just_off_the_origin_violates_the_precondition(X2):
+    f = pc.IndicatorBall([1.0001, 0.0], 1.0)
+    for rep in (check_equivalences(f, f, X2), pc.determine_from_norm(f, f, X2, x0=None)):
+        assert rep.status == "precondition_violated"
+        assert rep.details["inf_conj_f"] == -np.inf
+
+
+def test_equivalences_constant_is_the_exact_difference_of_infima(X2):
+    f = pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5)
+    g = pc.Tilt(NORM2, [0.3, -0.2])
+    rep = check_equivalences(f, g, X2)
+    assert rep.details["constant"] == 0.5  # inf g* - inf f* = f(0) - g(0)
 
 
 def test_sampled_infimum_bounded_cases():
@@ -295,7 +322,7 @@ def test_sampled_infimum_divergent_case():
 
 
 def test_sampled_infimum_grid_fallback():
-    # halfspace indicator: no closed-form conjugate; still classified bounded
+    # halfspace indicator: its conjugate is finite on a ray; classified bounded
     inf_h, div, _ = sampled_conjugate_infimum(pc.IndicatorHalfspace([1.0], 0.0))
     assert not div
     assert inf_h == pytest.approx(0.0, abs=1e-6)
