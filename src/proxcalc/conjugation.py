@@ -19,7 +19,7 @@ SIAM J. Numer. Anal. 1996; Lucet, SIAM Review 2010), and certifies it.
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 import numpy as np
 
@@ -157,6 +157,20 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _stencil(dim: int):
+    """(stencil, shift): the 3^d offsets in {-1, 0, 1}^d, last axis fastest,
+    and the index map of a move: after a move by stencil[j], point t of the
+    new stencil is point shift[j, t] of the old one (-1, the NaN column, if
+    it is new)."""
+    powers = 3 ** np.arange(dim - 1, -1, -1)
+    stencil = (np.arange(3 ** dim)[:, None] // powers) % 3 - 1
+    S = stencil[:, None, :] + stencil[None, :, :]
+    shift = np.where(np.all(np.abs(S) <= 1, axis=2), (S + 1) @ powers, -1)
+    stencil.flags.writeable = shift.flags.writeable = False
+    return stencil, shift
+
+
 def _refine(env: fn.Envelope, table: ValueTable, Q: np.ndarray, start: np.ndarray,
             tol: float):
     r"""(refined sups, certificate) of <q, v> - env(v), q a row of Q, from
@@ -173,12 +187,8 @@ def _refine(env: fn.Envelope, table: ValueTable, Q: np.ndarray, start: np.ndarra
     score -inf, and the climb stops after one crossing of it per level.
     """
     grid = table.grid
-    stencil = np.array(list(itertools.product((-1, 0, 1), repeat=grid.dim)))
+    stencil, shift = _stencil(grid.dim)
     mid = stencil.shape[0] // 2
-    # after a move by stencil[j], point t of the new stencil is point
-    # shift[j, t] of the old one (-1, the NaN column, if it is new)
-    code = {tuple(t): i for i, t in enumerate(stencil)}
-    shift = np.array([[code.get(tuple(t + s), -1) for t in stencil] for s in stencil])
     h0 = (grid.hi - grid.lo) / (grid.counts - 1)
     certificate, levels = float(np.dot(h0, h0) / (8 * env.lam)), 0
     while certificate > tol / 100:

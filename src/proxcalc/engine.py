@@ -10,7 +10,8 @@ closed-form prox rules, so it serves as an independent cross-check:
 indicator chains short-circuit to their projection subroutines, chains
 containing an envelope node are smooth and use finite-difference gradients
 (one batch of 2d shifted rows), and everything else descends along the
-least-norm subgradient of F.
+least-norm subgradient of F. A difference row outside dom f leaves no
+gradient, and the solve stops unconverged with an infinite residual.
 
 Chains with bounded subgradients first take 60 damped averaged-subgradient
 steps (steps 2/(k+2) scaled by lam), which are safe without smoothness; the
@@ -155,6 +156,9 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     while iters < budget.max_iters:
         s = subgrad(y)
         residual = float(np.linalg.norm(s))
+        if not math.isfinite(residual):
+            # a finite-difference row left dom f: no descent direction
+            return ProxResult(y, fy, "numerical", iters, residual, converged=False)
         if residual * lam < budget.tol:
             return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, residual)
         d = lam * s
@@ -221,9 +225,13 @@ def _subgradient_oracle(f, lam, x):
 
 
 def _fd_gradient(f, y, h: float = 1e-7):
-    """Central differences, from one batch of the 2d rows y + h e_i, y - h e_i."""
+    """Central differences, from one batch of the 2d rows y + h e_i, y - h e_i;
+    +inf in every coordinate when a row leaves dom f (f is not differentiable
+    at y, and inf - inf would be NaN)."""
     E = h * np.eye(y.size)
     v = fn.evaluate_many(f, np.concatenate([y + E, y - E]))
+    if not np.all(np.isfinite(v)):
+        return np.full(y.size, np.inf)
     return (v[:y.size] - v[y.size:]) / (2.0 * h)
 
 

@@ -5,7 +5,9 @@ and supports of points/balls/boxes/halfspaces) under chains of combinators
 (tilt, translate, additive constant, Moreau envelope, additive quadratic).
 Every node knows how to evaluate itself on a batch of points, and carries
 closed-form rules for its Fenchel conjugate, its prox map, and its
-subdifferential wherever such rules exist.
+subdifferential wherever such rules exist; ``gradient_many`` returns, in
+one batch, the gradient at the points where the subdifferential is a
+singleton.
 
 Values live in R union {+inf}. +inf absorbs addition and compares as the
 maximum; any arithmetic that would produce -inf or inf - inf raises.
@@ -121,6 +123,12 @@ class ConvexFunction:
             f"no structured subdifferential for {type(self).__name__}"
         )
 
+    def gradient_many(self, X: np.ndarray):
+        """(G, smooth) over a batch: where smooth[k], subdiff(X[k]) is the
+        singleton {G[k]}, bit for bit. Nodes without a batched rule mark no
+        row smooth, and callers fall back to subdiff row by row."""
+        return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
+
     def __call__(self, x) -> float:
         return evaluate(self, x)
 
@@ -149,6 +157,9 @@ class Affine(ConvexFunction):
 
     def subdiff(self, x):
         return SingletonSet(self.a)
+
+    def gradient_many(self, X):
+        return np.tile(self.a, (X.shape[0], 1)), np.ones(X.shape[0], dtype=bool)
 
     def __repr__(self):
         return f"Affine({self.a.tolist()}, {self.c})"
@@ -192,6 +203,11 @@ class Quadratic(ConvexFunction):
 
     def subdiff(self, x):
         return SingletonSet(self.Q @ x + self.b)
+
+    def gradient_many(self, X):
+        # stacked matrix-vector products round as Q @ x does; X @ Q.T does not
+        G = np.matmul(self.Q, X[:, :, None])[:, :, 0] + self.b
+        return G, np.ones(X.shape[0], dtype=bool)
 
     def __repr__(self):
         return f"Quadratic(dim={self.dim})"
@@ -244,6 +260,13 @@ class ScaledNorm(ConvexFunction):
                 return SingletonSet(np.zeros(self.dim))
             return BallSet(np.zeros(self.dim), self.ell)
         return SingletonSet(self.ell * d / n)
+
+    def gradient_many(self, X):
+        D = X - self.center
+        n = np.sqrt(sq_norms(D))  # the 1-D np.linalg.norm of each row, bit for bit
+        off = n > MEMBERSHIP_TOL
+        G = np.where(off[:, None], self.ell * D / np.where(off, n, 1.0)[:, None], 0.0)
+        return G, off | (self.ell == 0.0)
 
     def __repr__(self):
         return f"ScaledNorm({self.ell}, {self.center.tolist()})"
@@ -518,6 +541,10 @@ class Tilt(ConvexFunction):
     def subdiff(self, x):
         return self.f.subdiff(x).shift(-self.a)
 
+    def gradient_many(self, X):
+        G, smooth = self.f.gradient_many(X)
+        return G - self.a, smooth
+
     def __repr__(self):
         return f"Tilt({self.f!r}, {self.a.tolist()})"
 
@@ -543,6 +570,9 @@ class Translate(ConvexFunction):
     def subdiff(self, x):
         return self.f.subdiff(x + self.t)
 
+    def gradient_many(self, X):
+        return self.f.gradient_many(X + self.t)
+
     def __repr__(self):
         return f"Translate({self.f!r}, {self.t.tolist()})"
 
@@ -567,8 +597,17 @@ class AddConst(ConvexFunction):
     def subdiff(self, x):
         return self.f.subdiff(x)
 
+    def gradient_many(self, X):
+        return self.f.gradient_many(X)
+
     def __repr__(self):
         return f"AddConst({self.f!r}, {self.c})"
+
+
+# atoms whose prox_many rounds a row differently inside a larger batch
+# (np.linalg.solve with many right-hand sides, matrix-vector products), so a
+# batched envelope gradient would not match subdiff bit for bit
+_BATCH_ROUNDED_PROX = (Quadratic, SubspaceQuadratic, IndicatorHalfspace, SupportHalfspace)
 
 
 class Envelope(ConvexFunction):
@@ -611,9 +650,12 @@ class Envelope(ConvexFunction):
         return AddQuadratic(self.f.conjugate(), self.lam)
 
     def subdiff(self, x):
-        X = x.reshape(1, -1)
-        p = self.f.prox_many(self.lam, X)[0]
-        return SingletonSet((x - p) / self.lam)
+        return SingletonSet(self.gradient_many(x.reshape(1, -1))[0][0])
+
+    def gradient_many(self, X):
+        # G is the gradient on every row; only the flag depends on the atom
+        smooth = not isinstance(atom_of(self), _BATCH_ROUNDED_PROX)
+        return (X - self.f.prox_many(self.lam, X)) / self.lam, np.full(X.shape[0], smooth)
 
     def __repr__(self):
         return f"Envelope({self.f!r}, {self.lam})"
@@ -645,6 +687,10 @@ class AddQuadratic(ConvexFunction):
 
     def subdiff(self, x):
         return self.f.subdiff(x).shift(self.alpha * x)
+
+    def gradient_many(self, X):
+        G, smooth = self.f.gradient_many(X)
+        return G + self.alpha * X, smooth
 
     def __repr__(self):
         return f"AddQuadratic({self.f!r}, {self.alpha})"
@@ -763,4 +809,6 @@ def structured_probes(f: ConvexFunction) -> list[np.ndarray]:
         pts.append(g.center.copy())
     elif isinstance(g, IndicatorHalfspace):
         pts.append(g.beta * g.a / float(g.a @ g.a))
+    elif isinstance(g, SubspaceQuadratic):
+        pts.append(g.b.copy())
     return [p + shift for p in pts]

@@ -1,12 +1,14 @@
 """Grid tabulation and the numerical Legendre-Fenchel transform."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcalc as pc
-from proxcalc.conjugation import conjugate_argmax, conjugate_many
+from proxcalc.conjugation import _stencil, conjugate_argmax, conjugate_many
 from proxcalc.errors import DimensionMismatch
 
 INF = float("inf")
@@ -259,3 +261,15 @@ def test_conjugate_many_memory_bounded_for_many_queries():
         v1, _, b1 = conjugate_argmax(table, q)
         assert v == pytest.approx(v1, rel=1e-14, abs=1e-14)
         assert b == b1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_refine_stencil_tables_match_their_definition(dim):
+    stencil, shift = _stencil(dim)
+    assert all(a is b for a, b in zip(_stencil(dim), (stencil, shift)))  # built once
+    assert stencil.tolist() == [list(t) for t in itertools.product((-1, 0, 1), repeat=dim)]
+    code = {tuple(t): i for i, t in enumerate(stencil.tolist())}
+    for j, s in enumerate(stencil):
+        # after a move by s, point t of the new stencil is point t + s of the old
+        want = [code.get(tuple(t + s), -1) for t in stencil]
+        assert shift[j].tolist() == want

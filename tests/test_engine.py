@@ -276,6 +276,27 @@ def test_decomposition_with_thin_domain_conjugates(f):
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("f, start", [
+    (pc.conjugate_closed_form(_HALFSPACE), [0.0, 0.0]),
+    (pc.conjugate_closed_form(pc.Quadratic(np.diag([1.0, 0.0]))), [0.0, 0.0]),
+    (pc.conjugate_closed_form(pc.Quadratic(np.diag([1.0, 0.0]), [0.3, -0.4])), [0.3, -0.4]),
+], ids=repr)
+def test_numerical_prox_on_a_thin_domain_stops_cleanly(f, start):
+    # finite differences leave dom f at every point: no gradient, so the
+    # solver stops unconverged at its finite start, without NaN or warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = numerical_prox(f, 1.0, [2.0, 1.0])
+    assert not res.converged and res.residual == np.inf
+    assert np.array_equal(res.minimizer, start)
+    assert np.isfinite(res.envelope_value)
+
+
+def test_subspace_quadratic_probes_its_offset():
+    f = pc.conjugate_closed_form(pc.Quadratic(np.diag([1.0, 0.0]), [0.3, -0.4]))
+    assert any(np.array_equal(p, [0.3, -0.4]) for p in pc.functions.structured_probes(f))
+
+
 def test_decomposition_with_grid_conjugate():
     # a grid-conjugation surrogate passed in place of the closed form
     f = pc.IndicatorHalfspace([1.0], 0.5)

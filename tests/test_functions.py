@@ -397,6 +397,51 @@ def test_structured_probes_subtract_translations_in_order():
     assert np.array_equal(probes[1], atom.p + shift)
 
 
+def test_gradient_many_never_flags_a_kink():
+    norm = pc.ScaledNorm(1.5, [0.5, 0.0])
+    ball = pc.IndicatorBall([0.5, 0.0], 2.0)
+    box = pc.IndicatorBox([-1.0, -0.5], [1.0, 2.0])
+    for f, kinks in ((norm, [[0.5, 0.0], [0.5 + 1e-10, 0.0]]),
+                     (ball, [[2.5, 0.0], [0.5, -2.0]]),
+                     (box, [[-1.0, 0.3], [0.2, 2.0], [1.0, -0.5]]),
+                     (pc.Tilt(pc.Translate(norm, [0.1, 0.0]), [1.0, 1.0]), [[0.4, 0.0]])):
+        _, smooth = f.gradient_many(np.array(kinks))
+        assert not smooth.any()
+        assert not any(isinstance(pc.subdifferential(f, x), SingletonSet) for x in kinks)
+
+
+def test_gradient_many_of_a_zero_norm_is_smooth_everywhere():
+    f = pc.ScaledNorm(0.0, [1.0, 1.0])
+    G, smooth = f.gradient_many(np.array([[1.0, 1.0], [3.0, -2.0]]))
+    assert smooth.all() and np.array_equal(G, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("f", [
+    pc.AddQuadratic(pc.ScaledNorm(1.0, [0.5, 0.0]), 0.7),
+    pc.AddQuadratic(pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1]), 1.5),
+    pc.Envelope(pc.AddQuadratic(pc.SupportBox([-1.0, 0.0], [1.0, 2.0]), 0.5), 0.3),
+    pc.Envelope(pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0), 0.5),
+], ids=repr)
+def test_gradient_many_through_add_quadratic_and_nested_envelopes(f, rng):
+    X = np.vstack([rng.uniform(-3.0, 3.0, (80, 2)), [[0.5, 0.0], [0.0, 0.0]]])
+    G, smooth = f.gradient_many(X)
+    assert smooth.sum() >= 80
+    for x, gk in zip(X[smooth], G[smooth]):
+        s = pc.subdifferential(f, x)
+        assert isinstance(s, SingletonSet) and np.array_equal(s.point, gk)
+
+
+@pytest.mark.parametrize("inner", [
+    pc.Quadratic([[1.0, 1.0], [1.0, 1.0]]),
+    pc.IndicatorHalfspace([0.8, -0.6], 0.25),
+], ids=repr)
+def test_envelope_gradient_many_keeps_batch_rounded_prox_row_by_row(inner):
+    # these atoms' prox_many rounds a row differently inside a larger batch,
+    # so their envelope flags no row and verify compares sets row by row
+    _, smooth = pc.Envelope(pc.Tilt(inner, [0.3, 0.2]), 0.7).gradient_many(np.ones((4, 2)))
+    assert not smooth.any()
+
+
 def test_extended_real_guard():
     # tilting an indicator keeps +inf; no nan may appear
     f = pc.Tilt(pc.IndicatorPoint([1.0]), [2.0])

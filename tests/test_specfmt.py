@@ -8,6 +8,7 @@ import pytest
 import proxcalc as pc
 from proxcalc.errors import SpecParseError
 from proxcalc.functions import structured_probes
+from proxcalc.sets import SingletonSet
 from proxcalc.specfmt import _KINDS, build_tree
 
 
@@ -163,6 +164,31 @@ def test_every_document_has_a_closed_form_conjugate(doc, rng):
         assert fx + pc.evaluate(conj, s) == pytest.approx(float(np.dot(x, s)), abs=1e-8)
         tested += 1
     assert tested > 0
+
+
+_GRADIENT_DOCS = [wrap(_sample_document(kind)) for kind in _KINDS for wrap in (
+    lambda d: d,
+    lambda d: {"op": "envelope", "f": d, "lambda": 0.7},
+    lambda d: {"op": "tilt", "f": d, "a": [0.3, 0.2]},
+    lambda d: {"op": "translate", "f": d, "t": [-0.2, 0.6]},
+    lambda d: {"op": "add_const", "f": d, "c": -1.25},
+)]
+
+
+@pytest.mark.parametrize("doc", _GRADIENT_DOCS, ids=json.dumps)
+def test_gradient_many_matches_subdifferential_bit_for_bit(doc, rng):
+    # a row flagged smooth has a singleton subdifferential holding exactly
+    # that gradient; kinks (centres, ball boundaries, box faces and
+    # corners, all among the structured probes) are never flagged
+    f = build_tree(doc)
+    X = np.vstack([rng.uniform(-3.0, 3.0, (120, f.dim)), *structured_probes(f)])
+    G, smooth = f.gradient_many(X)
+    assert G.shape == X.shape and smooth.shape == (X.shape[0],)
+    for x, gk, flagged in zip(X, G, smooth):
+        if flagged:
+            s = pc.subdifferential(f, x)
+            assert isinstance(s, SingletonSet)
+            assert np.array_equal(s.point, gk)
 
 
 def test_absent_optional_fields_take_constructor_defaults():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import proxcalc as pc
 import proxcalc.verify as verify_module
-from proxcalc.errors import AnchorOutsideDomain, OriginNotInC
+from proxcalc.errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
+from proxcalc.sampling import Lcg
+from proxcalc.sets import EmptySet, sets_equal
 from proxcalc.verify import (
     _decomposition_report,
     _envelope_gradient_report,
@@ -296,6 +298,84 @@ def test_ball_just_off_the_origin_violates_the_precondition(X2):
     for rep in (check_equivalences(f, f, X2), pc.determine_from_norm(f, f, X2, x0=None)):
         assert rep.status == "precondition_violated"
         assert rep.details["inf_conj_f"] == -np.inf
+
+
+def _subdiff_items_row_by_row(f, g, X, tol):
+    """The structured-set loop over every row: the reference that the
+    batched items iii and iv must reproduce exactly."""
+    r3 = r4 = 0.0
+    rng = Lcg(77)
+    try:
+        for x in X:
+            sf, sg = pc.subdifferential(f, x), pc.subdifferential(g, x)
+            ef, eg = isinstance(sf, EmptySet), isinstance(sg, EmptySet)
+            if ef or eg:
+                if ef != eg:
+                    r3 = r4 = float("inf")
+                continue
+            r3 = max(r3, float(np.linalg.norm(sf.min_norm_element() - sg.min_norm_element())))
+            eq = sets_equal(sf, sg, tol)
+            if eq is None:
+                for _ in range(20):
+                    u = rng.unit_vector(f.dim)
+                    a, b = sf.support(u), sg.support(u)
+                    if np.isinf(a) and np.isinf(b):
+                        continue
+                    r4 = max(r4, abs(a - b) if np.isfinite(a) and np.isfinite(b)
+                             else float("inf"))
+            elif not eq:
+                r4 = float("inf")
+    except UnsupportedSubdifferential:
+        return 0.0, 0.0, True
+    return r3, r4, False
+
+
+HUBER2 = pc.Envelope(NORM2, 1.0)
+
+
+@pytest.mark.parametrize("f, g", [
+    (HUBER2, pc.AddConst(HUBER2, 2.0)),  # every row smooth, items hold
+    (HUBER2, SQ2),  # every row smooth, items fail
+    (pc.Envelope(pc.ScaledNorm(1.0, [1e-3, 0.0]), 1.0), HUBER2),  # small gaps
+    (NORM2, HUBER2),  # undecidable ball-vs-singleton at the centre
+    (NORM2, pc.Tilt(pc.Translate(NORM2, [0.5, 0.0]), [0.1, 0.0])),
+    (pc.IndicatorBall([0.0, 0.0], 2.0), pc.IndicatorBox([-2.0, -1.0], [2.0, 1.0])),  # empties
+    (pc.SupportBall([0.0, 0.0], 1.0), pc.SupportBox([-1.0, -1.0], [1.0, 1.0])),  # ball vs box
+    (pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1]), pc.Affine([1.0, -1.0])),
+    (pc.Envelope(SQ2, 0.7), pc.Quadratic(np.eye(2) / 1.7)),  # batch-rounded envelope
+    (pc.functions.SupportHalfspace([1.0, 0.0], 1.0), NORM2),  # unsupported
+    (HUBER2, pc.functions.SupportHalfspace([1.0, 0.0], 1.0)),
+], ids=repr)
+def test_subdiff_items_match_the_row_by_row_loop(f, g, X2):
+    X = np.vstack([X2, np.zeros(2), *pc.functions.structured_probes(f),
+                   *pc.functions.structured_probes(g), np.zeros(2)])
+    for tol in (1e-8, 1e-2):
+        got = verify_module._subdiff_items(f, g, X, tol)
+        assert got == _subdiff_items_row_by_row(f, g, X, tol)
+
+
+def test_equivalences_on_smooth_pairs_skip_the_subdifferential_loop(monkeypatch):
+    # the 2-D Huber battery: 200 samples, the structured probes and the anchor
+    calls = {"subdifferential": 0, "prox_many": 0}
+    subdifferential, prox_many = pc.functions.subdifferential, pc.ScaledNorm.prox_many
+
+    def counted_subdifferential(f, x):
+        calls["subdifferential"] += 1
+        return subdifferential(f, x)
+
+    def counted_prox_many(self, lam, X):
+        calls["prox_many"] += 1
+        return prox_many(self, lam, X)
+
+    monkeypatch.setattr(pc.functions, "subdifferential", counted_subdifferential)
+    monkeypatch.setattr(pc.ScaledNorm, "prox_many", counted_prox_many)
+    extra = [*pc.functions.structured_probes(HUBER2)] * 2 + [np.zeros(2)]
+    X = battery_samples(2, 5, 200, 6.0, extra)
+    assert X.shape[0] == 205
+    rep = check_equivalences(HUBER2, HUBER2, X)
+    assert rep.status == "verified"
+    assert calls["subdifferential"] == 0  # 410 with a set loop over every row
+    assert calls["prox_many"] <= 8  # 416 with a set loop over every row
 
 
 def test_equivalences_constant_is_the_exact_difference_of_infima(X2):
