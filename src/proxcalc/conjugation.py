@@ -14,7 +14,8 @@ with them ``conjugate --grid``) are views of its result.
 
 ``verify_envelope_conjugate`` instead refines each query's argmax on a
 coarse lattice locally, as fast Legendre-Fenchel transforms do (Corrias,
-SIAM J. Numer. Anal. 1996; Lucet, SIAM Review 2010), and certifies it.
+SIAM J. Numer. Anal. 1996; Lucet, SIAM Review 2010), and certifies it;
+``reports.sampled_verdict`` decides its status from the interior gaps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import functions as fn
 from .errors import AllInfinite, DimensionMismatch
 from .grids import SampleGrid, ValueTable, tabulate
-from .reports import VERIFIED, COUNTEREXAMPLE, HYPOTHESIS_FAILS, CheckReport
+from .reports import HYPOTHESIS_FAILS, CheckReport, sampled_verdict
 
 _BLOCK_ROWS = 200_000
 _BLOCK_ENTRIES = 5_000_000
@@ -115,9 +116,10 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
 
     The left side refines each query's argmax on the tabulated envelope
     (``_refine``); the right side evaluates the closed-form conjugate of f.
-    Reports the largest absolute gap over the queries, and the refinement's
-    bound as ``details["certificate"]``.
+    Reports the largest absolute gap over the interior queries, and the
+    refinement's bound as ``details["certificate"]``.
     """
+    tol = fn.check_scalar("tol", tol, positive=False)
     conj = fn.conjugate_closed_form(f)
     env = fn.Envelope(f, lam)
     table = tabulate(env, grid)
@@ -131,30 +133,16 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
     # where the true conjugate is +inf); those are counted, not compared
     interior = ~boundary & np.isfinite(rhs)
     lhs[interior], certificate = _refine(env, table, Q[interior], arg[interior], tol)
-    gaps = np.abs(lhs - rhs)
-    worst_gap = float(np.max(gaps[interior])) if np.any(interior) else 0.0
-    witnesses = []
-    if worst_gap > tol:
-        idx = np.flatnonzero(interior)
-        w = idx[int(np.argmax(gaps[interior]))]
-        witnesses.append((Q[w], f"gap={gaps[w]:.3e}"))
-    status = VERIFIED if worst_gap <= tol and np.any(interior) else (
-        COUNTEREXAMPLE if worst_gap > tol else HYPOTHESIS_FAILS
-    )
-    return CheckReport(
-        name=f"envelope_conjugate(lam={lam})",
-        status=status,
-        hypothesis_residual=0.0,
-        conclusion_residual=worst_gap,
-        tolerance=tol,
-        witnesses=witnesses,
-        details={
-            "queries": int(Q.shape[0]),
-            "interior_queries": int(np.sum(interior)),
-            "boundary_argmax": int(np.sum(boundary)),
-            "certificate": certificate,
-        },
-    )
+    gaps = np.where(interior, np.abs(lhs - rhs), 0.0)
+    rep = sampled_verdict(f"envelope_conjugate(lam={lam})", Q, 0.0, 0.0, gaps, tol,
+                          lambda i: f"gap={gaps[i]:.3e}",
+                          {"queries": int(Q.shape[0]),
+                           "interior_queries": int(np.sum(interior)),
+                           "boundary_argmax": int(np.sum(boundary)),
+                           "certificate": certificate})
+    if not np.any(interior):
+        rep.status = HYPOTHESIS_FAILS  # no query could be compared
+    return rep
 
 
 @functools.lru_cache(maxsize=None)

@@ -39,13 +39,7 @@ from .errors import (
     OracleError,
 )
 from .grids import SampleGrid, ValueTable
-from .reports import (
-    CheckReport,
-    COUNTEREXAMPLE,
-    HYPOTHESIS_FAILS,
-    PRECONDITION_VIOLATED,
-    VERIFIED,
-)
+from .reports import HYPOTHESIS_FAILS, PRECONDITION_VIOLATED, CheckReport, sampled_verdict
 from .sampling import Lcg
 
 MONOTONE_TOL = 1e-8
@@ -383,8 +377,8 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     g* are bounded below guards the claim. Both are exact: inf f* = -f(0) by
     Fenchel-Moreau, so the precondition holds when f(0) and g(0) are finite.
     """
-    from .verify import _verdict
-
+    tol_h = fn.check_scalar("tol_h", tol_h, positive=False)
+    tol_c = fn.check_scalar("tol_c", tol_c, positive=False)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     pf = f.prox_many(1.0, samples)
     pg = g.prox_many(1.0, samples)
@@ -408,36 +402,26 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
                    "samples": int(samples.shape[0])}
     hyp = float(np.max(np.abs(
         np.linalg.norm(pf - anchor, axis=1) - np.linalg.norm(pg - anchor, axis=1))))
-    fv = fn.evaluate_many(f, samples)
-    gv = fn.evaluate_many(g, samples)
-    _, concl, witnesses = _constant_difference(samples, fv - f0, gv - g0, constant, tol_c)
-    status = _verdict(hyp, tol_h, concl, tol_c)
-    if status == HYPOTHESIS_FAILS:
-        concl, witnesses = 0.0, []
+    fv = fn.evaluate_many(f, samples) - f0
+    gv = fn.evaluate_many(g, samples) - g0
+    rep = sampled_verdict(
+        f"determine_from_norm({variant})", samples, hyp, tol_h,
+        _constant_gaps(fv, gv, constant), tol_c,
+        lambda i: f"f={float(fv[i])!r} g={float(gv[i])!r} expected_gap={float(constant)!r}",
+        details, first=10)
+    if rep.status == HYPOTHESIS_FAILS:
+        rep.conclusion_residual = 0.0
     elif diverges:
-        status = PRECONDITION_VIOLATED
-    return CheckReport(
-        name=f"determine_from_norm({variant})",
-        status=status,
-        hypothesis_residual=hyp,
-        conclusion_residual=concl,
-        tolerance=tol_c,
-        witnesses=witnesses,
-        details=details,
-    )
+        rep.status = PRECONDITION_VIOLATED
+    return rep
 
 
-def _constant_difference(samples, fv, gv, constant, tol):
-    """(status, residual, witnesses) of f - g = constant over samples,
-    extended-real aware: +inf on one side only is an infinite gap, on both
-    sides none."""
+def _constant_gaps(fv, gv, constant) -> np.ndarray:
+    """Per-sample gaps |(f - g) - constant|, extended-real aware: +inf on
+    one side only is an infinite gap, on both sides none."""
     fin_a, fin_b = np.isfinite(fv), np.isfinite(gv)
     both = fin_a & fin_b
     gaps = np.zeros(len(fv))
     gaps[both] = np.abs((fv[both] - gv[both]) - constant)
     gaps[fin_a != fin_b] = np.inf
-    witnesses = [(samples[i], f"f={float(fv[i])!r} g={float(gv[i])!r} "
-                              f"expected_gap={float(constant)!r}")
-                 for i in np.flatnonzero(gaps > tol)[:10]]
-    worst = float(np.fmax.reduce(gaps, initial=0.0))
-    return (VERIFIED if worst <= tol else COUNTEREXAMPLE), worst, witnesses
+    return gaps

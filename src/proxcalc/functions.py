@@ -221,9 +221,7 @@ class ScaledNorm(ConvexFunction):
     """
 
     def __init__(self, ell: float, center=None, dim: int | None = None):
-        self.ell = float(ell)
-        if not (math.isfinite(self.ell) and self.ell >= 0):
-            raise ValueError("ell must be finite and >= 0")
+        self.ell = check_scalar("ell", ell, positive=False)
         if center is None:
             if dim is None:
                 raise ValueError("need center or dim")
@@ -304,9 +302,7 @@ class IndicatorBall(ConvexFunction):
 
     def __init__(self, center, radius: float):
         self.center = as_point(center)
-        self.radius = float(radius)
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be finite and > 0")
+        self.radius = check_scalar("radius", radius)
         self.dim = _capped_dim(self.center.size)
 
     def value_many(self, X):
@@ -407,9 +403,7 @@ class SupportBall(ConvexFunction):
 
     def __init__(self, center, radius: float):
         self.center = as_point(center)
-        self.radius = float(radius)
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be finite and > 0")
+        self.radius = check_scalar("radius", radius)
         self.dim = _capped_dim(self.center.size)
 
     def value_many(self, X):
@@ -453,8 +447,8 @@ class SupportBox(ConvexFunction):
         return IndicatorBox(self.lo, self.hi)
 
     def subdiff(self, x):
-        gl = np.where(x > MEMBERSHIP_TOL, self.hi, np.where(x < -MEMBERSHIP_TOL, self.lo, self.lo))
-        gh = np.where(x > MEMBERSHIP_TOL, self.hi, np.where(x < -MEMBERSHIP_TOL, self.lo, self.hi))
+        gl = np.where(x > MEMBERSHIP_TOL, self.hi, self.lo)
+        gh = np.where(x < -MEMBERSHIP_TOL, self.lo, self.hi)
         return BoxSet(gl, gh)
 
     def __repr__(self):

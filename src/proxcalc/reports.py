@@ -35,6 +35,31 @@ class CheckReport:
         return f"[{self.status}] {self.name}"
 
 
+def sampled_verdict(name, X, hyp, tol_h, gaps, tol, note, details,
+                    first=None) -> CheckReport:
+    """The report of a sampled implication: hypothesis residual hyp, and one
+    conclusion gap per sample row of X (NaN gaps skipped).
+
+    hypothesis_fails when hyp > tol_h, else verified when the largest gap is
+    within tol and counterexample otherwise. Only a counterexample carries
+    witnesses, each (X[i], note(i)): the first ``first`` samples whose gap
+    exceeds tol, or without ``first`` the first sample attaining the
+    largest gap.
+    """
+    worst = float(np.fmax.reduce(gaps, initial=0.0))
+    witnesses = []
+    if hyp > tol_h:
+        status = HYPOTHESIS_FAILS
+    elif worst <= tol:
+        status = VERIFIED
+    else:
+        status = COUNTEREXAMPLE
+        idx = (np.flatnonzero(gaps > tol)[:first] if first is not None
+               else np.flatnonzero(gaps == worst)[:1])
+        witnesses = [(X[i], note(i)) for i in idx]
+    return CheckReport(name, status, hyp, worst, tol, witnesses, details)
+
+
 def fmt_float(v) -> str:
     v = float(v)
     if np.isposinf(v):

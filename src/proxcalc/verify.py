@@ -24,7 +24,10 @@ Conclusions are never asserted when the sampled hypothesis fails. Statuses
 are one of verified / hypothesis_fails / counterexample /
 precondition_violated; a counterexample on a pair that passes its
 preconditions would contradict a theorem and is treated as build-breaking
-by the test suite.
+by the test suite. The sampled checks hand a hypothesis residual and
+per-sample conclusion gaps to ``reports.sampled_verdict``, which decides
+status and witnesses; the Lipschitz, equivalences and support-distance
+checks keep composite rules.
 
 Infima of conjugates are exact: inf f* = -f(0) by Fenchel-Moreau, so f* is
 bounded below exactly when 0 lies in dom f (``functions.conjugate_infimum``).
@@ -36,7 +39,7 @@ import numpy as np
 
 from . import engine
 from . import functions as fn
-from .determination import _constant_difference, determine_from_norm
+from .determination import _constant_gaps, determine_from_norm
 from .errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
 from .grids import SampleGrid
 from .conjugation import verify_envelope_conjugate
@@ -46,6 +49,7 @@ from .reports import (
     HYPOTHESIS_FAILS,
     PRECONDITION_VIOLATED,
     VERIFIED,
+    sampled_verdict,
 )
 from .sampling import Lcg
 from .sets import EmptySet, sets_equal
@@ -85,18 +89,11 @@ def sampled_conjugate_infimum(f: fn.ConvexFunction, radius: float = INFIMUM_RADI
     return m4, diverges, (radius, 2.0 * radius, 4.0 * radius)
 
 
-def _verdict(hyp: float, tol_h: float, concl: float, tol_c: float) -> str:
-    """hypothesis_fails when the hypothesis residual exceeds its tolerance,
-    else verified or counterexample by the conclusion residual."""
-    if hyp > tol_h:
-        return HYPOTHESIS_FAILS
-    return VERIFIED if concl <= tol_c else COUNTEREXAMPLE
-
-
 def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
                      tol_h: float = TOL_CLOSED, tol_c: float = 1e-6) -> CheckReport:
     """Hypothesis ||prox_f - x0|| <= ||prox_g - x0||, conclusion
     g - g(x0) <= f - f(x0), both sampled."""
+    tol_h = fn.check_scalar("tol_h", tol_h, positive=False)
     tol_c = fn.check_scalar("tol", tol_c)
     x0 = fn.as_point(x0, f.dim)
     f0 = fn.evaluate(f, x0)
@@ -121,30 +118,19 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
     gaps = np.zeros(X.shape[0])
     gaps[both] = np.maximum((gv[both] - g0) - (fv[both] - f0), 0.0)
     gaps[np.isinf(gv) & np.isfinite(fv)] = np.inf
-    concl = float(np.fmax.reduce(gaps, initial=0.0))
-    witnesses = [(X[i], f"g-g(x0)={float(gv[i] - g0)!r} "
-                        f"exceeds f-f(x0)={float(fv[i] - f0)!r}")
-                 for i in np.flatnonzero(gaps > tol_c)[:10]]
     extended = False
-    if hyp <= tol_h and concl > tol_c:
+    if hyp <= tol_h and np.any(gaps > tol_c):
         # the hypothesis held on the declared samples but the conclusion did
         # not; widen the hypothesis sweep before blaming the implication,
         # since a too-small sample radius can hide hypothesis failures
         hyp = max(hyp, _hypothesis_extended(f, g, x0, X, tol_h))
         extended = True
-    status = _verdict(hyp, tol_h, concl, tol_c)
-    if status == HYPOTHESIS_FAILS:
-        witnesses = []
-    return CheckReport(
-        name="comparison",
-        status=status,
-        hypothesis_residual=hyp,
-        conclusion_residual=concl,
-        tolerance=tol_c,
-        witnesses=witnesses,
-        details={"anchor": x0, "samples": int(X.shape[0]), "tol_hypothesis": tol_h,
-                 "hypothesis_sweep_extended": extended},
-    )
+    return sampled_verdict(
+        "comparison", X, hyp, tol_h, gaps, tol_c,
+        lambda i: f"g-g(x0)={float(gv[i] - g0)!r} exceeds f-f(x0)={float(fv[i] - f0)!r}",
+        {"anchor": x0, "samples": int(X.shape[0]), "tol_hypothesis": tol_h,
+         "hypothesis_sweep_extended": extended},
+        first=10)
 
 
 def _hypothesis_extended(f, g, x0, X, tol_h) -> float:
@@ -169,6 +155,7 @@ def check_gradient_comparison(f, g, samples, lam: float | None = None,
                               tol: float = 1e-6) -> CheckReport:
     """Envelope-based gradient comparison: ||grad f|| <= ||grad g|| sampled,
     then f - min f <= g - min g against sampled minima."""
+    tol = fn.check_scalar("tol", tol, positive=False)
     if lam is not None:
         f = fn.Envelope(f, lam)
         g = fn.Envelope(g, lam)
@@ -183,22 +170,10 @@ def check_gradient_comparison(f, g, samples, lam: float | None = None,
     rel_f = fv - np.min(fv)
     rel_g = gv - np.min(gv)
     gaps = np.maximum(rel_f - rel_g, 0.0)
-    concl = float(np.max(gaps))
-    status = _verdict(hyp, tol, concl, tol)
-    witnesses = []
-    if status == COUNTEREXAMPLE:
-        worst = int(np.argmax(gaps))
-        witnesses.append((X[worst], f"gap={gaps[worst]:.3e}"))
-    return CheckReport(
-        name="gradient_comparison",
-        status=status,
-        hypothesis_residual=hyp,
-        conclusion_residual=concl,
-        tolerance=tol,
-        witnesses=witnesses,
-        details={"samples": int(X.shape[0]), "sampled_min_f": float(np.min(fv)),
-                 "sampled_min_g": float(np.min(gv))},
-    )
+    return sampled_verdict(
+        "gradient_comparison", X, hyp, tol, gaps, tol, lambda i: f"gap={gaps[i]:.3e}",
+        {"samples": int(X.shape[0]), "sampled_min_f": float(np.min(fv)),
+         "sampled_min_g": float(np.min(gv))})
 
 
 def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
@@ -206,6 +181,7 @@ def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
     """Hypothesis ||x|| - ell <= ||prox_g(x)||, conclusion
     g - g(0) <= ell ||.||; with ell = 0, additionally g is constant."""
     ell = fn.check_scalar("ell", ell, positive=False)
+    tol = fn.check_scalar("tol", tol, positive=False)
     g0 = fn.evaluate(g, np.zeros(g.dim))
     if not np.isfinite(g0):
         raise AnchorOutsideDomain("g(0) must be finite")
@@ -215,26 +191,14 @@ def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
     hyp = float(np.max(np.maximum(norms - ell - pnorms, 0.0)))
     gv = fn.evaluate_many(g, X)
     finite = np.isfinite(gv)
-    gaps = np.maximum(gv[finite] - g0 - ell * norms[finite], 0.0)
-    concl = float(np.max(gaps)) if gaps.size else 0.0
+    gaps = np.zeros(X.shape[0])
+    gaps[finite] = np.maximum(gv[finite] - g0 - ell * norms[finite], 0.0)
     if ell == 0.0 and np.any(finite):
-        spread = float(np.max(gv[finite]) - np.min(gv[finite]))
-        concl = max(concl, spread)
-    status = _verdict(hyp, tol, concl, tol)
-    witnesses = []
-    if status == COUNTEREXAMPLE:
-        idx = np.flatnonzero(finite)
-        worst = idx[int(np.argmax(gaps))]
-        witnesses.append((X[worst], f"gap={gaps.max():.3e}"))
-    return CheckReport(
-        name=f"norm_lower_bound(ell={ell})",
-        status=status,
-        hypothesis_residual=hyp,
-        conclusion_residual=concl,
-        tolerance=tol,
-        witnesses=witnesses,
-        details={"samples": int(X.shape[0]), "g_at_0": g0},
-    )
+        # constancy: the spread max g - min g, attained at argmax g
+        gaps[finite] = np.maximum(gaps[finite], gv[finite] - np.min(gv[finite]))
+    return sampled_verdict(f"norm_lower_bound(ell={ell})", X, hyp, tol, gaps, tol,
+                           lambda i: f"gap={gaps[i]:.3e}",
+                           {"samples": int(X.shape[0]), "g_at_0": g0})
 
 
 def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
@@ -247,6 +211,7 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
     violated.
     """
     ell = fn.check_scalar("ell", ell, positive=False)
+    tol = fn.check_scalar("tol", tol, positive=False)
     X = np.atleast_2d(np.asarray(samples_x, dtype=float))
     Y = np.atleast_2d(np.asarray(samples_y, dtype=float))
     fv = fn.evaluate_many(f, X)
@@ -307,6 +272,8 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     the samples where both functions are differentiable, and from
     structured subdifferential sets row by row everywhere else.
     """
+    tol_prox = fn.check_scalar("tol_prox", tol_prox, positive=False)
+    tol_value = fn.check_scalar("tol_value", tol_value, positive=False)
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     pf = f.prox_many(1.0, X)
     pg = g.prox_many(1.0, X)
@@ -324,7 +291,7 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     fv = fn.evaluate_many(f, X)
     gv = fn.evaluate_many(g, X)
     const = inf_g - inf_f if precondition_ok else 0.0
-    _, r2, _ = _constant_difference(X, fv, gv, const, tol_value)
+    r2 = float(np.fmax.reduce(_constant_gaps(fv, gv, const), initial=0.0))
     pattern["ii_constant_shift"] = "holds" if r2 <= tol_value else "fails"
     residuals["ii_constant_shift"] = r2
 
@@ -440,6 +407,7 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
     residual compares prox norms with distances; when it passes, the
     backward determination runs f against the support function of C.
     """
+    tol = fn.check_scalar("tol", tol, positive=False)
     if fn.evaluate(C, np.zeros(C.dim)) != 0.0:
         raise OriginNotInC("the support-distance check needs 0 in C")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -548,9 +516,10 @@ def _guarded(name, tol, errors, check, *args, **kwargs) -> CheckReport:
 def _decomposition_report(h, X, tag) -> CheckReport:
     conj = fn.conjugate_closed_form(h)
     P = engine.prox_rows(h, 1.0, X)[0] + engine.prox_rows(conj, 1.0, X)[0]
-    return _worst_sample_report(f"moreau_decomposition({tag})", X,
-                                np.sqrt(fn.sq_norms(P - X)), TOL_CLOSED,
-                                "residual", {"samples": int(X.shape[0])})
+    residuals = np.sqrt(fn.sq_norms(P - X))
+    return sampled_verdict(f"moreau_decomposition({tag})", X, 0.0, 0.0, residuals,
+                           TOL_CLOSED, lambda i: f"residual={residuals[i]:.3e}",
+                           {"samples": int(X.shape[0])})
 
 
 def _envelope_gradient_report(h, X, tag, lam: float = 1.0,
@@ -565,16 +534,6 @@ def _envelope_gradient_report(h, X, tag, lam: float = 1.0,
     up, down = env[n:].reshape(2, n, d)
     gfd = (up - down) / (2 * step)
     residuals = np.sqrt(fn.sq_norms(ga - gfd)) / np.fmax(1.0, np.sqrt(fn.sq_norms(ga)))
-    return _worst_sample_report(f"envelope_gradient({tag})", X, residuals, tol,
-                                "relative_error",
-                                {"samples": int(X.shape[0]), "fd_step": step, "lam": lam})
-
-
-def _worst_sample_report(name, X, residuals, tol, label, details) -> CheckReport:
-    """verified when the largest per-sample residual (NaN skipped) is within
-    tol, else a counterexample witnessed by the first sample attaining it."""
-    worst = float(np.fmax.reduce(residuals, initial=0.0))
-    status = VERIFIED if worst <= tol else COUNTEREXAMPLE
-    witnesses = [] if status == VERIFIED else [
-        (X[np.flatnonzero(residuals == worst)[0]], f"{label}={worst:.3e}")]
-    return CheckReport(name, status, 0.0, worst, tol, witnesses, details)
+    return sampled_verdict(f"envelope_gradient({tag})", X, 0.0, 0.0, residuals, tol,
+                           lambda i: f"relative_error={residuals[i]:.3e}",
+                           {"samples": int(X.shape[0]), "fd_step": step, "lam": lam})

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import proxcalc as pc
 from proxcalc.determination import (
-    _constant_difference,
+    _constant_gaps,
     _ray_integrals,
     check_path_independence,
     validate_field,
@@ -18,6 +18,7 @@ from proxcalc.errors import (
     NonConservativeField,
     OracleError,
 )
+from proxcalc.reports import sampled_verdict
 from proxcalc.verify import battery_samples
 
 
@@ -372,16 +373,17 @@ def test_determine_sharpness_example():
     assert rep.details["inf_conj_f"] == rep.details["inf_conj_g"] == -np.inf
 
 
-def test_constant_difference_witness_prints_plain_floats():
-    samples = np.array([[1.0], [2.0]])
-    status, _, witnesses = _constant_difference(
-        samples, np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.float64(0.5), 1e-6)
-    assert status == "counterexample"
-    assert witnesses[0][1] == "f=1.0 g=0.0 expected_gap=0.5"
+def test_determine_witness_prints_plain_floats():
+    # a hypothesis tolerance wide enough to pass unequal prox norms, so the
+    # conclusion f - g = inf g* - inf f* = 0.5 is sampled and fails
+    f, g = pc.Affine([1.0], 0.5), pc.Affine([0.0], 0.0)
+    rep = pc.determine_from_norm(f, g, np.array([[1.0], [2.0]]), tol_h=10.0)
+    assert rep.status == "counterexample"
+    assert rep.witnesses[0][1] == "f=1.5 g=0.0 expected_gap=0.5"
 
 
 def _constant_difference_loop(samples, fv, gv, constant, tol):
-    """Per-sample reference for the vectorized _constant_difference."""
+    """Per-sample reference for the constant gaps and their verdict."""
     worst = 0.0
     witnesses = []
     for x, a, b in zip(samples, fv, gv):
@@ -405,14 +407,18 @@ _EXTENDED = st.one_of(st.floats(-10.0, 10.0), st.just(float("inf")))
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_EXTENDED, _EXTENDED), min_size=1, max_size=40),
        st.floats(-3.0, 3.0), st.sampled_from([1e-6, 0.5]))
-def test_constant_difference_matches_per_sample_loop(pairs, constant, tol):
+def test_sampled_verdict_first_witnesses_match_per_sample_loop(pairs, constant, tol):
     fv = np.array([a for a, _ in pairs])
     gv = np.array([b for _, b in pairs])
     samples = np.arange(2.0 * len(pairs)).reshape(-1, 2)
-    got = _constant_difference(samples, fv, gv, constant, tol)
-    want = _constant_difference_loop(samples, fv, gv, constant, tol)
-    assert got[:2] == want[:2]
-    assert [(p.tolist(), t) for p, t in got[2]] == [(p.tolist(), t) for p, t in want[2]]
+    got = sampled_verdict(
+        "c", samples, 0.0, 0.0, _constant_gaps(fv, gv, constant), tol,
+        lambda i: f"f={float(fv[i])!r} g={float(gv[i])!r} expected_gap={float(constant)!r}",
+        {}, first=10)
+    status, worst, witnesses = _constant_difference_loop(samples, fv, gv, constant, tol)
+    assert (got.status, got.conclusion_residual) == (status, worst)
+    assert [(p.tolist(), t) for p, t in got.witnesses] == [
+        (p.tolist(), t) for p, t in witnesses]
 
 
 # ---------------------------------------------------------------------------

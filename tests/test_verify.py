@@ -1,6 +1,8 @@
 """Theorem checkers: comparison, gradients, norm bound, Lipschitz,
 equivalences, support distance."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,12 @@ from hypothesis import strategies as st
 import proxcalc as pc
 import proxcalc.verify as verify_module
 from proxcalc.errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
+from proxcalc.reports import sampled_verdict
 from proxcalc.sampling import Lcg
 from proxcalc.sets import EmptySet, sets_equal
 from proxcalc.verify import (
     _decomposition_report,
     _envelope_gradient_report,
-    _worst_sample_report,
     battery_samples,
     check_comparison,
     check_equivalences,
@@ -28,6 +30,9 @@ from proxcalc.verify import (
 
 NORM2 = pc.ScaledNorm(1.0, [0.0, 0.0])
 SQ2 = pc.Quadratic(np.eye(2))
+HUBER2 = pc.Envelope(NORM2, 1.0)
+NAN = float("nan")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +206,23 @@ def test_norm_lower_bound_constant(X2):
     g = pc.AddConst(pc.Affine([0.0, 0.0], 0.0), 3.0)
     rep = check_norm_lower_bound(g, 0.0, X2)
     assert rep.status == "verified"
+
+
+class _NegatedNorm(pc.ScaledNorm):
+    """The identity prox of ell = 0 with values -||x||: not constant."""
+
+    def value_many(self, X):
+        return -np.linalg.norm(X, axis=1)
+
+
+def test_norm_lower_bound_constancy_witness_attains_the_residual(X2):
+    rep = check_norm_lower_bound(_NegatedNorm(0.0, [0.0, 0.0]), 0.0, X2)
+    norms = np.linalg.norm(X2, axis=1)
+    assert rep.status == "counterexample"
+    assert rep.conclusion_residual == np.max(norms) - np.min(norms)
+    [(point, note)] = rep.witnesses
+    assert note == f"gap={rep.conclusion_residual:.3e}"
+    assert np.array_equal(point, X2[np.argmin(norms)])
 
 
 def test_norm_lower_bound_quadratic_hypothesis_fails(X2):
@@ -506,6 +528,28 @@ def test_battery_envelope_conjugate_rows_3d(monkeypatch):
     assert 2 * 21**3 < rows[0] <= 30_000
 
 
+_HELPER_REPORTS = ("comparison(", "moreau_decomposition(", "envelope_gradient(",
+                   "envelope_conjugate(", "norm_lower_bound(")
+
+
+@pytest.mark.parametrize("f_doc, g_doc, seed, ell", [
+    ("cross_quadratic", "tilted_norm", 0, 1.0),
+    ("env_norm", "unit_ball", 3, None),
+    ("env_norm_3d", "half_sq_3d", 7, 1.0),
+])
+def test_battery_sampled_reports_witness_exactly_their_counterexamples(f_doc, g_doc,
+                                                                       seed, ell):
+    # three golden verify-all pairs; a sampled report carries witnesses
+    # exactly when it is a counterexample, so a hypothesis_fails one has none
+    f, g = (pc.load_document(str(GOLDEN / f"{doc}.json")) for doc in (f_doc, g_doc))
+    reports = standard_battery(f, g, [0.0] * f.dim, seed, ell=ell)
+    sampled = [r for r in reports if r.name.startswith(_HELPER_REPORTS)]
+    assert len(sampled) >= 8
+    assert {r.status for r in sampled} >= {"verified", "hypothesis_fails"}
+    for r in sampled:
+        assert (r.status == "counterexample") == bool(r.witnesses), r.name
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda X: standard_battery(NORM2, NORM2, [0.0, 0.0], 1, ell=float("nan")), "ell"),
     (lambda X: standard_battery(NORM2, NORM2, [0.0, 0.0], 1, ell=-1.0), "ell"),
@@ -516,6 +560,20 @@ def test_battery_envelope_conjugate_rows_3d(monkeypatch):
     (lambda X: check_comparison(NORM2, NORM2, [0.0, 0.0], X, tol_c=float("nan")), "tol"),
     (lambda X: check_norm_lower_bound(NORM2, float("nan"), X), "ell"),
     (lambda X: check_lipschitz(NORM2, float("inf"), X, X[:3]), "ell"),
+    # a NaN tolerance compares false both ways; it must not reach a verdict
+    (lambda X: check_comparison(HUBER2, HUBER2, [0.0, 0.0], X, tol_h=NAN), "tol_h"),
+    (lambda X: check_gradient_comparison(HUBER2, HUBER2, X, tol=NAN), "tol"),
+    (lambda X: check_norm_lower_bound(HUBER2, 1.0, X, tol=NAN), "tol"),
+    (lambda X: check_lipschitz(HUBER2, 1.0, X, X[:3], tol=-1.0), "tol"),
+    (lambda X: check_equivalences(HUBER2, HUBER2, X, tol_prox=NAN), "tol_prox"),
+    (lambda X: check_equivalences(HUBER2, HUBER2, X, tol_value=NAN), "tol_value"),
+    (lambda X: check_support_distance(HUBER2, pc.IndicatorBall([0.0, 0.0], 1.0), X,
+                                      tol=NAN), "tol"),
+    (lambda X: pc.determine_from_norm(HUBER2, HUBER2, X, tol_h=NAN), "tol_h"),
+    (lambda X: pc.determine_from_norm(HUBER2, HUBER2, X, tol_c=NAN), "tol_c"),
+    (lambda X: pc.verify_envelope_conjugate(
+        NORM2, 1.0, pc.SampleGrid([-5.0, -5.0], [5.0, 5.0], [21, 21]), X[:5], tol=NAN),
+     "tol"),
 ])
 def test_numeric_options_checked_where_they_enter(X2, call, message):
     with pytest.raises(ValueError, match=f"^{message} must be"):
@@ -589,13 +647,18 @@ _RESIDUAL = st.one_of(st.sampled_from([0.0, 0.5, 2.0, float("inf"), float("nan")
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_RESIDUAL, min_size=1, max_size=30), st.floats(0.1, 2.0))
-def test_worst_sample_report_matches_per_sample_loop(residuals, tol):
+@given(st.lists(_RESIDUAL, min_size=1, max_size=30), st.floats(0.1, 2.0),
+       st.sampled_from([0.0, 1.0]))
+def test_sampled_verdict_worst_witness_matches_per_sample_loop(residuals, tol, hyp):
     X = np.arange(len(residuals), dtype=float).reshape(-1, 1)
-    rep = _worst_sample_report("r", X, np.array(residuals), tol, "residual", {})
+    gaps = np.array(residuals)
+    rep = sampled_verdict("r", X, hyp, 0.5, gaps, tol,
+                          lambda i: f"residual={gaps[i]:.3e}", {})
     worst, witness = _worst_loop(X, residuals)
     assert rep.conclusion_residual == worst
-    if worst <= tol:
+    if hyp > 0.5:
+        assert rep.status == "hypothesis_fails" and rep.witnesses == []
+    elif worst <= tol:
         assert rep.status == "verified" and rep.witnesses == []
     else:
         assert rep.status == "counterexample"
