@@ -45,8 +45,11 @@ table = pc.tabulate(pc.Quadratic(np.eye(1)), pc.SampleGrid([-3.0], [3.0], [601])
 print("\ngrid conjugate of x^2/2 at q=1 (exact 0.5):", pc.numerical_conjugate(table, [1.0]))
 
 # The conjugate of an envelope splits into the conjugate plus a quadratic:
-# (f_lam)* = f* + (lam/2) ||.||^2. The checker compares the grid transform
-# of the tabulated envelope against that closed form.
+# (f_lam)* = f* + (lam/2) ||.||^2. The checker takes the grid transform of
+# the tabulated envelope, refines each query by gradient ascent whose step
+# is the prox map itself, v <- prox_{lam f}(y) + lam q, and compares it
+# against that closed form. detail.certificate bounds what the ascent may
+# still miss, provided the maximizer lies inside the grid.
 rep = pc.verify_envelope_conjugate(
     norm, 1.0,
     pc.SampleGrid([-5.0, -5.0], [5.0, 5.0], [201, 201]),

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functions as fn
-from .conjugation import conjugate_many
+from .conjugation import as_queries, conjugate_many
 from .errors import (
     AnchorOutsideDomain,
     DimensionMismatch,
@@ -143,9 +143,7 @@ class ReconstructionTask:
 
     def __post_init__(self):
         self.x0 = fn.as_point(self.x0, self.oracle.dim)
-        self.query_points = np.atleast_2d(np.asarray(self.query_points, dtype=float))
-        if self.query_points.shape[1] != self.oracle.dim:
-            raise DimensionMismatch("query points do not match the oracle dimension")
+        self.query_points = as_queries(self.query_points, self.oracle.dim)
         if self.tilde_grid.dim != self.oracle.dim:
             raise DimensionMismatch("grid does not match the oracle dimension")
 
@@ -409,10 +407,10 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
         _constant_gaps(fv, gv, constant), tol_c,
         lambda i: f"f={float(fv[i])!r} g={float(gv[i])!r} expected_gap={float(constant)!r}",
         details, first=10)
-    if rep.status == HYPOTHESIS_FAILS:
-        rep.conclusion_residual = 0.0
-    elif diverges:
-        rep.status = PRECONDITION_VIOLATED
+    if rep.status == HYPOTHESIS_FAILS or diverges:  # the report asserts nothing
+        rep.conclusion_residual, rep.witnesses = 0.0, []
+        if rep.status != HYPOTHESIS_FAILS:
+            rep.status = PRECONDITION_VIOLATED
     return rep
 
 

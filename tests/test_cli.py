@@ -239,6 +239,16 @@ def test_non_finite_document_scalar_is_a_usage_error(tmp_path, capsys, doc, mess
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_reconstruct_nan_query_is_a_usage_error(tmp_path, norm_spec, capsys):
+    queries_path = tmp_path / "q.csv"
+    queries_path.write_text("1.0,0.5\nnan,0.2\n")
+    code, out, err = run_cli([
+        "reconstruct", "--f", norm_spec, "--anchor", "0,0", "--f-at-anchor", "0",
+        "--grid=-4:4:81;-4:4:81", "--queries", str(queries_path),
+    ], capsys)
+    assert (code, out, err) == (1, "", "error: query coordinates must be finite\n")
+
+
 def test_reconstruct_nan_oracle_table_exits_2(tmp_path, capsys):
     table_path = tmp_path / "prox_samples.csv"
     table_path.write_text("".join(f"{float(x)!r},nan\n" for x in np.linspace(-5.0, 5.0, 11)))

@@ -1,15 +1,14 @@
 """Grid tabulation and the numerical Legendre-Fenchel transform."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcalc as pc
-from proxcalc.conjugation import _stencil, conjugate_argmax, conjugate_many
+from proxcalc.conjugation import conjugate_argmax, conjugate_many
 from proxcalc.errors import DimensionMismatch
+from proxcalc.verify import battery_samples
 
 INF = float("inf")
 
@@ -186,10 +185,9 @@ def test_envelope_conjugate_identity_by_construction(rng):
 
 @st.composite
 def _closed_form_cases(draw):
-    """(f, lam, query seed) in 2-D or 3-D. Every query of the battery's cloud
-    (radius 1.5) stays at least 0.5 inside dom f*: at its edge the objective
-    <q, v> - f_lam(v) has a nearly flat ridge, where the climb may stop
-    short of the certificate (the refined value stays a lower bound)."""
+    """(f, lam, query seed) in 2-D or 3-D. Queries of the battery's cloud
+    (radius 1.5) reach the edge of dom f* of the norms, where the objective
+    <q, v> - f_lam(v) has a nearly flat ridge."""
     dim = draw(st.sampled_from([2, 3]))
 
     def vec(lo, hi):
@@ -197,11 +195,11 @@ def _closed_form_cases(draw):
 
     c = vec(-1.0, 1.0)
     f = draw(st.sampled_from([
-        lambda: pc.ScaledNorm(draw(st.floats(2.0, 3.0)), c),
+        lambda: pc.ScaledNorm(draw(st.floats(1.0, 3.0)), c),
         lambda: pc.Quadratic(np.diag(vec(0.3, 2.0)), vec(-1.0, 1.0)),
         lambda: pc.IndicatorBall(c, draw(st.floats(0.3, 2.0))),
         lambda: pc.IndicatorBox(c - vec(0.1, 1.5), c + vec(0.1, 1.5)),
-        lambda: pc.Tilt(pc.ScaledNorm(draw(st.floats(2.5, 3.0)), c), vec(-0.4, 0.4)),
+        lambda: pc.Tilt(pc.ScaledNorm(draw(st.floats(1.0, 3.0)), c), vec(-0.4, 0.4)),
     ]))()
     return f, draw(st.floats(0.5, 2.0)), draw(st.integers(0, 2**31))
 
@@ -217,6 +215,31 @@ def test_envelope_conjugate_gap_within_certificate(case):
     assert rep.details["interior_queries"] > 0
     assert rep.details["certificate"] <= 2e-5
     assert rep.conclusion_residual <= rep.details["certificate"] + 1e-9
+
+
+@pytest.mark.parametrize("seed", [111, 242, 330, 379])
+def test_envelope_conjugate_ridge_within_certificate(seed):
+    # queries near the edge of dom f* (the unit ball): <q, v> - f_lam(v) has
+    # a nearly flat ridge there, where a local climb can stall short of the sup
+    grid = pc.SampleGrid([-15.0] * 2, [15.0] * 2, [21] * 2)
+    Q = battery_samples(2, seed + 1, 25, 1.5)
+    rep = pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0, grid, Q)
+    assert rep.details["interior_queries"] > 0
+    assert rep.conclusion_residual <= rep.details["certificate"] <= 2e-5
+
+
+def test_envelope_conjugate_rejects_wrong_query_width():
+    grid = pc.SampleGrid([-5.0] * 2, [5.0] * 2, [21] * 2)
+    with pytest.raises(DimensionMismatch):
+        pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0, grid,
+                                     np.zeros((4, 3)))
+
+
+def test_envelope_conjugate_rejects_nan_query():
+    grid = pc.SampleGrid([-5.0] * 2, [5.0] * 2, [21] * 2)
+    with pytest.raises(ValueError, match="finite"):
+        pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0, grid,
+                                     [[0.2, 0.1], [np.nan, 0.3]])
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +284,3 @@ def test_conjugate_many_memory_bounded_for_many_queries():
         v1, _, b1 = conjugate_argmax(table, q)
         assert v == pytest.approx(v1, rel=1e-14, abs=1e-14)
         assert b == b1
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_refine_stencil_tables_match_their_definition(dim):
-    stencil, shift = _stencil(dim)
-    assert all(a is b for a, b in zip(_stencil(dim), (stencil, shift)))  # built once
-    assert stencil.tolist() == [list(t) for t in itertools.product((-1, 0, 1), repeat=dim)]
-    code = {tuple(t): i for i, t in enumerate(stencil.tolist())}
-    for j, s in enumerate(stencil):
-        # after a move by s, point t of the new stencil is point t + s of the old
-        want = [code.get(tuple(t + s), -1) for t in stencil]
-        assert shift[j].tolist() == want

@@ -371,6 +371,8 @@ def test_determine_sharpness_example():
     assert rep.status == "precondition_violated"
     # 0 lies outside both domains, so both conjugates are unbounded below
     assert rep.details["inf_conj_f"] == rep.details["inf_conj_g"] == -np.inf
+    # a report that asserts nothing carries no witnesses and no residual
+    assert rep.witnesses == [] and rep.conclusion_residual == 0.0
 
 
 def test_determine_witness_prints_plain_floats():
