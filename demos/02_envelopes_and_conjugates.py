@@ -45,14 +45,14 @@ table = pc.tabulate(pc.Quadratic(np.eye(1)), pc.SampleGrid([-3.0], [3.0], [601])
 print("\ngrid conjugate of x^2/2 at q=1 (exact 0.5):", pc.numerical_conjugate(table, [1.0]))
 
 # The conjugate of an envelope splits into the conjugate plus a quadratic:
-# (f_lam)* = f* + (lam/2) ||.||^2. The checker takes the grid transform of
-# the tabulated envelope, refines each query by gradient ascent whose step
-# is the prox map itself, v <- prox_{lam f}(y) + lam q, and compares it
-# against that closed form. detail.certificate bounds what the ascent may
-# still miss, provided the maximizer lies inside the grid.
+# (f_lam)* = f* + (lam/2) ||.||^2. The checker tabulates nothing: it
+# maximizes <q, v> - f_lam(v) over the grid's box by ascent steps built from
+# the prox map itself, v <- prox_{t f}(v - lam q + t q) + lam q, and compares
+# the result against that closed form. detail.certificate bounds what the
+# ascent may still miss, provided the maximizer lies inside the box.
 rep = pc.verify_envelope_conjugate(
     norm, 1.0,
-    pc.SampleGrid([-5.0, -5.0], [5.0, 5.0], [201, 201]),
+    pc.SampleGrid([-5.0, -5.0], [5.0, 5.0], [2, 2]),
     np.array([[0.3, 0.1], [-0.5, 0.2], [0.7, -0.6]]),
 )
 print("\nenvelope-conjugate identity:", rep.status,

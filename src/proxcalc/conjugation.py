@@ -12,13 +12,9 @@ size (lattice rows x queries) and keeps the first index of each maximum;
 ``conjugate_many``, ``conjugate_argmax`` and ``numerical_conjugate`` (and
 with them ``conjugate --grid``) are views of its result.
 
-``verify_envelope_conjugate`` instead starts from each query's argmax on
-a coarse lattice and climbs <q, v> - f_lam(v) with the prox map itself:
-the gradient of f_lam is (v - prox_{lam f}(v))/lam, so an accelerated
-ascent step is v <- prox_{lam f}(y) + lam q. Its certificate, the gradient
-norm times the distance to the farthest corner of the lattice box, bounds
-the remaining gap by concavity when the maximizer lies in that box;
-``reports.sampled_verdict`` decides the status from the interior gaps.
+``verify_envelope_conjugate`` tabulates nothing: it climbs <q, v> - f_lam(v)
+from v = lam q inside a box by proximal-point steps, certifies the result by
+concavity (``_refine``), and ``reports.sampled_verdict`` decides the status.
 """
 
 from __future__ import annotations
@@ -26,15 +22,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import functions as fn
-from .errors import AllInfinite
-from .grids import SampleGrid, ValueTable, tabulate
+from .errors import AllInfinite, DimensionMismatch
+from .grids import SampleGrid, ValueTable
 from .reports import HYPOTHESIS_FAILS, CheckReport, sampled_verdict
 
 _BLOCK_ROWS = 200_000
 _BLOCK_ENTRIES = 5_000_000
-# ascent steps per query: a query just inside dom f* crawls along a nearly flat
-# ridge, which took over 5,000 steps on the battery lattice at lam = 0.5
-_MAX_STEPS = 20_000
+# ascent steps per query, and the prox parameters, in units of lam, each one tries
+_MAX_STEPS = 50
+_PROX_SCALES = 2.0 ** np.arange(0, 41, 10)
 
 
 def numerical_conjugate(table: ValueTable, query) -> float:
@@ -121,63 +117,66 @@ class TabulatedConjugate:
 
 def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
                               tol: float = 2e-3) -> CheckReport:
-    r"""Check (f_lam)*(q) = f*(q) + (lam/2)||q||^2 by certified conjugation.
+    r"""Check (f_lam)*(q) = f*(q) + (lam/2)||q||^2 over the box [grid.lo, grid.hi]:
+    the largest absolute gap over the interior queries, with the ascent's
+    bound as ``details["certificate"]``."""
+    return _envelope_conjugate(f, lam, grid.lo, grid.hi, queries, tol)
 
-    The left side refines each query's argmax on the tabulated envelope
-    (``_refine``); the right side evaluates the closed-form conjugate of f.
-    Reports the largest absolute gap over the interior queries, and the
-    refinement's bound as ``details["certificate"]``.
-    """
+
+def _envelope_conjugate(f, lam: float, lo: np.ndarray, hi: np.ndarray, queries,
+                        tol: float) -> CheckReport:
+    """``verify_envelope_conjugate`` over the box [lo, hi], in any dimension."""
     tol = fn.check_scalar("tol", tol, positive=False)
-    Q = as_queries(queries, grid.dim)
-    conj = fn.conjugate_closed_form(f)
-    env = fn.Envelope(f, lam)
-    table = tabulate(env, grid)
-    lhs, arg = _conjugate_kernel(table, Q)
-    boundary = grid.boundary_mask()[arg]
-    rhs = fn.evaluate_many(conj, Q) + 0.5 * lam * np.sum(Q * Q, axis=1)
-    # a boundary argmax means the sup is grid-truncated (including queries
-    # where the true conjugate is +inf); those are counted, not compared
-    interior = ~boundary & np.isfinite(rhs)
-    refined, certificate = _refine(env, grid, Q[interior], grid.points()[arg[interior]], tol)
-    lhs[interior] = np.maximum(lhs[interior], refined)  # both lower bounds
-    gaps = np.where(interior, np.abs(lhs - rhs), 0.0)
+    if f.dim != lo.size:
+        raise DimensionMismatch(f"function dim {f.dim} != box dim {lo.size}")
+    Q = as_queries(queries, lo.size)
+    rhs = fn.evaluate_many(fn.conjugate_closed_form(f), Q) + 0.5 * lam * np.sum(Q * Q, axis=1)
+    # outside dom f* the sup is +inf, and an ascent reaching the box boundary
+    # is box-truncated: such queries are counted, not compared
+    lhs, boundary, bound = _refine(fn.Envelope(f, lam), lo, hi, Q, tol, ~np.isfinite(rhs))
+    gaps = np.where(boundary, 0.0, np.abs(lhs - rhs))
     rep = sampled_verdict(f"envelope_conjugate(lam={lam})", Q, 0.0, 0.0, gaps, tol,
                           lambda i: f"gap={gaps[i]:.3e}",
                           {"queries": int(Q.shape[0]),
-                           "interior_queries": int(np.sum(interior)),
+                           "interior_queries": int(np.sum(~boundary)),
                            "boundary_argmax": int(np.sum(boundary)),
-                           "certificate": certificate})
-    if not np.any(interior):
+                           "certificate": float(np.max(bound[~boundary], initial=0.0))})
+    if np.all(boundary):
         rep.status = HYPOTHESIS_FAILS  # no query could be compared
     return rep
 
 
-def _refine(env: fn.Envelope, grid: SampleGrid, Q: np.ndarray, V: np.ndarray, tol: float):
-    r"""(phi(v), certificate) for phi(v) = <q, v> - env(v), q a row of Q, by
-    accelerated gradient ascent from the rows of V (overwritten).
+def _refine(env: fn.Envelope, lo, hi, Q: np.ndarray, tol: float, outside: np.ndarray):
+    r"""(phi(v), boundary flags, bounds) for phi(v) = <q, v> - env(v), q a row
+    of Q, by ascent from v = lam q in the box [lo, hi]; rows ``outside`` skip it.
 
-    By Moreau's identity grad phi(y) = q - (y - prox_{lam f}(y))/lam, and
-    phi is concave and (1/lam)-smooth, so the step v <- prox_{lam f}(y) + lam q
-    ascends from the extrapolated point y = v + k/(k+3) (v - v_prev)
-    (Nesterov 1983), with k reset to 0 when the gradient opposes the last
-    move (O'Donoghue and Candes 2015), and phi(v) >= phi(y). With the
-    maximizer v* in the lattice box, phi(v*) - phi(y) <= ||grad phi(y)||
-    ||v* - y||, so a query stops once ||grad phi(y)|| times the distance from
-    y to the farthest box corner is at most tol/100, or after _MAX_STEPS
-    steps; the certificate is the largest such bound.
+    sup phi is attained at x + lam q for any minimizer x of f - <q, .>, so a step
+    tries x <- prox_{t f}(x + t q), t = lam 2^k for k = 0, 10, .., 40, clipped to
+    the box, and keeps the best: t = lam moves v by lam G, G = grad phi(v) = q -
+    (v - prox_{lam f}(v))/lam, and the long steps cross flat ridges. The bound
+    ||G|| max ||corner - v|| exceeds phi(v*) - phi(v) by concavity for v* in the
+    box. A query stops at bound <= tol/100, when no step rises, at the box
+    boundary (flagged) or after _MAX_STEPS steps.
     """
-    prev, k, bound = V.copy(), np.zeros(len(Q)), np.zeros(len(Q))
-    act = np.arange(len(Q))
+    lam = env.lam
+    V = np.clip(lam * Q, lo, hi)
+    phi = np.sum(Q * V, axis=1) - fn.evaluate_many(env, V)
+    bound = np.full(len(Q), np.inf)
+    act = np.flatnonzero(~outside)
     for _ in range(_MAX_STEPS):
+        act = act[~np.any((V[act] == lo) | (V[act] == hi), axis=1)]
         if act.size == 0:
             break
-        Y = V[act] + (k[act] / (k[act] + 3))[:, None] * (V[act] - prev[act])
-        P = env.f.prox_many(env.lam, Y)
-        G = Q[act] - (Y - P) / env.lam
-        far = np.maximum(Y - grid.lo, grid.hi - Y)
-        bound[act] = np.sqrt(fn.sq_norms(G) * fn.sq_norms(far))
-        prev[act], V[act] = V[act], P + env.lam * Q[act]
-        k[act] = np.where(np.sum(G * (V[act] - prev[act]), axis=1) < 0, 0, k[act] + 1)
-        act = act[bound[act] > tol / 100]
-    return np.sum(Q * V, axis=1) - fn.evaluate_many(env, V), float(np.max(bound, initial=0.0))
+        P = env.f.prox_many(lam, V[act])
+        G = Q[act] - (V[act] - P) / lam
+        bound[act] = np.sqrt(fn.sq_norms(G) * fn.sq_norms(np.maximum(V[act] - lo, hi - V[act])))
+        X, q = V[act] - lam * Q[act], Q[act]
+        C = np.stack([P] + [env.f.prox_many(t, X + t * q) for t in lam * _PROX_SCALES[1:]], 1)
+        C = np.clip(C + lam * q[:, None, :], lo, hi)
+        scores = (np.sum(C * q[:, None, :], axis=2)
+                  - fn.evaluate_many(env, C.reshape(-1, Q.shape[1])).reshape(C.shape[:2]))
+        best = np.argmax(scores, axis=1)
+        go = (scores[np.arange(act.size), best] > phi[act]) & (bound[act] > tol / 100)
+        act, C, best = act[go], C[go], best[go]
+        V[act], phi[act] = C[np.arange(act.size), best], np.max(scores[go], axis=1)
+    return phi, outside | np.any((V == lo) | (V == hi), axis=1), bound

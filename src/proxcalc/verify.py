@@ -41,8 +41,7 @@ from . import engine
 from . import functions as fn
 from .determination import _constant_gaps, determine_from_norm
 from .errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
-from .grids import SampleGrid
-from .conjugation import verify_envelope_conjugate
+from .conjugation import _envelope_conjugate
 from .reports import (
     CheckReport,
     COUNTEREXAMPLE,
@@ -477,16 +476,16 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
     rep.name = "equivalences(f,g)"
     reports.append(rep)
 
+    hi = np.full(f.dim, 5.0 * radius / 2)
     for tag, h in (("f", f), ("g", g)):
         reports.append(_decomposition_report(h, X, tag))
         reports.append(_envelope_gradient_report(h, X, tag))
-        if h.dim <= 3:
-            grid = SampleGrid([-5.0 * radius / 2] * h.dim, [5.0 * radius / 2] * h.dim,
-                              [{1: 101, 2: 21, 3: 21}[h.dim]] * h.dim)
-            queries = battery_samples(h.dim, seed + 1, 25, radius / 4)
-            rep = verify_envelope_conjugate(h, 1.0, grid, queries, tol=TOL_GRID)
-            rep.name = f"envelope_conjugate({tag})"
-            reports.append(rep)
+        # envelope gradients x - prox_h(x) lie in dom h*, even on a ray; the sup is at x
+        queries = np.vstack([battery_samples(h.dim, seed + 1, 25, radius / 4),
+                             X[:25] - engine.prox_rows(h, 1.0, X[:25])[0]])
+        rep = _envelope_conjugate(h, 1.0, -hi, hi, queries, TOL_GRID)
+        rep.name = f"envelope_conjugate({tag})"
+        reports.append(rep)
 
     if ell is not None:
         Y = battery_samples(f.dim, seed + 2, 12, radius / 2)

@@ -207,7 +207,7 @@ def _closed_form_cases(draw):
 @settings(max_examples=50, deadline=None)
 @given(_closed_form_cases())
 def test_envelope_conjugate_gap_within_certificate(case):
-    # the battery's lattice: 21^d points over +-2.5 radius, radius 6
+    # the battery's box, +-2.5 radius with radius 6; the grid's counts go unused
     f, lam, seed = case
     grid = pc.SampleGrid([-15.0] * f.dim, [15.0] * f.dim, [21] * f.dim)
     Q = pc.Lcg(seed).points_in_ball(25, f.dim, 1.5)
@@ -225,7 +225,58 @@ def test_envelope_conjugate_ridge_within_certificate(seed):
     Q = battery_samples(2, seed + 1, 25, 1.5)
     rep = pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0, grid, Q)
     assert rep.details["interior_queries"] > 0
-    assert rep.conclusion_residual <= rep.details["certificate"] <= 2e-5
+    # the certificate bounds the ascent's shortfall, which is 0 where the
+    # gradient vanishes exactly; rounding of the two sides is not part of it
+    assert rep.conclusion_residual <= rep.details["certificate"] + 1e-12
+    assert rep.details["certificate"] <= 2e-5
+
+
+def test_envelope_conjugate_crosses_the_ridge_in_few_steps(monkeypatch):
+    # a query just inside dom f* (the unit ball) at lam = 0.5: the objective
+    # rises by about 1e-6 per unit along the ray, where a fixed-step ascent
+    # from a point a few units out took 5,092 steps
+    calls = [0]
+    prox_many = pc.ScaledNorm.prox_many
+
+    def counted(self, lam, X):
+        calls[0] += 1
+        return prox_many(self, lam, X)
+
+    monkeypatch.setattr(pc.ScaledNorm, "prox_many", counted)
+    grid = pc.SampleGrid([-15.0] * 2, [15.0] * 2, [21] * 2)
+    q = (1 - 1e-6) * np.array([1.0, 1.0]) / np.sqrt(2)
+    rep = pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), 0.5, grid, q)
+    assert rep.status == "verified" and rep.details["interior_queries"] == 1
+    assert calls[0] <= 50
+
+
+_TILT_DIRECTIONS = np.array([[0.7, 0.1, -0.7], [0.0, 1.0, 0.0], [-0.6, 0.0, 0.8]])
+
+
+@pytest.mark.parametrize("f, lam, Q", [
+    # the maximizer sits on box faces in several axes: steps along the
+    # gradient alone zigzag across one axis and crawl along another
+    (pc.IndicatorBox([-0.24, -0.6, -0.04], [1.18, 0.44, 1.55]), 0.67,
+     [[1.22, 0.085, 0.018], [0.9, -0.3, 0.05], [1.3, 0.2, 0.6]]),
+    # queries 1e-6 inside the edge of dom f* = {|q + a| <= 1.4}, off the
+    # line through the center: a nearly flat ridge that is not straight ahead
+    (pc.Tilt(pc.ScaledNorm(1.4, [-0.73, -0.4, 0.61]), [0.3, 0.03, 0.12]), 1.36,
+     (1 - 1e-6) * 1.4 * _TILT_DIRECTIONS / np.linalg.norm(_TILT_DIRECTIONS, axis=1)[:, None]
+     - [0.3, 0.03, 0.12]),
+], ids=["box_faces", "tilted_norm_edge"])
+def test_envelope_conjugate_certified_off_the_start_ray(f, lam, Q):
+    grid = pc.SampleGrid([-15.0] * 3, [15.0] * 3, [21] * 3)
+    rep = pc.verify_envelope_conjugate(f, lam, grid, Q)
+    assert rep.status == "verified"
+    assert rep.details["interior_queries"] == 3
+    assert rep.details["certificate"] <= 2e-5
+
+
+def test_envelope_conjugate_rejects_function_of_other_dimension():
+    grid = pc.SampleGrid([-5.0] * 2, [5.0] * 2, [21] * 2)
+    with pytest.raises(DimensionMismatch):
+        pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0, 0.0]), 1.0, grid,
+                                     np.zeros((4, 2)))
 
 
 def test_envelope_conjugate_rejects_wrong_query_width():
