@@ -39,11 +39,7 @@ from .functions import (
     prox_closed_form,
     subdifferential,
 )
-from .conjugation import (
-    conjugate_argmax,
-    numerical_conjugate,
-    verify_envelope_conjugate,
-)
+from .conjugation import conjugate_argmax, numerical_conjugate, verify_envelope_conjugate
 from .determination import (
     ProxOracle,
     ReconstructionReport,

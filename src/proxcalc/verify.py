@@ -478,11 +478,10 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
 
     hi = np.full(f.dim, 5.0 * radius / 2)
     for tag, h in (("f", f), ("g", g)):
-        reports.append(_decomposition_report(h, X, tag))
-        reports.append(_envelope_gradient_report(h, X, tag))
+        reports += [_decomposition_report(h, X, tag), _envelope_gradient_report(h, X, tag)]
         # envelope gradients x - prox_h(x) lie in dom h*, even on a ray; the sup is at x
         queries = np.vstack([battery_samples(h.dim, seed + 1, 25, radius / 4),
-                             X[:25] - engine.prox_rows(h, 1.0, X[:25])[0]])
+                             X[:25] - h.prox_many(1.0, X[:25])])
         rep = _envelope_conjugate(h, 1.0, -hi, hi, queries, TOL_GRID)
         rep.name = f"envelope_conjugate({tag})"
         reports.append(rep)

@@ -214,7 +214,7 @@ def test_envelope_conjugate_gap_within_certificate(case):
     rep = pc.verify_envelope_conjugate(f, lam, grid, Q, tol=2e-3)
     assert rep.details["interior_queries"] > 0
     assert rep.details["certificate"] <= 2e-5
-    assert rep.conclusion_residual <= rep.details["certificate"] + 1e-9
+    assert rep.conclusion_residual <= rep.details["certificate"]
 
 
 @pytest.mark.parametrize("seed", [111, 242, 330, 379])
@@ -225,10 +225,37 @@ def test_envelope_conjugate_ridge_within_certificate(seed):
     Q = battery_samples(2, seed + 1, 25, 1.5)
     rep = pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0, grid, Q)
     assert rep.details["interior_queries"] > 0
-    # the certificate bounds the ascent's shortfall, which is 0 where the
-    # gradient vanishes exactly; rounding of the two sides is not part of it
-    assert rep.conclusion_residual <= rep.details["certificate"] + 1e-12
-    assert rep.details["certificate"] <= 2e-5
+    assert rep.conclusion_residual <= rep.details["certificate"] <= 2e-5
+
+
+def test_envelope_conjugate_certificate_covers_rounding():
+    # q = x - proj(x) for x just inside the ball is one ulp: prox_{lam f}(lam q)
+    # rounds at the center's scale, so the computed gradient at the start is
+    # exactly 0 while the sup lies 2.5e-17 above phi(lam q)
+    ball = pc.IndicatorBall([0.15390625, -0.28424178, -0.77733482], 1.1687421883739797)
+    grid = pc.SampleGrid([-15.0] * 3, [15.0] * 3, [21] * 3)
+    rep = pc.verify_envelope_conjugate(ball, 0.5914586832126776, grid,
+                                       [[0.0, 2.7755575615628914e-17, 0.0]])
+    assert rep.details["interior_queries"] == 1
+    assert 0.0 < rep.conclusion_residual <= rep.details["certificate"] <= 1e-10
+
+
+class _ConjugateTooLow(pc.Quadratic):
+    """1/2 ||x||^2 with a closed-form conjugate 10 below the true one."""
+
+    def conjugate(self):
+        return pc.AddConst(super().conjugate(), -10.0)
+
+
+def test_envelope_conjugate_boundary_query_above_claimed_sup():
+    # f = x^2/2 at lam = 1: (f_lam)*(2) = 4 is attained at v = 4, outside the
+    # box [-2.5, 2.5]; the ascent is clipped to 2.5, where phi = 3.4375 already
+    # exceeds the claimed 4 - 10, a gap no box truncation can excuse
+    grid = pc.SampleGrid([-2.5], [2.5], [2])
+    rep = pc.verify_envelope_conjugate(_ConjugateTooLow(np.eye(1)), 1.0, grid, [[2.0]])
+    assert rep.details["boundary_argmax"] == 1
+    assert rep.status == "counterexample"
+    assert rep.conclusion_residual == pytest.approx(3.4375 + 6.0)
 
 
 def test_envelope_conjugate_crosses_the_ridge_in_few_steps(monkeypatch):
