@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--oracle-table", help="CSV of input,output point pairs")
     p.add_argument("--anchor", required=True, help="anchor point x0 (in dom f)")
     p.add_argument("--f-at-anchor", type=float, default=None)
-    p.add_argument("--grid", required=True, help="potential-tabulation lattice")
+    p.add_argument("--grid", required=True, help="box the maximizers are sought in")
     p.add_argument("--queries", required=True, help="CSV of query points")
     p.add_argument("--out", default=None)
 
@@ -177,7 +177,7 @@ def run(argv=None) -> int:
                  f"# pinned_constant={fmt_float(report.pinned_constant)}",
                  f"# monotonicity_residual={fmt_float(report.monotonicity_residual)}",
                  f"# gradient_symmetry_residual={fmt_float(report.gradient_symmetry_residual)}",
-                 f"# lattice_path_gap={fmt_float(report.details['lattice_path_gap'])}",
+                 f"# certificate={fmt_float(report.details['certificate'])}",
                  f"# boundary_argmax_warnings={report.boundary_argmax_warnings}",
                  f"# pin_min_on_boundary={report.pin_min_on_boundary}"]
         for q, v in report.recovered:

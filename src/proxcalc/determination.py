@@ -1,26 +1,27 @@
 r"""Recovery of a convex function, up to a constant, from its prox map.
 
 Given oracle access to prox_f and an anchor x0 in dom f, the pipeline
-rebuilds f by four steps:
+rebuilds f at each query q, with z = q - x0, by four steps:
 
-1. gradient field: G(x) = prox_f(x + x0) - x0 is the gradient of the
-   potential u = (f* - <x0, .>)_1, a C^{1,1} convex function bounded below;
-2. line integration: one oracle batch gives G on the lattice; the
-   cumulative trapezoid of G_i along each axis i, anchored at the lattice
-   point b nearest the origin, composes into staircase paths from b, and
-   the tables of all d! axis orders are averaged; one batched Simpson
-   ray from 0 to b (when b != 0) makes the table u(x) - u(0);
-3. constant pinning: inf u = -f(x0), so knowing f(x0) fixes the table
-   absolutely (otherwise the output is declared "up to a constant");
-4. conjugate back: u*(x) = f(x + x0) + ||x||^2 / 2, evaluated by grid
-   conjugation, so f(q) = u*(q - x0) - ||q - x0||^2 / 2.
+1. gradient field: G(y) = prox_f(y + x0) - x0 is the gradient of the
+   potential u = (f* - <x0, .>)_1, a C^{1,1} convex function bounded below
+   whose conjugate is u*(z) = f(z + x0) + ||z||^2 / 2;
+2. ascent: <z, y> - u(y) is concave with gradient z - G(y), so a batched,
+   Anderson-accelerated ascent inside the box of ``tilde_grid`` finds its
+   maximizer y at one oracle row per step (``_ascend``);
+3. line integration: u(y) - u(0) is a Simpson integral of G along the
+   segment from 0 to y, every end point in one oracle batch;
+4. constant pinning: inf u = -f(x0), reached by the ascent from z = 0, so
+   knowing f(x0) fixes u absolutely (otherwise u(0) = 0 and the output is
+   declared "up to a constant"); then f(q) = <z, y> - u(y) - ||z||^2 / 2.
 
-Before integrating, the field is vetted in two oracle batches:
+Before the ascent, the field is vetted in three oracle batches:
 monotonicity and firm nonexpansiveness on sampled pairs, and discrete
 cross-partial symmetry at sampled probes. A field that fails these is not
 the prox of any proper convex l.s.c. function and reconstruction aborts.
-The spread between the axis-order tables, a discrete curl over the whole
-lattice, is reported as ``lattice_path_gap``.
+The largest bound on an ascent's shortfall over the queries that ended
+inside the box, plus that of the z = 0 row, is reported as
+``certificate``; an ascent ending on the box boundary gives a lower bound.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functions as fn
-from .conjugation import as_queries, conjugate_many
+from .conjugation import as_queries
 from .errors import (
     AnchorOutsideDomain,
     DimensionMismatch,
@@ -48,6 +49,9 @@ SYMMETRY_TOL = 1e-3
 PATH_TOL = 1e-4
 MAX_PANELS = 1024
 RAY_PANELS = 64
+# an ascent row stops once its shortfall bound is this small, or after so many steps
+_CERTIFIED = 1e-8
+_MAX_STEPS = 100
 
 
 class ProxOracle:
@@ -263,6 +267,7 @@ def check_path_independence(oracle: ProxOracle, x0, probes: np.ndarray,
         panels *= 2
 
 
+# Unused by the library; perfbench/tracer.py binds integrate_tilde until ROADMAP item 4.
 def _lattice_path_integrals(oracle: ProxOracle, x0: np.ndarray,
                             grid: SampleGrid):
     """u(x) - u(b) on every lattice point x, b the lattice point nearest 0.
@@ -311,8 +316,8 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid, *,
     Returns (ValueTable, diagnostics dict).
     """
     x0 = fn.as_point(x0, oracle.dim)
-    if grid.dim != oracle.dim:
-        raise DimensionMismatch("grid does not match the oracle dimension")
+    if not grid.dim == oracle.dim <= 3:  # d! axis orders
+        raise DimensionMismatch("grid must match the oracle dimension, at most 3")
     mono, firm, sym = validate_field(
         oracle, x0, radius=float(np.max(np.abs(grid.hi - grid.lo))) / 2.0
     )
@@ -342,24 +347,61 @@ def integrate_tilde(oracle: ProxOracle, x0, grid: SampleGrid, *,
 
 def reconstruct(task: ReconstructionTask) -> ReconstructionReport:
     """Run the full pipeline and evaluate the recovered function at the queries."""
-    table, diag = integrate_tilde(task.oracle, task.x0, task.tilde_grid,
-                                  f_at_x0=task.f_at_x0)
-    Z = task.query_points - task.x0
-    vals, boundary = conjugate_many(table, Z)
-    rec = vals - 0.5 * np.sum(Z * Z, axis=1)
-    convention = "absolute" if task.f_at_x0 is not None else "up to additive constant"
+    oracle, x0, lo, hi = task.oracle, task.x0, task.tilde_grid.lo, task.tilde_grid.hi
+    mono, firm, sym = validate_field(oracle, x0, radius=float(np.max(np.abs(hi - lo))) / 2.0)
+    Z, pin, n = task.query_points - x0, task.f_at_x0 is not None, len(task.query_points)
+    # with f(x0) known, one more row z = 0 climbs to the minimizer of u, where u = -f(x0)
+    Y, bound = _ascend(oracle, x0, np.vstack([Z, np.zeros((int(pin), Z.shape[1]))]), lo, hi)
+    u = _ray_integrals(oracle, x0, Y, RAY_PANELS)  # u(y) - u(0)
+    pinned = -float(task.f_at_x0) - float(u[n]) if pin else 0.0
+    rec = np.sum(Z * Y[:n], axis=1) - (u[:n] + pinned) - 0.5 * np.sum(Z * Z, axis=1)
+    boundary = np.any((Y == lo) | (Y == hi), axis=1)
     return ReconstructionReport(
         recovered=[(q.copy(), float(v)) for q, v in zip(task.query_points, rec)],
-        pinned_constant=diag["pinned_constant"],
-        gradient_symmetry_residual=diag["gradient_symmetry_residual"],
-        monotonicity_residual=diag["monotonicity_residual"],
-        boundary_argmax_warnings=int(np.sum(boundary)),
-        convention=convention,
-        pin_min_on_boundary=diag["pin_min_on_boundary"],
-        details={"oracle_calls": task.oracle.call_count,
-                 "firm_residual": diag["firm_residual"],
-                 "lattice_path_gap": diag["lattice_path_gap"]},
+        pinned_constant=pinned,
+        gradient_symmetry_residual=sym,
+        monotonicity_residual=mono,
+        boundary_argmax_warnings=int(np.sum(boundary[:n])),
+        convention="absolute" if pin else "up to additive constant",
+        pin_min_on_boundary=bool(pin and boundary[n]),
+        details={"oracle_calls": oracle.call_count,
+                 "firm_residual": firm,
+                 "certificate": float(np.max(bound[:n][~boundary[:n]], initial=0.0)
+                                      + np.sum(bound[n:]))},
     )
+
+
+def _ascend(oracle: ProxOracle, x0: np.ndarray, Z: np.ndarray, lo, hi):
+    r"""(end points y, bounds) of the ascent on <z, y> - u(y), z a row of Z,
+    G = grad u, over the box [lo, hi], from y = clip(z, lo, hi).
+
+    A step follows F = z - G(y) with one Anderson secant, F - gamma (dY + dF)
+    for gamma = max(<F, dF> / ||dF||^2, -5) (dY, dF the last changes), or
+    doubles the last step where G did not change (a flat piece of the prox),
+    then takes plain F, not a secant across the kink; it is clipped to the
+    box and queries the oracle once on the active rows. By concavity
+    ||F|| max ||corner - y|| bounds the shortfall if the maximizer is in the
+    box. A row stops at bound <= _CERTIFIED, when its clipped step leaves it
+    where it was, or after _MAX_STEPS steps.
+    """
+    Y, bound, act = np.clip(Z, lo, hi), np.full(len(Z), np.inf), np.arange(len(Z))
+    z, y, F, dY, doubled = Z, Y, np.zeros_like(Y), np.zeros_like(Y), np.zeros(len(Z), bool)
+    for k in range(_MAX_STEPS):
+        Fk = z - _field_many(oracle, x0, y)
+        b = np.sqrt(fn.sq_norms(Fk) * fn.sq_norms(np.maximum(y - lo, hi - y)))
+        dF = Fk - F
+        flat = ~np.any(dF, axis=1)
+        gamma = np.sum(Fk * dF, axis=1) / np.where(flat, 1.0, fn.sq_norms(dF))
+        gamma = np.where(doubled, 0.0, np.maximum(gamma, -5.0))
+        step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
+        new = np.clip(y + (step if k else Fk), lo, hi)
+        go = (b > _CERTIFIED) & np.any(new != y, axis=1) & (k + 1 < _MAX_STEPS)
+        Y[act[~go]], bound[act[~go]] = y[~go], b[~go]
+        if not go.any():
+            break
+        act, z, y, new, Fk, flat = (a[go] for a in (act, z, y, new, Fk, flat))
+        F, dY, y, doubled = Fk, new - y, new, flat
+    return Y, bound
 
 
 def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,

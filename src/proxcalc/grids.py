@@ -7,7 +7,6 @@ import numpy as np
 from . import functions as fn
 from .errors import DimensionMismatch
 
-GRID_MAX_DIM = 3
 GRID_MAX_POINTS = 10**6
 
 
@@ -20,8 +19,7 @@ class SampleGrid:
         self.counts = np.atleast_1d(np.asarray(counts, dtype=int))
         if self.counts.size != self.lo.size:
             raise DimensionMismatch("counts must match the number of axes")
-        if not (1 <= self.lo.size <= GRID_MAX_DIM):
-            raise DimensionMismatch(f"grid dimension must be 1..{GRID_MAX_DIM}")
+        fn._capped_dim(self.lo.size)
         if np.any(self.lo >= self.hi):
             raise ValueError("grid needs lo < hi componentwise")
         if np.any(self.counts < 2):

@@ -198,6 +198,6 @@ def _normalize(s: SubdiffSet, tol: float) -> SubdiffSet:
 
 
 def _bounds_close(u, v, tol):
-    both_inf = np.isinf(u) & np.isinf(v) & (np.sign(u) == np.sign(v))
-    finite_close = np.isfinite(u) & np.isfinite(v) & (np.abs(u - v) <= tol)
-    return np.all(both_inf | finite_close)
+    finite = np.isfinite(u) & np.isfinite(v)  # infinite bounds match only exactly
+    gaps = np.abs(np.where(finite, u, 0.0) - np.where(finite, v, 0.0))
+    return np.all(np.where(finite, gaps <= tol, u == v))

@@ -348,6 +348,20 @@ def test_verify_all_with_thin_domain_conjugates(tmp_path, capsys, f, g):
     assert elapsed < 1.0
 
 
+def test_verify_all_box_indicator_self_pair_warns_nothing(tmp_path, capsys):
+    # the box subdifferential at a corner has infinite bounds on both sides;
+    # comparing them subtracted inf from inf
+    spec = write_spec(tmp_path, "box.json",
+                      {"atom": "indicator_box", "lo": [-1.0, -1.0], "hi": [0.5, 0.5]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["verify-all", "--f", spec, "--g", spec,
+                                  "--anchor", "0,0", "--seed", "3"], capsys)
+    assert code == 0
+    assert _statuses(out)["equivalences(f,g)"] == "verified"
+    assert err == ""
+
+
 @pytest.mark.parametrize("command, option, value, message", [
     ("verify-all", "--ell", "nan", "ell must be finite and >= 0"),
     ("verify-all", "--tol", "nan", "tol must be finite and > 0"),

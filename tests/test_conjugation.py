@@ -37,8 +37,10 @@ def test_tabulate_dimension_mismatch():
 
 
 def test_grid_caps():
+    # dimensions 1..16 as for functions; the point cap bounds every tabulation
     with pytest.raises(DimensionMismatch):
-        pc.SampleGrid([-1.0] * 4, [1.0] * 4, [3] * 4)
+        pc.SampleGrid([-1.0] * 17, [1.0] * 17, [2] * 17)
+    assert pc.SampleGrid([-1.0] * 16, [1.0] * 16, [2] * 16).dim == 16
     with pytest.raises(ValueError):
         pc.SampleGrid([-1.0, -1.0], [1.0, 1.0], [1001, 1001])
 
@@ -238,6 +240,16 @@ def test_envelope_conjugate_certificate_covers_rounding():
                                        [[0.0, 2.7755575615628914e-17, 0.0]])
     assert rep.details["interior_queries"] == 1
     assert 0.0 < rep.conclusion_residual <= rep.details["certificate"] <= 1e-10
+
+
+def test_envelope_conjugate_16d_grid_argument():
+    # a library caller passes a 16-D grid; only its box is read. The queries
+    # lie inside the unit ball, dom f* of the norm
+    grid = pc.SampleGrid([-15.0] * 16, [15.0] * 16, [2] * 16)
+    Q = battery_samples(16, 7, 25, 0.9)
+    rep = pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, np.zeros(16)), 1.0, grid, Q)
+    assert rep.status == "verified"
+    assert rep.details["interior_queries"] > 0
 
 
 class _ConjugateTooLow(pc.Quadratic):

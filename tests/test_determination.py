@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcalc as pc
+from proxcalc import conjugation
 from proxcalc.determination import (
     _constant_gaps,
     _ray_integrals,
@@ -242,17 +243,18 @@ def _tilted_norm_rebuild_241(oracle):
         oracle, [0.0, 0.0], grid, queries, f_at_x0=0.0))
 
 
-def test_reconstruct_2d_queries_each_lattice_point_about_once():
-    # the lattice once, plus 128 rows of field validation (0 is on the lattice)
+def test_reconstruct_2d_queries_few_oracle_rows():
+    # 128 validation rows, 129 ray rows per query and for the pin, and one row
+    # per active query per ascent step; a 241^2 lattice alone was 58,081
     f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
-    grid, rep = _tilted_norm_rebuild_241(pc.ProxOracle.from_function(f))
-    assert rep.details["oracle_calls"] <= grid.size + 300
+    _, rep = _tilted_norm_rebuild_241(pc.ProxOracle.from_function(f))
+    assert rep.details["oracle_calls"] <= 5000
     for q, v in rep.recovered:
-        assert v == pytest.approx(pc.evaluate(f, q), abs=2e-3)
+        assert v == pytest.approx(pc.evaluate(f, q), abs=1e-4)
 
 
 def test_reconstruct_2d_makes_few_oracle_batches():
-    # two validation pairs batches, one symmetry batch, one lattice batch
+    # three validation batches, one per ascent step, one for the ray integrals
     f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
     batches = []
 
@@ -261,8 +263,78 @@ def test_reconstruct_2d_makes_few_oracle_batches():
         return f.prox_many(1.0, X)
 
     _, rep = _tilted_norm_rebuild_241(pc.ProxOracle(None, 2, many))
-    assert len(batches) <= 5
+    assert len(batches) <= 3 + 100 + 1
     assert sum(batches) == rep.details["oracle_calls"]
+
+
+def test_reconstruct_builds_no_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reconstruct built or scored a lattice")
+
+    monkeypatch.setattr(pc.SampleGrid, "points", refuse)
+    monkeypatch.setattr(conjugation, "_conjugate_kernel", refuse)
+    f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
+    _, rep = _tilted_norm_rebuild_241(pc.ProxOracle.from_function(f))
+    assert rep.details["certificate"] <= 1e-6
+
+
+def test_reconstruct_near_the_kink():
+    # the inversion of the prox stalls next to the kink of the tilted norm; the
+    # ascent still stops with a value close to f and a finite certificate
+    f = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [-0.3, 0.2])
+    q = 1e-3 * np.array([0.6, -0.8])
+    grid = pc.SampleGrid([-6.0, -6.0], [6.0, 6.0], [241, 241])
+    rep = pc.reconstruct(pc.ReconstructionTask(
+        pc.ProxOracle.from_function(f), [0.0, 0.0], grid, [q], f_at_x0=0.0))
+    assert rep.recovered[0][1] == pytest.approx(pc.evaluate(f, q), abs=1e-4)
+    assert np.isfinite(rep.details["certificate"])
+    assert rep.boundary_argmax_warnings == 0
+
+
+def test_ascent_takes_no_secant_across_a_kink():
+    # the prox of 1.5||.|| is 0 on the ball of radius 1.5; a secant from that
+    # flat piece across its edge flung this query to the box edge, and it took
+    # 11 ascent batches; the plain step after the doubling keeps it inside
+    f = pc.ScaledNorm(1.5, [0.0, 0.0])
+    batches = []
+
+    def many(X):
+        batches.append(X.copy())
+        return f.prox_many(1.0, X)
+
+    oracle = pc.ProxOracle(lambda x: many(x[None])[0], 2, many)
+    grid = pc.SampleGrid([-6.0, -6.0], [6.0, 6.0], [2, 2])
+    rep = pc.reconstruct(pc.ReconstructionTask(
+        oracle, [0.0, 0.0], grid, [[0.75395987, -0.14419177]], f_at_x0=0.0))
+    ascent = [X for X in batches if len(X) <= 2]  # query and pin rows
+    assert len(ascent) <= 6
+    assert np.all(np.abs(np.vstack(ascent)) < 6.0)
+    assert rep.recovered[0][1] == pytest.approx(1.5 * np.hypot(0.75395987, 0.14419177), abs=1e-4)
+
+
+@pytest.mark.parametrize("name", ["norm", "tilted norm", "huber"])
+def test_reconstruct_16d_round_trip(name):
+    # a two-point grid is only the box the maximizers are sought in
+    z = np.zeros(16)
+    f = {"norm": pc.ScaledNorm(1.0, z),
+         "tilted norm": pc.Tilt(pc.ScaledNorm(1.0, z), np.linspace(-0.3, 0.2, 16)),
+         "huber": pc.Envelope(pc.ScaledNorm(1.0, z), 1.0)}[name]
+    grid = pc.SampleGrid([-6.0] * 16, [6.0] * 16, [2] * 16)
+    queries = battery_samples(16, 29, 22, 1.2)
+    rep = pc.reconstruct(pc.ReconstructionTask(
+        pc.ProxOracle.from_function(f), z, grid, queries, f_at_x0=0.0))
+    assert rep.boundary_argmax_warnings == 0 and not rep.pin_min_on_boundary
+    for q, v in rep.recovered:
+        assert v == pytest.approx(pc.evaluate(f, q), abs=2e-3)
+
+
+def test_integrate_tilde_rejects_4d():
+    # d! axis orders: 16! is about 2.1e13 tables
+    oracle = pc.ProxOracle.from_function(pc.ScaledNorm(1.0, np.zeros(4)))
+    grid = pc.SampleGrid([-1.0] * 4, [1.0] * 4, [3] * 4)
+    with pytest.raises(DimensionMismatch):
+        pc.integrate_tilde(oracle, np.zeros(4), grid)
+    assert oracle.call_count == 0
 
 
 def test_reconstruct_origin_off_lattice():
