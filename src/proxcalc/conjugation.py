@@ -120,25 +120,20 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
                               tol: float = 2e-3) -> CheckReport:
     r"""Check (f_lam)*(q) = f*(q) + (lam/2)||q||^2 over the box [grid.lo, grid.hi]:
     the largest gap (one-sided where the ascent touched the box boundary), with
-    a bound on it, shortfall plus rounding, as ``details["certificate"]``."""
-    return _envelope_conjugate(f, lam, grid.lo, grid.hi, queries, tol)
-
-
-def _envelope_conjugate(f, lam: float, lo: np.ndarray, hi: np.ndarray, queries,
-                        tol: float) -> CheckReport:
-    """``verify_envelope_conjugate`` over the box [lo, hi], in any dimension."""
+    a bound on it, shortfall plus rounding, as ``details["certificate"]``. Only
+    the box is read: a grid of 2 points per axis serves in any dimension."""
     tol = fn.check_scalar("tol", tol, positive=False)
-    if f.dim != lo.size:
-        raise DimensionMismatch(f"function dim {f.dim} != box dim {lo.size}")
-    Q = as_queries(queries, lo.size)
-    rhs = fn.evaluate_many(fn.conjugate_closed_form(f), Q) + 0.5 * lam * np.sum(Q * Q, axis=1)
+    if f.dim != grid.dim:
+        raise DimensionMismatch(f"function dim {f.dim} != box dim {grid.dim}")
+    Q = as_queries(queries, grid.dim)
+    rhs = fn.evaluate_many(fn.conjugate_closed_form(f), Q) + 0.5 * lam * fn.sq_norms(Q)
     finite = np.isfinite(rhs)  # outside dom f* the sup is +inf: no ascent
-    lhs, V, bound = _refine(fn.Envelope(f, lam), lo, hi, Q, tol, ~finite)
+    lhs, V, bound = _refine(fn.Envelope(f, lam), grid.lo, grid.hi, Q, tol, ~finite)
     # phi(v) <= (f_lam)*(q) anywhere: where the box may cut the ascent short, only lhs > rhs counts
-    boundary = ~finite | np.any((V == lo) | (V == hi), axis=1)
+    boundary = ~finite | np.any((V == grid.lo) | (V == grid.hi), axis=1)
     gaps = np.where(boundary, np.maximum(lhs - rhs, 0.0), np.abs(lhs - rhs))
     # a gap is at most the ascent's shortfall plus the rounding of both sides
-    qv = np.sum(Q * V, axis=1)
+    qv = fn.dots(Q, V)
     bound = np.where(boundary, 0.0, bound) + _ROUNDING * np.abs([qv, qv - lhs, rhs]).sum(axis=0)
     rep = sampled_verdict(f"envelope_conjugate(lam={lam})", Q, 0.0, 0.0, gaps, tol,
                           lambda i: f"gap={gaps[i]:.3e}",
@@ -165,7 +160,7 @@ def _refine(env: fn.Envelope, lo, hi, Q: np.ndarray, tol: float, outside: np.nda
     """
     lam = env.lam
     V = np.clip(lam * Q, lo, hi)
-    phi = np.sum(Q * V, axis=1) - fn.evaluate_many(env, V)
+    phi = fn.dots(Q, V) - fn.evaluate_many(env, V)
     bound = np.full(len(Q), np.inf)
     span = np.maximum(np.abs(lo), np.abs(hi))  # the prox map rounds at this scale
     act = np.flatnonzero(~outside)
@@ -180,7 +175,7 @@ def _refine(env: fn.Envelope, lo, hi, Q: np.ndarray, tol: float, outside: np.nda
         X = V[act] - lam * q
         C = np.stack([P] + [env.f.prox_many(t, X + t * q) for t in lam * _PROX_SCALES[1:]], 1)
         C = np.clip(C + lam * q[:, None, :], lo, hi)
-        scores = (np.sum(C * q[:, None, :], axis=2)
+        scores = (fn.dots(C, q[:, None, :])
                   - fn.evaluate_many(env, C.reshape(-1, Q.shape[1])).reshape(C.shape[:2]))
         best = np.argmax(scores, axis=1)
         go = (scores[np.arange(act.size), best] > phi[act]) & (bound[act] > tol / 100)

@@ -191,9 +191,9 @@ def validate_field(oracle: ProxOracle, x0, radius: float, seed: int = 13,
     GA = _field_many(oracle, x0, A)
     GB = _field_many(oracle, x0, B)
     D = GA - GB
-    inner = np.sum(D * (A - B), axis=1)
+    inner = fn.dots(D, A - B)
     mono = float(np.max(np.maximum(-inner, 0.0)))
-    firm = float(np.max(np.maximum(np.sum(D * D, axis=1) - inner, 0.0)))
+    firm = float(np.max(np.maximum(fn.sq_norms(D) - inner, 0.0)))
 
     sym = 0.0
     if dim >= 2:
@@ -227,12 +227,12 @@ def _simpson_weights(panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ray_integrals(oracle: ProxOracle, x0: np.ndarray, X: np.ndarray,
                    panels: int) -> np.ndarray:
-    """int_0^1 <G(t x), x> dt for every row x of X, composite Simpson;
-    every (node, row) pair is scored in one oracle batch."""
+    """int_0^1 <G(t x), x> dt for every row x of X: composite Simpson, nodes summed
+    left to right, every (node, row) pair scored in one oracle batch."""
     t, w = _simpson_weights(panels)
     nodes = t[:, None, None] * X[None, :, :]
     G = _field_many(oracle, x0, nodes.reshape(-1, X.shape[1])).reshape(nodes.shape)
-    return w @ np.sum(G * X, axis=2)
+    return np.cumsum(w[:, None] * fn.dots(G, X), axis=0)[-1]
 
 
 def _staircase_integral(oracle: ProxOracle, x0: np.ndarray, x: np.ndarray,
@@ -354,7 +354,7 @@ def reconstruct(task: ReconstructionTask) -> ReconstructionReport:
     Y, bound = _ascend(oracle, x0, np.vstack([Z, np.zeros((int(pin), Z.shape[1]))]), lo, hi)
     u = _ray_integrals(oracle, x0, Y, RAY_PANELS)  # u(y) - u(0)
     pinned = -float(task.f_at_x0) - float(u[n]) if pin else 0.0
-    rec = np.sum(Z * Y[:n], axis=1) - (u[:n] + pinned) - 0.5 * np.sum(Z * Z, axis=1)
+    rec = fn.dots(Z, Y[:n]) - (u[:n] + pinned) - 0.5 * fn.sq_norms(Z)
     boundary = np.any((Y == lo) | (Y == hi), axis=1)
     return ReconstructionReport(
         recovered=[(q.copy(), float(v)) for q, v in zip(task.query_points, rec)],
@@ -391,7 +391,7 @@ def _ascend(oracle: ProxOracle, x0: np.ndarray, Z: np.ndarray, lo, hi):
         b = np.sqrt(fn.sq_norms(Fk) * fn.sq_norms(np.maximum(y - lo, hi - y)))
         dF = Fk - F
         flat = ~np.any(dF, axis=1)
-        gamma = np.sum(Fk * dF, axis=1) / np.where(flat, 1.0, fn.sq_norms(dF))
+        gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, fn.sq_norms(dF))
         gamma = np.where(doubled, 0.0, np.maximum(gamma, -5.0))
         step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
         new = np.clip(y + (step if k else Fk), lo, hi)
@@ -440,8 +440,7 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
         constant = 0.0 if diverges else inf_g - inf_f
         details = {"inf_conj_f": inf_f, "inf_conj_g": inf_g,
                    "samples": int(samples.shape[0])}
-    hyp = float(np.max(np.abs(
-        np.linalg.norm(pf - anchor, axis=1) - np.linalg.norm(pg - anchor, axis=1))))
+    hyp = float(np.max(np.abs(fn.norms(pf - anchor) - fn.norms(pg - anchor))))
     fv = fn.evaluate_many(f, samples) - f0
     gv = fn.evaluate_many(g, samples) - g0
     rep = sampled_verdict(

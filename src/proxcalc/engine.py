@@ -65,7 +65,7 @@ class ProxResult:
 
 
 def _objective(f, lam: float, x: np.ndarray, y: np.ndarray) -> float:
-    return fn.evaluate(f, y) + float(np.dot(x - y, x - y)) / (2.0 * lam)
+    return fn.evaluate(f, y) + float(fn.sq_norms(x - y)) / (2.0 * lam)
 
 
 def _objective_many(f, lam: float, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -135,7 +135,7 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
         weight = 0.0
         for k in range(min(_WARMUP_ITERS, budget.max_iters)):
             s = subgrad(y)
-            ns = float(np.linalg.norm(s))
+            ns = float(fn.norms(s))
             if ns * lam < budget.tol:
                 return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, ns)
             y = y - (2.0 * lam / (k + 2.0)) * s
@@ -155,7 +155,7 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     residual = float("inf")
     while iters < budget.max_iters:
         s = subgrad(y)
-        residual = float(np.linalg.norm(s))
+        residual = float(fn.norms(s))
         if not math.isfinite(residual):
             # a finite-difference row left dom f: no descent direction
             return ProxResult(y, fy, "numerical", iters, residual, converged=False)
@@ -281,4 +281,4 @@ def moreau_decomposition_residual(f, x, budget: SolverBudget | None = None,
         conj = fn.conjugate_closed_form(f)
     p = prox(f, 1.0, x, budget).minimizer
     q = prox(conj, 1.0, x, budget).minimizer
-    return float(np.linalg.norm(p + q - x))
+    return float(fn.norms(p + q - x))

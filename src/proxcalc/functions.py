@@ -20,6 +20,7 @@ pure, so trees can be shared across threads without coordination.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -69,9 +70,24 @@ def _as_batch(X, dim: int) -> np.ndarray:
     return A
 
 
-def sq_norms(W: np.ndarray) -> np.ndarray:
-    """np.dot(w, w) for each row w, bit for bit (einsum and row sums round differently)."""
-    return np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
+def dots(X, A):
+    """<x, a> over the last axis for rows x of X and a of A, broadcast: the
+    products summed from 0, left to right, one column at a time. A row gets
+    the same bits alone, inside any batch and on any BLAS build; with a
+    matrix M, dots(X[..., None, :], M) is X M^T."""
+    s = 0.0
+    for j in range(X.shape[-1]):
+        s = s + X[..., j] * A[..., j]
+    return s
+
+
+def sq_norms(W):
+    """||w||^2 for each row w of W, by ``dots``; a 1-D W is one row."""
+    return dots(W, W)
+
+
+def norms(W):
+    return np.sqrt(sq_norms(W))
 
 
 def check_lam(lam) -> float:
@@ -125,8 +141,9 @@ class ConvexFunction:
 
     def gradient_many(self, X: np.ndarray):
         """(G, smooth) over a batch: where smooth[k], subdiff(X[k]) is the
-        singleton {G[k]}, bit for bit. Nodes without a batched rule mark no
-        row smooth, and callers fall back to subdiff row by row."""
+        singleton {G[k]}, bit for bit: every product sums by ``dots``, so a row
+        rounds alike alone and in a batch. Nodes without a batched rule mark
+        no row smooth, and callers fall back to subdiff row by row."""
         return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
 
     def __call__(self, x) -> float:
@@ -146,7 +163,7 @@ class Affine(ConvexFunction):
         self.dim = _capped_dim(self.a.size)
 
     def value_many(self, X):
-        return X @ self.a + self.c
+        return dots(X, self.a) + self.c
 
     def prox_many(self, lam, X):
         return X - lam * self.a
@@ -168,8 +185,8 @@ class Affine(ConvexFunction):
 class Quadratic(ConvexFunction):
     """(1/2) <Q x, x> + <b, x> + c with Q symmetric positive semidefinite.
 
-    Positive semidefiniteness is certified exactly: the least eigenvalue of
-    Q must be at least -1e-10.
+    Q = U diag(w) U^T is factored once, by ``_jacobi``; the least eigenvalue
+    must be at least -1e-10, and the prox is U diag(1/(1 + lam w)) U^T (x - lam b).
     """
 
     def __init__(self, Q, b=None, c: float = 0.0):
@@ -184,33 +201,58 @@ class Quadratic(ConvexFunction):
         self.dim = _capped_dim(n)
         if np.max(np.abs(self.Q - self.Q.T)) > 1e-10:
             raise ValueError("Q must be symmetric")
-        if np.linalg.eigvalsh(self.Q).min() < PSD_TOL:
+        self.w, self.U = _jacobi(self.Q)
+        if self.w.min() < PSD_TOL:
             raise ValueError("Q is not positive semidefinite")
 
     def value_many(self, X):
-        return 0.5 * np.einsum("ij,jk,ik->i", X, self.Q, X) + X @ self.b + self.c
+        return 0.5 * dots(X, dots(X[:, None, :], self.Q)) + dots(X, self.b) + self.c
 
     def prox_many(self, lam, X):
-        A = np.eye(self.dim) + lam * self.Q
-        return np.linalg.solve(A, (X - lam * self.b).T).T
+        R = dots((X - lam * self.b)[:, None, :], self.U.T) / (1.0 + lam * self.w)
+        return dots(R[:, None, :], self.U)
 
     def conjugate(self):
         # (1/2) <Q^+ (y-b), y-b> - c on b + range Q, +inf off it; eigenvalues
         # below RANK_TOL (relative to the largest) count as 0
-        w, U = np.linalg.eigh(self.Q)
-        keep = w > RANK_TOL * max(1.0, float(np.max(np.abs(w))))
-        return SubspaceQuadratic(U[:, keep], w[keep], self.b, -self.c)
+        keep = self.w > RANK_TOL * max(1.0, float(np.max(np.abs(self.w))))
+        if not keep.any():  # Q = 0: f is affine
+            return Affine(self.b, self.c).conjugate()
+        return SubspaceQuadratic(self.U[:, keep], self.w[keep], self.b, -self.c)
 
     def subdiff(self, x):
-        return SingletonSet(self.Q @ x + self.b)
+        return SingletonSet(dots(x[None, :], self.Q) + self.b)
 
     def gradient_many(self, X):
-        # stacked matrix-vector products round as Q @ x does; X @ Q.T does not
-        G = np.matmul(self.Q, X[:, :, None])[:, :, 0] + self.b
-        return G, np.ones(X.shape[0], dtype=bool)
+        return dots(X[:, None, :], self.Q) + self.b, np.ones(X.shape[0], dtype=bool)
 
     def __repr__(self):
         return f"Quadratic(dim={self.dim})"
+
+
+def _jacobi(Q: np.ndarray):
+    """(w, U) with Q = U diag(w) U^T, U orthogonal, by cyclic Jacobi rotations
+    in plain numpy (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992),
+    the same bits on every BLAS build: sweeps rotate away each a_pq above
+    eps sqrt(|a_pp a_qq|) until one rotates none, or 50 have run."""
+    A, U = Q.copy(), np.eye(len(Q))
+    for _ in range(50):
+        start = A.copy()
+        for p, q in itertools.combinations(range(len(A)), 2):
+            app, aqq, apq = float(A[p, p]), float(A[q, q]), float(A[p, q])
+            if abs(apq) <= np.finfo(float).eps * math.sqrt(abs(app * aqq)):
+                continue
+            theta = (aqq - app) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            A[p], A[q] = c * A[p] - s * A[q], s * A[p] + c * A[q]
+            A[:, p], A[:, q] = A[p], A[q]
+            A[p, p], A[q, q], A[p, q], A[q, p] = app - t * apq, aqq + t * apq, 0.0, 0.0
+            U[:, p], U[:, q] = c * U[:, p] - s * U[:, q], s * U[:, p] + c * U[:, q]
+        if np.array_equal(A, start):
+            break
+    return np.diag(A).copy(), U
 
 
 class ScaledNorm(ConvexFunction):
@@ -230,15 +272,14 @@ class ScaledNorm(ConvexFunction):
         self.dim = _capped_dim(self.center.size)
 
     def value_many(self, X):
-        return self.ell * np.linalg.norm(X - self.center, axis=1)
+        return self.ell * norms(X - self.center)
 
     def prox_many(self, lam, X):
         if self.ell == 0.0:
             return X.copy()
         D = X - self.center
-        n = np.linalg.norm(D, axis=1)
         thr = lam * self.ell
-        scale = 1.0 - thr / np.maximum(n, thr)
+        scale = 1.0 - thr / np.maximum(norms(D), thr)
         return self.center + scale[:, None] * D
 
     def conjugate(self):
@@ -252,7 +293,7 @@ class ScaledNorm(ConvexFunction):
 
     def subdiff(self, x):
         d = x - self.center
-        n = np.linalg.norm(d)
+        n = norms(d)
         if n <= MEMBERSHIP_TOL:
             if self.ell == 0.0:
                 return SingletonSet(np.zeros(self.dim))
@@ -261,7 +302,7 @@ class ScaledNorm(ConvexFunction):
 
     def gradient_many(self, X):
         D = X - self.center
-        n = np.sqrt(sq_norms(D))  # the 1-D np.linalg.norm of each row, bit for bit
+        n = norms(D)
         off = n > MEMBERSHIP_TOL
         G = np.where(off[:, None], self.ell * D / np.where(off, n, 1.0)[:, None], 0.0)
         return G, off | (self.ell == 0.0)
@@ -278,8 +319,7 @@ class IndicatorPoint(ConvexFunction):
         self.dim = _capped_dim(self.p.size)
 
     def value_many(self, X):
-        inside = np.linalg.norm(X - self.p, axis=1) <= MEMBERSHIP_TOL
-        return np.where(inside, 0.0, INF)
+        return np.where(norms(X - self.p) <= MEMBERSHIP_TOL, 0.0, INF)
 
     def prox_many(self, lam, X):
         return np.tile(self.p, (X.shape[0], 1))
@@ -288,7 +328,7 @@ class IndicatorPoint(ConvexFunction):
         return Affine(self.p, 0.0)
 
     def subdiff(self, x):
-        if np.linalg.norm(x - self.p) <= MEMBERSHIP_TOL:
+        if norms(x - self.p) <= MEMBERSHIP_TOL:
             full = np.full(self.dim, INF)
             return BoxSet(-full, full)
         return EmptySet(self.dim)
@@ -306,20 +346,18 @@ class IndicatorBall(ConvexFunction):
         self.dim = _capped_dim(self.center.size)
 
     def value_many(self, X):
-        inside = np.linalg.norm(X - self.center, axis=1) <= self.radius + MEMBERSHIP_TOL
-        return np.where(inside, 0.0, INF)
+        return np.where(norms(X - self.center) <= self.radius + MEMBERSHIP_TOL, 0.0, INF)
 
     def prox_many(self, lam, X):
         D = X - self.center
-        n = np.linalg.norm(D, axis=1)
-        scale = np.minimum(1.0, self.radius / np.maximum(n, 1e-300))
+        scale = np.minimum(1.0, self.radius / np.maximum(norms(D), 1e-300))
         return self.center + scale[:, None] * D
 
     def conjugate(self):
         return SupportBall(self.center, self.radius)
 
     def subdiff(self, x):
-        n = np.linalg.norm(x - self.center)
+        n = norms(x - self.center)
         if n > self.radius + MEMBERSHIP_TOL:
             return EmptySet(self.dim)
         if n >= self.radius - MEMBERSHIP_TOL:
@@ -369,24 +407,24 @@ class IndicatorHalfspace(ConvexFunction):
 
     def __init__(self, a, beta: float):
         self.a = as_point(a)
-        if np.linalg.norm(self.a) == 0:
+        if not np.any(self.a):
             raise ValueError("halfspace normal must be nonzero")
         self.beta = _finite("beta", beta)
         self.dim = _capped_dim(self.a.size)
 
     def value_many(self, X):
-        slack = X @ self.a - self.beta
+        slack = dots(X, self.a) - self.beta
         return np.where(slack <= MEMBERSHIP_TOL * (1.0 + abs(self.beta)), 0.0, INF)
 
     def prox_many(self, lam, X):
-        excess = np.maximum(X @ self.a - self.beta, 0.0)
-        return X - (excess / float(self.a @ self.a))[:, None] * self.a
+        excess = np.maximum(dots(X, self.a) - self.beta, 0.0)
+        return X - (excess / sq_norms(self.a))[:, None] * self.a
 
     def conjugate(self):
         return SupportHalfspace(self.a, self.beta)
 
     def subdiff(self, x):
-        g = float(np.dot(self.a, x)) - self.beta
+        g = float(dots(x, self.a)) - self.beta
         tol = MEMBERSHIP_TOL * (1.0 + abs(self.beta))
         if g > tol:
             return EmptySet(self.dim)
@@ -407,7 +445,7 @@ class SupportBall(ConvexFunction):
         self.dim = _capped_dim(self.center.size)
 
     def value_many(self, X):
-        return X @ self.center + self.radius * np.linalg.norm(X, axis=1)
+        return dots(X, self.center) + self.radius * norms(X)
 
     def prox_many(self, lam, X):
         # prox of a support function peels off the projection onto the set:
@@ -418,7 +456,7 @@ class SupportBall(ConvexFunction):
         return IndicatorBall(self.center, self.radius)
 
     def subdiff(self, x):
-        n = np.linalg.norm(x)
+        n = norms(x)
         if n <= MEMBERSHIP_TOL:
             return BallSet(self.center, self.radius)
         return SingletonSet(self.center + self.radius * x / n)
@@ -438,7 +476,7 @@ class SupportBox(ConvexFunction):
         self.dim = _capped_dim(self.lo.size)
 
     def value_many(self, X):
-        return np.sum(np.maximum(X * self.lo, X * self.hi), axis=1)
+        return dots(X, np.where(X > 0, self.hi, self.lo))
 
     def prox_many(self, lam, X):
         return X - lam * np.clip(X / lam, self.lo, self.hi)
@@ -465,8 +503,8 @@ class SupportHalfspace(ConvexFunction):
         self.a, self.beta, self.dim = self.halfspace.a, self.halfspace.beta, self.halfspace.dim
 
     def value_many(self, X):
-        t = X @ self.a / float(self.a @ self.a)
-        off = np.linalg.norm(X - t[:, None] * self.a, axis=1) / (1.0 + np.linalg.norm(X, axis=1))
+        t = dots(X, self.a) / sq_norms(self.a)
+        off = norms(X - t[:, None] * self.a) / (1.0 + norms(X))
         on_ray = (t >= -MEMBERSHIP_TOL) & (off <= MEMBERSHIP_TOL)
         return np.where(on_ray, self.beta * np.maximum(t, 0.0), INF)
 
@@ -495,15 +533,16 @@ class SubspaceQuadratic(ConvexFunction):
 
     def value_many(self, X):
         D = X - self.b
-        R = D @ self.U
-        off = np.linalg.norm(D - R @ self.U.T, axis=1) / (1.0 + np.linalg.norm(D, axis=1))
-        return np.where(off <= MEMBERSHIP_TOL, 0.5 * np.sum(R * R / self.w, axis=1) + self.c, INF)
+        R = dots(D[:, None, :], self.U.T)
+        off = norms(D - dots(R[:, None, :], self.U)) / (1.0 + norms(D))
+        return np.where(off <= MEMBERSHIP_TOL, 0.5 * dots(R, R / self.w) + self.c, INF)
 
     def prox_many(self, lam, X):
-        return self.b + ((X - self.b) @ self.U * (self.w / (self.w + lam))) @ self.U.T
+        R = dots((X - self.b)[:, None, :], self.U.T) * (self.w / (self.w + lam))
+        return self.b + dots(R[:, None, :], self.U)
 
     def conjugate(self):
-        Q = (self.U * self.w) @ self.U.T
+        Q = dots((self.U * self.w)[:, None, :], self.U)
         return Quadratic(0.5 * (Q + Q.T), self.b, -self.c)
 
     def __repr__(self):
@@ -524,7 +563,7 @@ class Tilt(ConvexFunction):
 
     def value_many(self, X):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _check_no_nan(self.f.value_many(X) - X @ self.a)
+            return _check_no_nan(self.f.value_many(X) - dots(X, self.a))
 
     def prox_many(self, lam, X):
         return self.f.prox_many(lam, X + lam * self.a)
@@ -598,12 +637,6 @@ class AddConst(ConvexFunction):
         return f"AddConst({self.f!r}, {self.c})"
 
 
-# atoms whose prox_many rounds a row differently inside a larger batch
-# (np.linalg.solve with many right-hand sides, matrix-vector products), so a
-# batched envelope gradient would not match subdiff bit for bit
-_BATCH_ROUNDED_PROX = (Quadratic, SubspaceQuadratic, IndicatorHalfspace, SupportHalfspace)
-
-
 class Envelope(ConvexFunction):
     r"""Moreau envelope of index lam > 0:
 
@@ -630,10 +663,7 @@ class Envelope(ConvexFunction):
 
     def value_many(self, X):
         P = self.f.prox_many(self.lam, X)
-        base = self.f.value_many(P)
-        return _check_no_nan(
-            base + np.sum((X - P) ** 2, axis=1) / (2.0 * self.lam)
-        )
+        return _check_no_nan(self.f.value_many(P) + sq_norms(X - P) / (2.0 * self.lam))
 
     def prox_many(self, lam, X):
         nu = lam + self.lam
@@ -647,9 +677,7 @@ class Envelope(ConvexFunction):
         return SingletonSet(self.gradient_many(x.reshape(1, -1))[0][0])
 
     def gradient_many(self, X):
-        # G is the gradient on every row; only the flag depends on the atom
-        smooth = not isinstance(atom_of(self), _BATCH_ROUNDED_PROX)
-        return (X - self.f.prox_many(self.lam, X)) / self.lam, np.full(X.shape[0], smooth)
+        return (X - self.f.prox_many(self.lam, X)) / self.lam, np.ones(X.shape[0], dtype=bool)
 
     def __repr__(self):
         return f"Envelope({self.f!r}, {self.lam})"
@@ -668,9 +696,7 @@ class AddQuadratic(ConvexFunction):
         self.dim = f.dim
 
     def value_many(self, X):
-        return _check_no_nan(
-            self.f.value_many(X) + 0.5 * self.alpha * np.sum(X * X, axis=1)
-        )
+        return _check_no_nan(self.f.value_many(X) + 0.5 * self.alpha * sq_norms(X))
 
     def prox_many(self, lam, X):
         s = 1.0 + self.alpha * lam
@@ -802,7 +828,7 @@ def structured_probes(f: ConvexFunction) -> list[np.ndarray]:
     elif isinstance(g, (ScaledNorm,)):
         pts.append(g.center.copy())
     elif isinstance(g, IndicatorHalfspace):
-        pts.append(g.beta * g.a / float(g.a @ g.a))
+        pts.append(g.beta * g.a / sq_norms(g.a))
     elif isinstance(g, SubspaceQuadratic):
         pts.append(g.b.copy())
     return [p + shift for p in pts]

@@ -69,13 +69,6 @@ def fmt_float(v) -> str:
     return repr(v)
 
 
-def fmt_residual(v) -> str:
-    """A residual rounded to 12 significant digits. BLAS block shape and batch
-    composition move sums in the last bit; rounded, such a move changes the
-    report only when the value sits on a 12-digit rounding boundary."""
-    return fmt_float(float(format(float(v), ".12g")))
-
-
 def fmt_point(p) -> str:
     return "(" + " ".join(fmt_float(c) for c in np.atleast_1d(p)) + ")"
 
@@ -84,8 +77,8 @@ def report_to_text(report: CheckReport) -> str:
     lines = [
         f"check: {report.name}",
         f"status: {report.status}",
-        f"hypothesis_residual: {fmt_residual(report.hypothesis_residual)}",
-        f"conclusion_residual: {fmt_residual(report.conclusion_residual)}",
+        f"hypothesis_residual: {fmt_float(report.hypothesis_residual)}",
+        f"conclusion_residual: {fmt_float(report.conclusion_residual)}",
         f"tolerance: {fmt_float(report.tolerance)}",
     ]
     for key in sorted(report.details):
@@ -117,8 +110,8 @@ def report_to_csv_row(report: CheckReport) -> str:
         [
             _csv_field(report.name),
             report.status,
-            fmt_residual(report.hypothesis_residual),
-            fmt_residual(report.conclusion_residual),
+            fmt_float(report.hypothesis_residual),
+            fmt_float(report.conclusion_residual),
             f'"{coords}"',
             fmt_float(report.tolerance),
         ]

@@ -15,8 +15,8 @@ and the stream read for a block can be computed by jump-ahead (F. Brown,
 * normal: the j-th pair (a, b) of a point's uniforms gives
   rho = sqrt(-2 log1p(-a)), z = (rho cos(2 pi b), rho sin(2 pi b))
   (Box and Muller, 1958); the first d of the 2m normals are kept;
-* direction: z / |z| (Muller, 1959), never 0/0 because rho > 0 and cos
-  has no zero at a double;
+* direction: z / |z| (Muller, 1959), |z|^2 summed left to right; never
+  0/0 because rho > 0 and cos has no zero at a double;
 * radius: the last uniform t gives r t^(1/d) for points in the ball of
   radius r, and r_min (r_max / r_min)^t for log-radial points.
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functions import sq_norms
+from .functions import norms
 
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
@@ -76,7 +76,7 @@ class Lcg:
         theta = 2.0 * np.pi * U[:, 1:2 * m:2]
         Z = np.stack((rho * np.cos(theta), rho * np.sin(theta)), axis=2)
         Z = Z.reshape(n, 2 * m)[:, :dim]
-        return Z / np.sqrt(sq_norms(Z))[:, None], U[:, 2 * m:]
+        return Z / norms(Z)[:, None], U[:, 2 * m:]
 
     def point_in_ball(self, dim: int, radius: float) -> np.ndarray:
         return self.points_in_ball(1, dim, radius)[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import functions as fn  # imports this module first; fn is read at call time
 from .errors import EmptySubdifferential
 
 _TOL = 1e-9
@@ -49,7 +50,7 @@ class SingletonSet(SubdiffSet):
         return self.point.copy()
 
     def support(self, u):
-        return float(np.dot(u, self.point))
+        return float(fn.dots(u, self.point))
 
     def shift(self, w):
         return SingletonSet(self.point + w)
@@ -70,13 +71,13 @@ class BallSet(SubdiffSet):
 
     def project(self, z):
         d = z - self.center
-        n = np.linalg.norm(d)
+        n = fn.norms(d)
         if n <= self.radius:
             return np.asarray(z, dtype=float).copy()
         return self.center + d * (self.radius / n)
 
     def support(self, u):
-        return float(np.dot(u, self.center) + self.radius * np.linalg.norm(u))
+        return float(fn.dots(u, self.center) + self.radius * fn.norms(u))
 
     def shift(self, w):
         return BallSet(self.center + w, self.radius)
@@ -119,20 +120,19 @@ class HalflineSet(SubdiffSet):
     def __init__(self, anchor, direction):
         self.anchor = np.asarray(anchor, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
-        n = np.linalg.norm(self.direction)
-        if n <= 0:
+        if not np.any(self.direction):
             raise ValueError("halfline needs a nonzero direction")
         self.dim = self.anchor.size
 
     def project(self, z):
         d = self.direction
-        t = max(0.0, float(np.dot(z - self.anchor, d) / np.dot(d, d)))
+        t = max(0.0, float(fn.dots(z - self.anchor, d) / fn.sq_norms(d)))
         return self.anchor + t * d
 
     def support(self, u):
-        if np.dot(u, self.direction) > _TOL:
+        if fn.dots(u, self.direction) > _TOL:
             return float("inf")
-        return float(np.dot(u, self.anchor))
+        return float(fn.dots(u, self.anchor))
 
     def shift(self, w):
         return HalflineSet(self.anchor + w, self.direction)
@@ -177,15 +177,15 @@ def sets_equal(a: SubdiffSet, b: SubdiffSet, tol: float = 1e-7):
     if a.kind == "empty":
         return True
     if a.kind == "singleton":
-        return bool(np.linalg.norm(a.point - b.point) <= tol)
+        return bool(fn.norms(a.point - b.point) <= tol)
     if a.kind == "ball":
-        return bool(np.linalg.norm(a.center - b.center) <= tol and abs(a.radius - b.radius) <= tol)
+        return bool(fn.norms(a.center - b.center) <= tol and abs(a.radius - b.radius) <= tol)
     if a.kind == "box":
         return bool(_bounds_close(a.lo, b.lo, tol) and _bounds_close(a.hi, b.hi, tol))
     if a.kind == "halfline_cone":
-        da = a.direction / np.linalg.norm(a.direction)
-        db = b.direction / np.linalg.norm(b.direction)
-        return bool(np.linalg.norm(a.anchor - b.anchor) <= tol and np.linalg.norm(da - db) <= tol)
+        da = a.direction / fn.norms(a.direction)
+        db = b.direction / fn.norms(b.direction)
+        return bool(fn.norms(a.anchor - b.anchor) <= tol and fn.norms(da - db) <= tol)
     return None
 
 

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine
+from . import conjugation, engine
 from . import functions as fn
 from .determination import _constant_gaps, determine_from_norm
 from .errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
-from .conjugation import _envelope_conjugate
+from .grids import SampleGrid
 from .reports import (
     CheckReport,
     COUNTEREXAMPLE,
@@ -75,7 +75,7 @@ def sampled_conjugate_infimum(f: fn.ConvexFunction, radius: float = INFIMUM_RADI
     conj = fn.conjugate_closed_form(f)
     Y = Lcg(seed).log_radial_points(n_points, f.dim, 1e-3, 4.0 * radius)
     Y = np.vstack([Y, np.zeros(f.dim), *fn.structured_probes(conj)])
-    norms = np.linalg.norm(Y, axis=1)
+    norms = fn.norms(Y)
     vals = fn.evaluate_many(conj, Y)
 
     minima = []
@@ -102,13 +102,7 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     pf = f.prox_many(1.0, X)
     pg = g.prox_many(1.0, X)
-    hyp = float(
-        np.max(
-            np.maximum(
-                np.linalg.norm(pf - x0, axis=1) - np.linalg.norm(pg - x0, axis=1), 0.0
-            )
-        )
-    )
+    hyp = float(np.max(np.maximum(fn.norms(pf - x0) - fn.norms(pg - x0), 0.0)))
     fv = fn.evaluate_many(f, X)
     gv = fn.evaluate_many(g, X)
     # want g - g0 <= f - f0 in extended reals: +inf on the right always
@@ -135,7 +129,7 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
 def _hypothesis_extended(f, g, x0, X, tol_h) -> float:
     """Hypothesis residual over scaled copies of the samples plus a wider
     deterministic cloud."""
-    radius = 4.0 * float(np.max(np.linalg.norm(X, axis=1)))
+    radius = 4.0 * float(np.max(fn.norms(X)))
     rng = Lcg(0x5EED)
     clouds = [s * X for s in (2.0, 4.0, 8.0)]
     clouds.append(rng.points_in_ball(200, f.dim, radius))
@@ -143,7 +137,7 @@ def _hypothesis_extended(f, g, x0, X, tol_h) -> float:
     for C in clouds:
         pf = f.prox_many(1.0, C)
         pg = g.prox_many(1.0, C)
-        gaps = np.linalg.norm(pf - x0, axis=1) - np.linalg.norm(pg - x0, axis=1)
+        gaps = fn.norms(pf - x0) - fn.norms(pg - x0)
         worst = max(worst, float(np.max(np.maximum(gaps, 0.0))))
         if worst > tol_h:
             break
@@ -161,8 +155,8 @@ def check_gradient_comparison(f, g, samples, lam: float | None = None,
     if not isinstance(f, fn.Envelope) or not isinstance(g, fn.Envelope):
         raise ValueError("pass envelope nodes, or supply lam to wrap both")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
-    nf = np.linalg.norm(f.gradient_many(X)[0], axis=1)
-    ng = np.linalg.norm(g.gradient_many(X)[0], axis=1)
+    nf = fn.norms(f.gradient_many(X)[0])
+    ng = fn.norms(g.gradient_many(X)[0])
     hyp = float(np.max(np.maximum(nf - ng, 0.0)))
     fv = fn.evaluate_many(f, X)
     gv = fn.evaluate_many(g, X)
@@ -185,9 +179,8 @@ def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
     if not np.isfinite(g0):
         raise AnchorOutsideDomain("g(0) must be finite")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
-    norms = np.linalg.norm(X, axis=1)
-    pnorms = np.linalg.norm(g.prox_many(1.0, X), axis=1)
-    hyp = float(np.max(np.maximum(norms - ell - pnorms, 0.0)))
+    norms = fn.norms(X)
+    hyp = float(np.max(np.maximum(norms - ell - fn.norms(g.prox_many(1.0, X)), 0.0)))
     gv = fn.evaluate_many(g, X)
     finite = np.isfinite(gv)
     gaps = np.zeros(X.shape[0])
@@ -217,16 +210,16 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
     if not np.all(np.isfinite(fv)):
         raise ValueError("Lipschitz check needs f finite-valued on the samples")
     diffs = np.abs(fv[:, None] - fv[None, :])
-    dists = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+    dists = fn.norms(X[:, None, :] - X[None, :, :])
     mask = dists > 1e-12
     lhat = float(np.max(diffs[mask] / dists[mask])) if np.any(mask) else 0.0
 
     residual = 0.0
     witness = None
-    norms_x = np.linalg.norm(X, axis=1)
+    norms_x = fn.norms(X)
     for y in Y:
         P = f.prox_many(1.0, X + y)
-        gaps = norms_x - ell - np.linalg.norm(P - y, axis=1)
+        gaps = norms_x - ell - fn.norms(P - y)
         i = int(np.argmax(gaps))
         if gaps[i] > residual:
             residual = float(gaps[i])
@@ -283,7 +276,7 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     pattern: dict[str, str] = {}
     residuals: dict[str, float] = {}
 
-    r1 = float(np.max(np.abs(np.linalg.norm(pf, axis=1) - np.linalg.norm(pg, axis=1))))
+    r1 = float(np.max(np.abs(fn.norms(pf) - fn.norms(pg))))
     pattern["i_prox_norms"] = "holds" if r1 <= tol_prox else "fails"
     residuals["i_prox_norms"] = r1
 
@@ -303,7 +296,7 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     residuals["iii_min_selection"] = r3
     residuals["iv_subdifferentials"] = r4
 
-    r5 = float(np.max(np.linalg.norm(pf - pg, axis=1)))
+    r5 = float(np.max(fn.norms(pf - pg)))
     pattern["v_prox_maps"] = "holds" if r5 <= tol_prox else "fails"
     residuals["v_prox_maps"] = r5
 
@@ -364,7 +357,7 @@ def _subdiff_items(f, g, X, tol):
                 if ef != eg:
                     r3 = r4 = float("inf")
                 continue
-            r3 = max(r3, float(np.linalg.norm(sf.min_norm_element() - sg.min_norm_element())))
+            r3 = max(r3, float(fn.norms(sf.min_norm_element() - sg.min_norm_element())))
             eq = sets_equal(sf, sg, tol)
             if eq is None:
                 # undecidable structurally: compare support functions on probes
@@ -380,7 +373,7 @@ def _subdiff_items(f, g, X, tol):
     except UnsupportedSubdifferential:
         return 0.0, 0.0, True
     if np.any(both):
-        gaps = np.sqrt(fn.sq_norms(Gf[both] - Gg[both]))
+        gaps = fn.norms(Gf[both] - Gg[both])
         r3 = max(r3, float(np.max(gaps)))
         if np.any(gaps > tol):
             r4 = float("inf")
@@ -411,8 +404,8 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
         raise OriginNotInC("the support-distance check needs 0 in C")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     proj = C.prox_many(1.0, X)
-    dists = np.linalg.norm(X - proj, axis=1)
-    pnorms = np.linalg.norm(f.prox_many(1.0, X), axis=1)
+    dists = fn.norms(X - proj)
+    pnorms = fn.norms(f.prox_many(1.0, X))
     gaps = np.abs(pnorms - dists)
     forward = float(np.max(gaps))
     witnesses = []
@@ -476,13 +469,13 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
     rep.name = "equivalences(f,g)"
     reports.append(rep)
 
-    hi = np.full(f.dim, 5.0 * radius / 2)
+    box = SampleGrid(np.full(f.dim, -2.5 * radius), np.full(f.dim, 2.5 * radius), [2] * f.dim)
     for tag, h in (("f", f), ("g", g)):
         reports += [_decomposition_report(h, X, tag), _envelope_gradient_report(h, X, tag)]
         # envelope gradients x - prox_h(x) lie in dom h*, even on a ray; the sup is at x
         queries = np.vstack([battery_samples(h.dim, seed + 1, 25, radius / 4),
                              X[:25] - h.prox_many(1.0, X[:25])])
-        rep = _envelope_conjugate(h, 1.0, -hi, hi, queries, TOL_GRID)
+        rep = conjugation.verify_envelope_conjugate(h, 1.0, box, queries, TOL_GRID)
         rep.name = f"envelope_conjugate({tag})"
         reports.append(rep)
 
@@ -514,7 +507,7 @@ def _guarded(name, tol, errors, check, *args, **kwargs) -> CheckReport:
 def _decomposition_report(h, X, tag) -> CheckReport:
     conj = fn.conjugate_closed_form(h)
     P = engine.prox_rows(h, 1.0, X)[0] + engine.prox_rows(conj, 1.0, X)[0]
-    residuals = np.sqrt(fn.sq_norms(P - X))
+    residuals = fn.norms(P - X)
     return sampled_verdict(f"moreau_decomposition({tag})", X, 0.0, 0.0, residuals,
                            TOL_CLOSED, lambda i: f"residual={residuals[i]:.3e}",
                            {"samples": int(X.shape[0])})
@@ -531,7 +524,7 @@ def _envelope_gradient_report(h, X, tag, lam: float = 1.0,
     ga = (X - Y[:n]) / lam
     up, down = env[n:].reshape(2, n, d)
     gfd = (up - down) / (2 * step)
-    residuals = np.sqrt(fn.sq_norms(ga - gfd)) / np.fmax(1.0, np.sqrt(fn.sq_norms(ga)))
+    residuals = fn.norms(ga - gfd) / np.fmax(1.0, fn.norms(ga))
     return sampled_verdict(f"envelope_gradient({tag})", X, 0.0, 0.0, residuals, tol,
                            lambda i: f"relative_error={residuals[i]:.3e}",
                            {"samples": int(X.shape[0]), "fd_step": step, "lam": lam})

@@ -311,19 +311,14 @@ def test_decomposition_with_grid_conjugate():
 # prox_rows
 # ---------------------------------------------------------------------------
 
-_ROW_EXACT = [
+@pytest.mark.parametrize("f", [
     pc.ScaledNorm(1.5, [0.5, -1.0]),
     pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0),
     pc.IndicatorBall([0.0, 0.0], 1.0),
-]
-_ROW_BLAS = [  # LAPACK solves and BLAS products round per batch shape
     pc.Quadratic(np.eye(2)),
     pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5),
     pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, -0.2]),
-]
-
-
-@pytest.mark.parametrize("f", _ROW_EXACT + _ROW_BLAS, ids=repr)
+], ids=repr)
 def test_prox_rows_matches_prox_row_by_row(f, rng):
     X = rng.uniform(-5, 5, (60, 2))
     Y, env = prox_rows(f, 0.7, X)
@@ -331,11 +326,7 @@ def test_prox_rows_matches_prox_row_by_row(f, rng):
     assert all(r.method == "closed_form" for r in rows)
     Yr = np.array([r.minimizer for r in rows])
     envr = np.array([r.envelope_value for r in rows])
-    if any(f is g for g in _ROW_EXACT):
-        assert np.array_equal(Y, Yr) and np.array_equal(env, envr)
-    else:
-        np.testing.assert_allclose(Y, Yr, rtol=1e-13, atol=1e-14)
-        np.testing.assert_allclose(env, envr, rtol=1e-13, atol=1e-14)
+    assert np.array_equal(Y, Yr) and np.array_equal(env, envr)
 
 
 class _NanProx(pc.ScaledNorm):
@@ -416,12 +407,11 @@ _OBJECTIVE_CASES = [
 
 @pytest.mark.parametrize("f", _OBJECTIVE_CASES, ids=repr)
 def test_objective_many_matches_objective_row_by_row(f, rng):
-    # Quadratic batches round differently in the last bit from one row
     x = rng.uniform(-4, 4, 2)
     Y = rng.uniform(-4, 4, (50, 2))
     many = engine._objective_many(f, 0.7, x, Y)
     rows = np.array([engine._objective(f, 0.7, x, y) for y in Y])
-    np.testing.assert_allclose(many, rows, rtol=1e-13, atol=0.0)
+    assert np.array_equal(many, rows)
 
 
 def test_numerical_prox_leaves_scipy_optimize_unimported(cli_env):

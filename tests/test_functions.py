@@ -19,6 +19,7 @@ from proxcalc.functions import (
     is_indicator_chain,
     structured_probes,
 )
+from proxcalc.sampling import Lcg
 from proxcalc.sets import BallSet, BoxSet, EmptySet, HalflineSet, SingletonSet
 
 from conftest import brute_force_conjugate
@@ -431,15 +432,75 @@ def test_gradient_many_through_add_quadratic_and_nested_envelopes(f, rng):
         assert isinstance(s, SingletonSet) and np.array_equal(s.point, gk)
 
 
-@pytest.mark.parametrize("inner", [
-    pc.Quadratic([[1.0, 1.0], [1.0, 1.0]]),
-    pc.IndicatorHalfspace([0.8, -0.6], 0.25),
-], ids=repr)
-def test_envelope_gradient_many_keeps_batch_rounded_prox_row_by_row(inner):
-    # these atoms' prox_many rounds a row differently inside a larger batch,
-    # so their envelope flags no row and verify compares sets row by row
-    _, smooth = pc.Envelope(pc.Tilt(inner, [0.3, 0.2]), 0.7).gradient_many(np.ones((4, 2)))
-    assert not smooth.any()
+# one 4-D instance per document kind, plus the two conjugate-only atoms
+_Q4 = np.array([[2.0, 0.4, -0.3, 0.1], [0.4, 1.5, 0.2, 0.0],
+                [-0.3, 0.2, 1.0, 0.5], [0.1, 0.0, 0.5, 0.8]])
+_ATOMS_4D = {
+    "affine": pc.Affine([0.3, -0.2, 0.7, 0.1], 0.4),
+    "quadratic": pc.Quadratic(_Q4, [0.3, -0.1, 0.2, 0.5], 0.5),
+    "scaled_norm": pc.ScaledNorm(1.5, [0.5, -1.0, 0.2, 0.0]),
+    "indicator_point": pc.IndicatorPoint([0.1, 0.2, 0.3, -0.4]),
+    "indicator_ball": pc.IndicatorBall([0.5, 0.0, -0.2, 0.1], 1.5),
+    "indicator_box": pc.IndicatorBox([-1.0, -0.5, 0.0, -2.0], [1.0, 2.0, 1.0, 0.5]),
+    "indicator_halfspace": pc.IndicatorHalfspace([0.8, -0.6, 0.3, 0.1], 0.25),
+    "support_ball": pc.SupportBall([0.2, -0.1, 0.0, 0.3], 1.2),
+    "support_box": pc.SupportBox([-1.0, -0.5, 0.0, -2.0], [1.0, 2.0, 1.0, 0.5]),
+    "SubspaceQuadratic": pc.Quadratic([[1.0, 2.0, 0.0, 1.0], [2.0, 4.0, 0.0, 2.0],
+                                       [0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 1.0]],
+                                      [0.3, -0.4, 0.0, 0.1]).conjugate(),
+    "SupportHalfspace": pc.IndicatorHalfspace([0.8, -0.6, 0.3, 0.1], 0.25).conjugate(),
+}
+_WRAPPERS = {
+    "bare": lambda f: f,
+    "envelope": lambda f: pc.Envelope(f, 0.7),
+    "tilt": lambda f: pc.Tilt(f, [0.3, 0.2, -0.1, 0.4]),
+    "translate": lambda f: pc.Translate(f, [-0.5, 0.1, 0.2, 0.3]),
+    "add_const": lambda f: pc.AddConst(f, 1.5),
+}
+_ROW_CASES = {f"{w}({a})": wrap(f) for a, f in _ATOMS_4D.items() for w, wrap in _WRAPPERS.items()}
+
+
+def test_row_cases_cover_every_document_kind():
+    from proxcalc.specfmt import _KINDS
+
+    assert set(_KINDS) <= set(_ATOMS_4D) | set(_WRAPPERS)
+    assert {type(f).__name__ for f in _ATOMS_4D.values()} >= {"SubspaceQuadratic",
+                                                              "SupportHalfspace"}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_CASES))
+def test_a_row_rounds_alike_alone_and_in_a_batch(name):
+    # every product sums coordinates left to right, one column at a time, so
+    # neither the batch shape nor the BLAS build moves a bit
+    f = _ROW_CASES[name]
+    X = Lcg(5).points_in_ball(500, 4, 3.0)
+    batch = {"prox_many": f.prox_many(0.6, X), "value_many": f.value_many(X),
+             "gradient": f.gradient_many(X)[0], "smooth": f.gradient_many(X)[1]}
+    for k in range(0, 500, 23):
+        x = X[k:k + 1]
+        alone = {"prox_many": f.prox_many(0.6, x), "value_many": f.value_many(x),
+                 "gradient": f.gradient_many(x)[0], "smooth": f.gradient_many(x)[1]}
+        for key, rows in batch.items():
+            assert _bits(alone[key][0]) == _bits(rows[k]), (key, k)
+
+
+@pytest.mark.parametrize("inner", [_ATOMS_4D["quadratic"], _ATOMS_4D["indicator_halfspace"]],
+                         ids=repr)
+@pytest.mark.parametrize("wrap", [lambda f: f, lambda f: pc.Tilt(f, [0.3, 0.2, -0.1, 0.4])],
+                         ids=["bare", "tilt"])
+def test_envelope_gradient_is_the_subdifferential_bit_for_bit(inner, wrap):
+    X = Lcg(6).points_in_ball(60, 4, 3.0)
+    for f in (wrap(inner), pc.Envelope(wrap(inner), 0.7)):
+        G, smooth = f.gradient_many(X)
+        assert smooth.all() or not isinstance(f, pc.Envelope)
+        for x, g, ok in zip(X, G, smooth):
+            if ok:
+                s = pc.subdifferential(f, x)
+                assert isinstance(s, SingletonSet) and _bits(s.point) == _bits(g)
 
 
 def test_extended_real_guard():

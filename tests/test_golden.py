@@ -3,9 +3,11 @@
 Each case runs one CLI command (or renders one report) and compares exit
 status, stdout and stderr with the recorded file under ``tests/golden/``.
 A change that alters any report byte, verdict or sample stream fails here.
-The bytes were recorded with numpy's bundled OpenBLAS; another BLAS build
-may round grid-conjugation scores differently in the last bit. When a
-change of bytes is deliberate, re-record with
+Every product behind a report sums coordinates left to right in plain
+numpy, so the bytes do not depend on the BLAS build: on x86-64 with a
+DYNAMIC_ARCH OpenBLAS the CLI cases are rerun under other kernel families
+(``OPENBLAS_CORETYPE``). Only ``conjugate --grid`` scores its lattice with
+a BLAS product. When a change of bytes is deliberate, re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -13,7 +15,12 @@ which prints, per fixture, the exit and check/status lines that moved;
 say in the change log which bytes moved and why.
 """
 
+import contextlib
 import difflib
+import io
+import json
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,6 +73,9 @@ CLI_CASES = {
     "verify_cross_quadratic_vs_tilted_norm": [
         "verify-all", "--f", _spec("cross_quadratic.json"), "--g", _spec("tilted_norm.json"),
         "--anchor", "0,0", "--ell", "1"],
+    "verify_quadratic_vs_norm_4d": [
+        "verify-all", "--f", _spec("quadratic_4d.json"), "--g", _spec("norm_4d.json"),
+        "--anchor", "0,0,0,0", "--samples", "60", "--ell", "1"],
     "verify_norm_vs_norm_16d": [
         "verify-all", "--f", _spec("norm_16d.json"), "--g", _spec("norm_16d.json"),
         "--anchor", ",".join(["0"] * 16)],
@@ -146,6 +156,32 @@ def test_report_matches_golden(name):
     assert got == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def _dynamic_openblas() -> bool:
+    """True on x86-64 when numpy's OpenBLAS picks its kernels at run time."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without show_config(mode=...)
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS on x86-64")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott", "Sandybridge"])
+def test_cli_goldens_under_every_openblas_kernel_family(coretype, cli_env):
+    r = subprocess.run([sys.executable, __file__, "--print-cli"],
+                       env=dict(cli_env, OPENBLAS_CORETYPE=coretype),
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    got = json.loads(r.stdout)
+    for name in sorted(CLI_CASES):
+        assert got[name] == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
+
+
 def _verdicts(text):
     """The exit line and one "check: ... status: ..." line per report."""
     out = []
@@ -168,20 +204,28 @@ def _write(name, text):
         print(f"{name}:", *moved, sep="\n  ")
 
 
-def _record():
-    import contextlib
-    import io
-
+def _cli_outputs():
+    """{case: serialized output} for every CLI case, run in this process."""
+    outputs = {}
     for name, argv in sorted(CLI_CASES.items()):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        _write(name, _serialize(code, out.getvalue(), err.getvalue()))
+        outputs[name] = _serialize(code, out.getvalue(), err.getvalue())
+    return outputs
+
+
+def _record():
+    for name, text in _cli_outputs().items():
+        _write(name, text)
     for name, build in sorted(REPORT_CASES.items()):
         _write(name, _serialize(*build()))
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
-    _record()
+    if sys.argv[1:] == ["--record"]:
+        _record()
+    elif sys.argv[1:] == ["--print-cli"]:
+        print(json.dumps(_cli_outputs()))
+    else:
+        sys.exit("usage: python tests/test_golden.py --record | --print-cli")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import proxcalc as pc
 import proxcalc.verify as verify_module
+from proxcalc import conjugation
 from proxcalc.errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
 from proxcalc.reports import sampled_verdict
 from proxcalc.sampling import Lcg
@@ -364,7 +365,7 @@ HUBER2 = pc.Envelope(NORM2, 1.0)
     (pc.IndicatorBall([0.0, 0.0], 2.0), pc.IndicatorBox([-2.0, -1.0], [2.0, 1.0])),  # empties
     (pc.SupportBall([0.0, 0.0], 1.0), pc.SupportBox([-1.0, -1.0], [1.0, 1.0])),  # ball vs box
     (pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1]), pc.Affine([1.0, -1.0])),
-    (pc.Envelope(SQ2, 0.7), pc.Quadratic(np.eye(2) / 1.7)),  # batch-rounded envelope
+    (pc.Envelope(SQ2, 0.7), pc.Quadratic(np.eye(2) / 1.7)),  # envelope of a quadratic
     (pc.functions.SupportHalfspace([1.0, 0.0], 1.0), NORM2),  # unsupported
     (HUBER2, pc.functions.SupportHalfspace([1.0, 0.0], 1.0)),
 ], ids=repr)
@@ -500,7 +501,7 @@ def test_battery_envelope_conjugate_rows_3d(monkeypatch):
     # 21^3 lattice plus refinement; the ascent alone needs fewer than the lattice
     rows, inside = [0], [False]
     value_many = pc.Envelope.value_many
-    check = verify_module._envelope_conjugate
+    check = conjugation.verify_envelope_conjugate
 
     def counted_value_many(self, X):
         if inside[0]:  # outermost call only: a nested envelope passes through
@@ -520,7 +521,7 @@ def test_battery_envelope_conjugate_rows_3d(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(pc.Envelope, "value_many", counted_value_many)
-    monkeypatch.setattr(verify_module, "_envelope_conjugate", counted_check)
+    monkeypatch.setattr(conjugation, "verify_envelope_conjugate", counted_check)
     huber = pc.Envelope(pc.ScaledNorm(1.0, [0.0] * 3), 1.0)
     reports = standard_battery(huber, pc.Quadratic(np.eye(3)), [0.0] * 3, seed=7, ell=1.0)
     conj = [r for r in reports if r.name.startswith("envelope_conjugate(")]
