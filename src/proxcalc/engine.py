@@ -13,17 +13,24 @@ containing an envelope node are smooth and use finite-difference gradients
 least-norm subgradient of F. A difference row outside dom f leaves no
 gradient, and the solve stops unconverged with an infinite residual.
 
-Chains with bounded subgradients first take 60 damped averaged-subgradient
-steps (steps 2/(k+2) scaled by lam), which are safe without smoothness; the
-iterates and their weighted average are scored in one batch at the end, and
-the first of the lowest becomes the start. Each descent step then searches
-t >= 0 on the ray y - t s, relying on the convexity of F along it: a
-geometric bracket of steps lam 2^k, k = -40..60, narrowed until it is
-1e-12 (1 + lam) / max(lam, 1) wide, so that at any lam the search resolves
-y to about 1e-12 ||s||. A minimizer at a kink of F is reached only by
-landing on the kink, so the search narrows a bracket rather than fitting a
-model: the whole bracket is one batch, and each zoom round scores 257
-evenly spaced points at once.
+On catalog chains without an envelope node the subgradients are exact, so
+before descending the solver tests the structured probe points (centres,
+corners, anchors) in order and returns, with 0 iterations, the first where
+the least-norm subgradient of F is below the tolerance: a prox at a kink
+of f is then found bit for bit, where descent would only land within its
+tolerance. A probe is never a start: descent starts at x, or at the first
+finite probe when F(x) = +inf.
+
+Each descent step searches t >= 0 on the ray y - t s, relying on the
+convexity of F along it: a geometric bracket of steps lam 2^k,
+k = -40..60, narrowed until it is 1e-12 (1 + lam) / max(lam, 1) wide, so
+that at any lam the search resolves y to about 1e-12 ||s||. The whole
+bracket is one batch, and each zoom round scores 257 evenly spaced points
+at once, together with the vertex of the parabola through the three
+bracket points and that vertex +- half the width: when the vertex is
+lowest among them all, convexity puts the minimizer within half the width
+of it and the search stops. At a kink the vertex misses and its
+neighbours show it, so the round goes on narrowing the bracket.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import numpy as np
 from . import functions as fn
 from .errors import DomainUnreachable, UnsupportedProx
 
-_WARMUP_ITERS = 60
 _BRACKET = np.exp2(np.arange(-40.0, 61.0))  # line-search steps, in units of lam
 _ZOOM_POINTS = 257  # points per batched zoom round, both bracket ends included
 _STEP_RTOL = 1e-14  # relative floor of the step accuracy
@@ -105,9 +111,9 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     or when no step descends and the least-norm subgradient s of F meets
     ||s|| min(lam, 1) <= 1e-5: for lam <= 1 that bounds the distance to the
     minimizer by 1e-5, for lam >= 1 the error of the envelope gradient
-    (x - y) / lam, and it does not tighten as lam grows. A non-converged
-    result is still returned, with ``converged=False`` and the final
-    optimality residual attached.
+    (x - y) / lam, and it does not tighten as lam grows. ``budget.max_iters``
+    counts descent steps. A non-converged result is still returned, with
+    ``converged=False`` and the final optimality residual attached.
     """
     lam = fn.check_lam(lam)
     budget = budget or SolverBudget()
@@ -125,31 +131,17 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
         y, fy = _find_finite_start(f, lam, x)
 
     subgrad = _subgradient_oracle(f, lam, x)
+    if catalog and not fn.contains_envelope(f):
+        # exact kink test (see the module docstring)
+        for p in fn.structured_probes(f):
+            fp = _objective(f, lam, x, p)
+            if math.isfinite(fp):
+                ns = float(fn.norms(subgrad(p)))
+                if ns * lam < budget.tol:
+                    return ProxResult(p, fp, "numerical", 0, ns)
 
     iters = 0
-    # warm-up for chains with bounded subgradients (norm/support atoms):
-    # averaged damped subgradient steps, safe without smoothness
-    if catalog and _bounded_subgradients(f):
-        trail = [y]
-        y_avg = y
-        weight = 0.0
-        for k in range(min(_WARMUP_ITERS, budget.max_iters)):
-            s = subgrad(y)
-            ns = float(fn.norms(s))
-            if ns * lam < budget.tol:
-                return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, ns)
-            y = y - (2.0 * lam / (k + 2.0)) * s
-            w = k + 1.0
-            y_avg = (weight * y_avg + w * y) / (weight + w)
-            weight += w
-            iters += 1
-            trail.append(y)
-        trail.append(y_avg)
-        values = np.concatenate([[fy], _objective_many(f, lam, x, np.array(trail[1:]))])
-        best = int(np.argmin(values))  # the first of the lowest
-        y, fy = trail[best], float(values[best])
-
-    # refinement: least-norm subgradient direction with a line search
+    # descent along the least-norm subgradient with a line search
     # (steps in units of lam, so the bracket steps stay finite for any lam)
     step_tol = 1e-12 * (1.0 + lam) / (lam * max(lam, 1.0))
     residual = float("inf")
@@ -177,14 +169,6 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
                               converged=bool(residual * min(lam, 1.0) <= 1e-5))
 
     return ProxResult(y, fy, "numerical", iters, residual, converged=False)
-
-
-def _bounded_subgradients(f) -> bool:
-    """True for a norm, support or affine atom under tilts, translations and
-    constants only."""
-    *combinators, atom = fn.chain(f)
-    return (isinstance(atom, (fn.ScaledNorm, fn.SupportBall, fn.SupportBox, fn.Affine))
-            and not any(isinstance(g, (fn.Envelope, fn.AddQuadratic)) for g in combinators))
 
 
 def _find_finite_start(f, lam, x):
@@ -241,7 +225,11 @@ def _line_search(phi_many, f0: float, tol: float):
     ``phi_many`` scores an array of steps at once. One batch scores every
     bracket step 2^k; rounds of evenly spaced points then narrow the steps
     either side of the lowest until they are ``tol`` apart (plus 1e-14 t,
-    the floor float spacing allows). A result with t = 0 means no step
+    the floor float spacing allows). Each round's batch also scores the
+    vertex t_p of the parabola through the three bracket points and
+    t_p +- h, h half that width: when phi(t_p) is no higher than both
+    neighbours and every point of the round, convexity puts the argmin
+    within h of t_p, and t_p is returned. A result with t = 0 means no step
     descends.
     """
     T = np.concatenate([[0.0], _BRACKET])
@@ -253,9 +241,25 @@ def _line_search(phi_many, f0: float, tol: float):
         a, b = max(j - 1, 0), min(j + 1, T.size - 1)
         if T[b] - T[a] <= tol + _STEP_RTOL * T[b]:
             return float(T[j]), float(F[j])
+        tp = _vertex(*map(float, (T[a], T[j], T[b], F[a], F[j], F[b])))
+        h = 0.5 * (tol + _STEP_RTOL * tp)
+        fj = F[j]
         T = np.linspace(T[a], T[b], _ZOOM_POINTS)
-        F = np.concatenate([[F[a]], phi_many(T[1:-1]), [F[b]]])
+        V = phi_many(np.concatenate([T[1:-1], [tp - h, tp, tp + h]]))
+        F = np.concatenate([[F[a]], V[:-3], [F[b]]])
+        if a < j < b and V[-2] <= min(V[-3], V[-1], fj, F.min()):
+            return tp, float(V[-2])
         j = int(np.argmin(F))
+
+
+def _vertex(t0, t1, t2, f0, f1, f2) -> float:
+    """Vertex of the parabola through (t_i, f_i), t0 < t1 < t2 and f1 the
+    lowest; t1 when that vertex is not a finite step in [t0, t2]."""
+    p, q = (t1 - t0) * (f1 - f2), (t1 - t2) * (f1 - f0)
+    if not (math.isfinite(p - q) and p != q):
+        return t1
+    v = t1 - 0.5 * ((t1 - t0) * p - (t1 - t2) * q) / (p - q)
+    return v if t0 <= v <= t2 else t1
 
 
 def moreau_envelope(f, lam: float, x, budget: SolverBudget | None = None) -> float:

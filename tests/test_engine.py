@@ -62,11 +62,11 @@ def test_numerical_prox_addconst_quadratic():
 
 
 def test_numerical_prox_fixed_point_short_circuit():
-    # x already the minimizer: finished within two iterations
+    # x already the minimizer: finished without a descent step
     f = pc.ScaledNorm(1.0, [0.0, 0.0])
     x = [0.0, 0.0]
     res = numerical_prox(f, 1.0, x)
-    assert res.iterations <= 2
+    assert res.iterations == 0
     assert np.allclose(res.minimizer, x, atol=1e-12)
 
 
@@ -112,6 +112,58 @@ def test_numerical_prox_converges_for_every_lambda(f, lam):
         res = numerical_prox(f, lam, x)
         assert res.converged
         assert np.linalg.norm(res.minimizer - pc.prox_closed_form(f, lam, x)) <= 1e-4
+
+
+_SOLVER_MATRIX = [  # further chains, atoms and dimensions for the iterative solver
+    pc.ScaledNorm(1.5, [0.2, -0.1]),
+    pc.ScaledNorm(1.0, [0.1, 0.0, -0.2]),
+    pc.ScaledNorm(1.0, np.zeros(4)),
+    pc.ScaledNorm(0.7, np.linspace(-0.3, 0.4, 8)),
+    pc.Tilt(pc.ScaledNorm(1.0, np.zeros(3)), [0.2, -0.4, 0.1]),
+    pc.Translate(pc.ScaledNorm(1.0, [0.0, 0.0]), [1.0, -0.5]),
+    pc.SupportBall([0.1, 0.0], 1.2),
+    pc.Tilt(pc.SupportBox([-1.0, -0.5], [1.0, 0.5]), [0.2, -0.1]),
+    pc.SupportBox([-1.0, -0.5, -2.0], [1.0, 0.5, 0.3]),
+    pc.SupportBox([-0.2, 0.1], [1.0, 0.5]),
+    pc.Affine([0.4, -0.7], 0.3),
+    pc.AddQuadratic(pc.ScaledNorm(1.0, [0.0, 0.0]), 0.5),
+    pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 0.5),
+    pc.Quadratic(np.diag([50.0, 0.1])),
+    pc.Quadratic([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]], [0.1, -0.2, 0.3], 0.4),
+]
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("f", _SOLVER_MATRIX, ids=repr)
+def test_numerical_prox_meets_its_stop_contract(f, lam):
+    # ||s|| min(lam, 1) <= 1e-5 bounds the error by 1e-5 for lam <= 1 and
+    # the envelope gradient's error by 1e-5 for lam >= 1
+    for x in battery_samples(f.dim, 5, 8, 4.0):
+        res = numerical_prox(f, lam, x)
+        assert res.converged
+        err = np.linalg.norm(res.minimizer - pc.prox_closed_form(f, lam, x))
+        assert err <= 1e-5 * max(1.0, lam)
+
+
+_KINKS = [  # (f, its kink, u -> (x - kink) / lam for x with prox = kink, |u| <= 1)
+    (pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, 0.2]), [0.0, 0.0],
+     lambda u: 0.9 * u - np.array([0.3, 0.2])),
+    (pc.SupportBox([-1.0, -0.5], [1.0, 0.5]), [0.0, 0.0],
+     lambda u: 0.9 * u * np.array([1.0, 0.5])),
+    (pc.ScaledNorm(1.5, [0.4, -0.3]), [0.4, -0.3], lambda u: 1.35 * u),
+]
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 1e6])
+@pytest.mark.parametrize("f, kink, to_x", _KINKS, ids=[repr(c[0]) for c in _KINKS])
+def test_numerical_prox_returns_a_kink_exactly(f, kink, to_x, lam):
+    # the prox is a kink at a structured probe: returned bit for bit with no
+    # descent step, where descent would only land within its tolerance
+    for u in battery_samples(2, 3, 8, 1.0):
+        x = np.add(kink, lam * to_x(u))
+        res = numerical_prox(f, lam, x)
+        assert res.converged and res.iterations == 0
+        assert np.array_equal(res.minimizer, kink)
 
 
 def test_numerical_prox_indicator_short_circuit():
@@ -373,6 +425,10 @@ _SEARCHES = ["_line_search"]
 @example(a=1.0, c=3.3, kinks=[])                  # minimum inside the range
 @example(a=0.5, c=6.0, kinks=[(2.5, 8.0)])        # minimum at a kink
 @example(a=2.0, c=1.0, kinks=[(0.0, 9.0)])        # kink at t = 0: no step descends
+# minima at a kink within 1e-6 of the bracket parabola's vertex
+@example(a=0.5, c=6.0, kinks=[(5.9999987500004375, 2.0)])
+@example(a=2.0, c=1.0, kinks=[(1.033635340273252, 0.5)])
+@example(a=1.0, c=3.3, kinks=[(3.40831768530355, 1.0)])
 def test_line_search_matches_brute_force(search, a, c, kinks):
     phi_many = _convex_piece(a, c, kinks)
     grid = np.concatenate([np.linspace(0.0, 40.0, 400_001), [k for k, _ in kinks]])
@@ -385,6 +441,37 @@ def test_line_search_matches_brute_force(search, a, c, kinks):
     slope = 2.0 * a * 45.0 + sum(b for _, b in kinks)
     assert ft <= f_brute + slope * _STEP_TOL + 1e-15 * abs(f_brute)
     assert abs(t - t_brute) <= 1e-4 + 1e-9  # the brute-force grid spacing
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 3.3), (0.5, 1e-3), (7.0, 250.0), (0.1, 19.0)])
+def test_line_search_takes_two_batches_on_a_quadratic(a, c):
+    # the bracket batch, then one zoom round whose parabola vertex certifies
+    phi, calls = _convex_piece(a, c, []), []
+
+    def phi_many(T):
+        calls.append(T.size)
+        return phi(T)
+
+    t, ft = engine._line_search(phi_many, a * c * c, _STEP_TOL)
+    assert len(calls) == 2
+    assert abs(t - c) <= _STEP_TOL and ft == float(phi([t])[0])
+
+
+_VERTEX_BESIDE_A_KINK = [  # (a, c, kink, weight): the kink is the argmin and
+    # sits 5e-7, -3e-7 and 8e-7 from the vertex of the bracket parabola
+    (0.5, 6.0, 5.9999987500004375, 2.0),
+    (2.0, 1.0, 1.033635340273252, 0.5),
+    (1.0, 3.3, 3.40831768530355, 1.0),
+]
+
+
+@pytest.mark.parametrize("a, c, k, b", _VERTEX_BESIDE_A_KINK)
+def test_line_search_refuses_a_vertex_beside_a_kink_below_float_spacing(a, c, k, b):
+    # lam = 1e6 gives a step tolerance of 1e-18, below the float spacing at
+    # t ~ 1: the vertex's neighbours t_p +- h must still be distinct steps
+    phi_many = _convex_piece(a, c, [(k, b)])
+    t, _ = engine._line_search(phi_many, float(phi_many([0.0])[0]), 1e-18)
+    assert abs(t - k) <= 1e-14 * k
 
 
 @pytest.mark.parametrize("search", _SEARCHES)
