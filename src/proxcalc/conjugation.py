@@ -12,9 +12,10 @@ size (lattice rows x queries) and keeps the first index of each maximum;
 ``conjugate_many``, ``conjugate_argmax`` and ``numerical_conjugate`` (and
 with them ``conjugate --grid``) are views of its result.
 
-``verify_envelope_conjugate`` tabulates nothing: it climbs <q, v> - f_lam(v)
-from v = lam q inside a box by proximal-point steps, certifies the result by
-concavity (``_refine``), and ``reports.sampled_verdict`` decides the status.
+``ascend`` climbs to a sup of <z, y> - u(y) over a box, a conjugate value, for
+a batch of rows z, u a Moreau envelope of index 1, and bounds each shortfall
+by concavity. ``determination.reconstruct`` and ``verify_envelope_conjugate``
+(which tabulates nothing) both run it.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .reports import HYPOTHESIS_FAILS, VERIFIED, CheckReport, sampled_verdict
 
 _BLOCK_ROWS = 200_000
 _BLOCK_ENTRIES = 5_000_000
-# ascent steps per query, and the prox parameters, in units of lam, each one tries
-_MAX_STEPS = 50
-_PROX_SCALES = 2.0 ** np.arange(0, 41, 10)
-_ROUNDING = 8 * np.finfo(float).eps  # of phi, the conjugate and the prox map, relative
+# an ascent row stops once its shortfall bound is this small, or after so many steps
+_CERTIFIED = 1e-8
+_MAX_STEPS = 100
 
 
 def numerical_conjugate(table: ValueTable, query) -> float:
@@ -119,22 +119,43 @@ class TabulatedConjugate:
 def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
                               tol: float = 2e-3) -> CheckReport:
     r"""Check (f_lam)*(q) = f*(q) + (lam/2)||q||^2 over the box [grid.lo, grid.hi]:
-    the largest gap (one-sided where the ascent touched the box boundary), with
-    a bound on it, shortfall plus rounding, as ``details["certificate"]``. Only
-    the box is read: a grid of 2 points per axis serves in any dimension."""
+    the largest gap (one-sided where the sup is not certified inside the box),
+    with a bound on it, shortfall plus rounding, as ``details["certificate"]``.
+    Only the box is read: a grid of 2 points per axis serves in any dimension.
+
+    (f_lam)*(q) is the sup of phi(v) = <q, v> - f_lam(v), attained at x + lam q
+    for any minimizer x of f - <q, .>; the proximal-point step x = prox_{Tf}(Tq),
+    T = lam 2^40, nearly finds one. From x + lam q, ``ascend`` climbs
+    lam phi = <lam q, .> - (lam f)_1, whose envelope has the 1-Lipschitz
+    gradient id - prox_{lam f}, as in ``reconstruct``, so the unit step suits
+    every lam. At the last iterate v, the bound
+    ||G|| max ||corner - v||, |G| = |grad phi(v)| widened by its rounding at the
+    box's scale, exceeds phi(v*) - phi(v) by concavity for v* in the box; a
+    query is interior when that bound is at most tol/100 and v is off the box
+    boundary.
+    """
     tol = fn.check_scalar("tol", tol, positive=False)
     if f.dim != grid.dim:
         raise DimensionMismatch(f"function dim {f.dim} != box dim {grid.dim}")
+    lo, hi = grid.lo, grid.hi
     Q = as_queries(queries, grid.dim)
     rhs = fn.evaluate_many(fn.conjugate_closed_form(f), Q) + 0.5 * lam * fn.sq_norms(Q)
     finite = np.isfinite(rhs)  # outside dom f* the sup is +inf: no ascent
-    lhs, V, bound = _refine(fn.Envelope(f, lam), grid.lo, grid.hi, Q, tol, ~finite)
-    # phi(v) <= (f_lam)*(q) anywhere: where the box may cut the ascent short, only lhs > rhs counts
-    boundary = ~finite | np.any((V == grid.lo) | (V == grid.hi), axis=1)
+    V, q, T = np.clip(lam * Q, lo, hi), Q[finite], lam * 2.0 ** 40
+    V[finite] = ascend(lambda X: X - f.prox_many(lam, X), lam * q,
+                       f.prox_many(T, T * q) + lam * q, lo, hi)[0]
+    qv = fn.dots(Q, V)
+    lhs = qv - fn.evaluate_many(fn.Envelope(f, lam), V)
+    # |G| plus its rounding (the prox map rounds at the box's scale), times the
+    # distance to the farthest corner
+    P, span = f.prox_many(lam, V), np.maximum(np.abs(lo), np.abs(hi))
+    G = np.abs(Q - (V - P) / lam) + fn.ROUNDING * (np.abs(Q) + (np.abs(P) + span) / lam)
+    bound = np.sqrt(fn.sq_norms(G) * fn.sq_norms(np.maximum(V - lo, hi - V)))
+    # phi(v) <= (f_lam)*(q) anywhere: where the sup may lie beyond v, only lhs > rhs counts
+    boundary = ~finite | (bound > tol / 100) | np.any((V == lo) | (V == hi), axis=1)
     gaps = np.where(boundary, np.maximum(lhs - rhs, 0.0), np.abs(lhs - rhs))
     # a gap is at most the ascent's shortfall plus the rounding of both sides
-    qv = fn.dots(Q, V)
-    bound = np.where(boundary, 0.0, bound) + _ROUNDING * np.abs([qv, qv - lhs, rhs]).sum(axis=0)
+    bound = np.where(boundary, 0.0, bound) + fn.ROUNDING * np.abs([qv, qv - lhs, rhs]).sum(axis=0)
     rep = sampled_verdict(f"envelope_conjugate(lam={lam})", Q, 0.0, 0.0, gaps, tol,
                           lambda i: f"gap={gaps[i]:.3e}",
                           {"queries": int(Q.shape[0]),
@@ -146,39 +167,37 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
     return rep
 
 
-def _refine(env: fn.Envelope, lo, hi, Q: np.ndarray, tol: float, outside: np.ndarray):
-    r"""(phi(v), last iterates v, bounds) for phi(v) = <q, v> - env(v), q a row
-    of Q, by ascent from v = lam q in the box [lo, hi]; rows ``outside`` skip it.
+def ascend(grad_many, Z: np.ndarray, Y: np.ndarray, lo, hi):
+    r"""(end points y, bounds) of the ascent on <z, y> - u(y), z a row of Z,
+    over the box [lo, hi], from the rows of Y clipped to it; ``grad_many``
+    maps a batch of points to grad u at each, which should be 1-Lipschitz
+    (u a Moreau envelope of index 1), so that F itself is a safe step.
 
-    sup phi is attained at x + lam q for any minimizer x of f - <q, .>, so a step
-    tries x <- prox_{t f}(x + t q), t = lam 2^k for k = 0, 10, .., 40, clipped to
-    the box, and keeps the best: t = lam moves v by lam G, G = grad phi(v) = q -
-    (v - prox_{lam f}(v))/lam, and the long steps cross flat ridges. The bound
-    ||G|| max ||corner - v||, |G| widened by its rounding, exceeds phi(v*) - phi(v)
-    by concavity for v* in the box. A query stops at bound <= tol/100, when no
-    step rises, at the box boundary or after _MAX_STEPS steps.
+    A step follows F = z - grad u(y) with one Anderson secant (Walker & Ni,
+    SIAM J. Numer. Anal. 49(4), 2011), F - gamma (dY + dF) for
+    gamma = max(<F, dF> / ||dF||^2, -5) (dY, dF the last changes), or
+    doubles the last step where the gradient did not change (a flat piece),
+    then takes plain F, not a secant across the kink; it is clipped to the
+    box and calls ``grad_many`` once on the active rows. By concavity
+    ||F|| max ||corner - y|| bounds the shortfall if the maximizer is in the
+    box. A row stops at bound <= _CERTIFIED, when its clipped step leaves it
+    where it was, or after _MAX_STEPS steps.
     """
-    lam = env.lam
-    V = np.clip(lam * Q, lo, hi)
-    phi = fn.dots(Q, V) - fn.evaluate_many(env, V)
-    bound = np.full(len(Q), np.inf)
-    span = np.maximum(np.abs(lo), np.abs(hi))  # the prox map rounds at this scale
-    act = np.flatnonzero(~outside)
-    for _ in range(_MAX_STEPS):
-        act = act[~np.any((V[act] == lo) | (V[act] == hi), axis=1)]
-        if act.size == 0:
+    Y, bound, act = np.clip(Y, lo, hi), np.full(len(Z), np.inf), np.arange(len(Z))
+    z, y, F, dY, doubled = Z, Y, np.zeros_like(Y), np.zeros_like(Y), np.zeros(len(Z), bool)
+    for k in range(_MAX_STEPS):
+        Fk = z - grad_many(y)
+        b = np.sqrt(fn.sq_norms(Fk) * fn.sq_norms(np.maximum(y - lo, hi - y)))
+        dF = Fk - F
+        flat = ~np.any(dF, axis=1)
+        gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, fn.sq_norms(dF))
+        gamma = np.where(doubled, 0.0, np.maximum(gamma, -5.0))
+        step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
+        new = np.clip(y + (step if k else Fk), lo, hi)
+        go = (b > _CERTIFIED) & np.any(new != y, axis=1) & (k + 1 < _MAX_STEPS)
+        Y[act[~go]], bound[act[~go]] = y[~go], b[~go]
+        if not go.any():
             break
-        q, P = Q[act], env.f.prox_many(lam, V[act])
-        # |G| plus its rounding, times the distance to the farthest corner
-        G = np.abs(q - (V[act] - P) / lam) + _ROUNDING * (np.abs(q) + (np.abs(P) + span) / lam)
-        bound[act] = np.sqrt(fn.sq_norms(G) * fn.sq_norms(np.maximum(V[act] - lo, hi - V[act])))
-        X = V[act] - lam * q
-        C = np.stack([P] + [env.f.prox_many(t, X + t * q) for t in lam * _PROX_SCALES[1:]], 1)
-        C = np.clip(C + lam * q[:, None, :], lo, hi)
-        scores = (fn.dots(C, q[:, None, :])
-                  - fn.evaluate_many(env, C.reshape(-1, Q.shape[1])).reshape(C.shape[:2]))
-        best = np.argmax(scores, axis=1)
-        go = (scores[np.arange(act.size), best] > phi[act]) & (bound[act] > tol / 100)
-        act, C, best = act[go], C[go], best[go]
-        V[act], phi[act] = C[np.arange(act.size), best], np.max(scores[go], axis=1)
-    return phi, V, bound
+        act, z, y, new, Fk, flat = (a[go] for a in (act, z, y, new, Fk, flat))
+        F, dY, y, doubled = Fk, new - y, new, flat
+    return Y, bound

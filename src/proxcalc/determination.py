@@ -6,9 +6,10 @@ rebuilds f at each query q, with z = q - x0, by four steps:
 1. gradient field: G(y) = prox_f(y + x0) - x0 is the gradient of the
    potential u = (f* - <x0, .>)_1, a C^{1,1} convex function bounded below
    whose conjugate is u*(z) = f(z + x0) + ||z||^2 / 2;
-2. ascent: <z, y> - u(y) is concave with gradient z - G(y), so a batched,
-   Anderson-accelerated ascent inside the box of ``tilde_grid`` finds its
-   maximizer y at one oracle row per step (``_ascend``);
+2. ascent: <z, y> - u(y) is concave with gradient z - G(y), so the batched,
+   Anderson-accelerated ``conjugation.ascend`` (the ascent the envelope-
+   conjugate check shares) finds its maximizer y inside the box of
+   ``tilde_grid`` from y = z, at one oracle row per step;
 3. line integration: u(y) - u(0) is a Simpson integral of G along the
    segment from 0 to y, every end point in one oracle batch;
 4. constant pinning: inf u = -f(x0), reached by the ascent from z = 0, so
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functions as fn
-from .conjugation import as_queries
+from .conjugation import as_queries, ascend
 from .errors import (
     AnchorOutsideDomain,
     DimensionMismatch,
@@ -49,9 +50,6 @@ SYMMETRY_TOL = 1e-3
 PATH_TOL = 1e-4
 MAX_PANELS = 1024
 RAY_PANELS = 64
-# an ascent row stops once its shortfall bound is this small, or after so many steps
-_CERTIFIED = 1e-8
-_MAX_STEPS = 100
 
 
 class ProxOracle:
@@ -351,7 +349,8 @@ def reconstruct(task: ReconstructionTask) -> ReconstructionReport:
     mono, firm, sym = validate_field(oracle, x0, radius=float(np.max(np.abs(hi - lo))) / 2.0)
     Z, pin, n = task.query_points - x0, task.f_at_x0 is not None, len(task.query_points)
     # with f(x0) known, one more row z = 0 climbs to the minimizer of u, where u = -f(x0)
-    Y, bound = _ascend(oracle, x0, np.vstack([Z, np.zeros((int(pin), Z.shape[1]))]), lo, hi)
+    Z1 = np.vstack([Z, np.zeros((int(pin), Z.shape[1]))])
+    Y, bound = ascend(lambda Y: _field_many(oracle, x0, Y), Z1, Z1, lo, hi)
     u = _ray_integrals(oracle, x0, Y, RAY_PANELS)  # u(y) - u(0)
     pinned = -float(task.f_at_x0) - float(u[n]) if pin else 0.0
     rec = fn.dots(Z, Y[:n]) - (u[:n] + pinned) - 0.5 * fn.sq_norms(Z)
@@ -369,39 +368,6 @@ def reconstruct(task: ReconstructionTask) -> ReconstructionReport:
                  "certificate": float(np.max(bound[:n][~boundary[:n]], initial=0.0)
                                       + np.sum(bound[n:]))},
     )
-
-
-def _ascend(oracle: ProxOracle, x0: np.ndarray, Z: np.ndarray, lo, hi):
-    r"""(end points y, bounds) of the ascent on <z, y> - u(y), z a row of Z,
-    G = grad u, over the box [lo, hi], from y = clip(z, lo, hi).
-
-    A step follows F = z - G(y) with one Anderson secant, F - gamma (dY + dF)
-    for gamma = max(<F, dF> / ||dF||^2, -5) (dY, dF the last changes), or
-    doubles the last step where G did not change (a flat piece of the prox),
-    then takes plain F, not a secant across the kink; it is clipped to the
-    box and queries the oracle once on the active rows. By concavity
-    ||F|| max ||corner - y|| bounds the shortfall if the maximizer is in the
-    box. A row stops at bound <= _CERTIFIED, when its clipped step leaves it
-    where it was, or after _MAX_STEPS steps.
-    """
-    Y, bound, act = np.clip(Z, lo, hi), np.full(len(Z), np.inf), np.arange(len(Z))
-    z, y, F, dY, doubled = Z, Y, np.zeros_like(Y), np.zeros_like(Y), np.zeros(len(Z), bool)
-    for k in range(_MAX_STEPS):
-        Fk = z - _field_many(oracle, x0, y)
-        b = np.sqrt(fn.sq_norms(Fk) * fn.sq_norms(np.maximum(y - lo, hi - y)))
-        dF = Fk - F
-        flat = ~np.any(dF, axis=1)
-        gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, fn.sq_norms(dF))
-        gamma = np.where(doubled, 0.0, np.maximum(gamma, -5.0))
-        step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
-        new = np.clip(y + (step if k else Fk), lo, hi)
-        go = (b > _CERTIFIED) & np.any(new != y, axis=1) & (k + 1 < _MAX_STEPS)
-        Y[act[~go]], bound[act[~go]] = y[~go], b[~go]
-        if not go.any():
-            break
-        act, z, y, new, Fk, flat = (a[go] for a in (act, z, y, new, Fk, flat))
-        F, dY, y, doubled = Fk, new - y, new, flat
-    return Y, bound
 
 
 def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,

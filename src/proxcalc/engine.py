@@ -27,10 +27,11 @@ k = -40..60, narrowed until it is 1e-12 (1 + lam) / max(lam, 1) wide, so
 that at any lam the search resolves y to about 1e-12 ||s||. The whole
 bracket is one batch, and each zoom round scores 257 evenly spaced points
 at once, together with the vertex of the parabola through the three
-bracket points and that vertex +- half the width: when the vertex is
-lowest among them all, convexity puts the minimizer within half the width
-of it and the search stops. At a kink the vertex misses and its
-neighbours show it, so the round goes on narrowing the bracket.
+bracket points and a ladder of steps out from it, h 4^k away for h half
+the width: when the vertex is lowest among them all up to rounding,
+convexity puts the minimizer within h of it, or its value within four
+roundings of the minimum, and the search stops. At a kink the vertex
+misses and a rung shows it, so the round goes on narrowing the bracket.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _subgradient_oracle(f, lam, x):
         def subgrad(y):
             v = (y - x) / lam
             try:
-                return fn.subdifferential(f, y).shift(v).project(np.zeros(f.dim))
+                return f.subdiff(y).shift(v).project(np.zeros(f.dim))
             except (UnsupportedSubdifferential, EmptySubdifferential):
                 return _fd_gradient(f, y) + v
         return subgrad
@@ -226,11 +227,15 @@ def _line_search(phi_many, f0: float, tol: float):
     bracket step 2^k; rounds of evenly spaced points then narrow the steps
     either side of the lowest until they are ``tol`` apart (plus 1e-14 t,
     the floor float spacing allows). Each round's batch also scores the
-    vertex t_p of the parabola through the three bracket points and
-    t_p +- h, h half that width: when phi(t_p) is no higher than both
-    neighbours and every point of the round, convexity puts the argmin
-    within h of t_p, and t_p is returned. A result with t = 0 means no step
-    descends.
+    vertex t_p of the parabola through the three bracket points and the
+    rungs t_p -+ h 4^k (h half that width) out to two grid spacings, beyond
+    which the grid points serve as rungs. When phi(t_p) exceeds the lowest
+    value of the round by at most ``ROUNDING`` of that value, t_p is
+    returned: by convexity the argmin then lies within h of t_p, or phi(t_p)
+    is within four times phi's rounding of the minimum. Rungs at +-h alone
+    could not tell: on a smooth ray phi moves by far less than its rounding
+    over so short a step.
+    A result with t = 0 means no step descends.
     """
     T = np.concatenate([[0.0], _BRACKET])
     F = np.concatenate([[f0], phi_many(_BRACKET)])
@@ -243,12 +248,17 @@ def _line_search(phi_many, f0: float, tol: float):
             return float(T[j]), float(F[j])
         tp = _vertex(*map(float, (T[a], T[j], T[b], F[a], F[j], F[b])))
         h = 0.5 * (tol + _STEP_RTOL * tp)
-        fj = F[j]
+        fa, fb = float(F[a]), float(F[b])
+        # rungs h 4^k out to two grid spacings, the grid points serving beyond;
+        # a rung past the bracket (even at t < 0) is harmless, phi being convex
+        reach = 2.0 * (T[b] - T[a]) / (_ZOOM_POINTS - 1)
+        L = h * 4.0 ** np.arange(math.ceil(math.log(max(reach / h, 1.0), 4)))
         T = np.linspace(T[a], T[b], _ZOOM_POINTS)
-        V = phi_many(np.concatenate([T[1:-1], [tp - h, tp, tp + h]]))
-        F = np.concatenate([[F[a]], V[:-3], [F[b]]])
-        if a < j < b and V[-2] <= min(V[-3], V[-1], fj, F.min()):
-            return tp, float(V[-2])
+        V = phi_many(np.concatenate([T[1:-1], tp - L, tp + L, [tp]]))
+        F, vp = np.concatenate([[fa], V[:T.size - 2], [fb]]), float(V[-1])
+        low = min(float(V[:-1].min()), fa, fb)
+        if a < j < b and vp <= low + fn.ROUNDING * abs(low):
+            return tp, vp
         j = int(np.argmin(F))
 
 
@@ -277,8 +287,10 @@ def moreau_decomposition_residual(f, x, budget: SolverBudget | None = None,
                                   conj=None) -> float:
     """|| prox_f(x) + prox_{f*}(x) - x || at lam = 1.
 
-    The conjugate comes from the closed-form table unless one is passed in
-    (for instance a grid-conjugation surrogate built by the caller).
+    The conjugate comes from the closed-form table unless one is passed in:
+    a closed form the caller already built, or any object with ``dim`` and
+    ``value_many`` (a ``TabulatedConjugate``, say), whose prox then comes
+    from ``numerical_prox``.
     """
     x = fn.as_point(x, f.dim)
     if conj is None:

@@ -47,6 +47,7 @@ MAX_DIM = 16
 MEMBERSHIP_TOL = 1e-9
 PSD_TOL = -1e-10
 RANK_TOL = 1e-10
+ROUNDING = 8 * np.finfo(float).eps  # relative error allowed a computed value
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -135,15 +136,21 @@ class ConvexFunction:
         raise UnsupportedConjugate(f"no closed-form conjugate for {type(self).__name__}")
 
     def subdiff(self, x: np.ndarray) -> SubdiffSet:
-        raise UnsupportedSubdifferential(
-            f"no structured subdifferential for {type(self).__name__}"
-        )
+        """{grad f(x)} where ``gradient_many`` marks x smooth; nodes with kinks
+        or domain edges override this for their other points."""
+        G, smooth = self.gradient_many(x.reshape(1, -1))
+        if not smooth[0]:
+            raise UnsupportedSubdifferential(
+                f"no structured subdifferential for {type(self).__name__}"
+            )
+        return SingletonSet(G[0])
 
     def gradient_many(self, X: np.ndarray):
         """(G, smooth) over a batch: where smooth[k], subdiff(X[k]) is the
-        singleton {G[k]}, bit for bit: every product sums by ``dots``, so a row
-        rounds alike alone and in a batch. Nodes without a batched rule mark
-        no row smooth, and callers fall back to subdiff row by row."""
+        singleton {G[k]}, which the base ``subdiff`` returns. Every product
+        sums by ``dots``, so a row rounds alike alone and in a batch. Nodes
+        without a batched rule mark no row smooth, and callers fall back to
+        subdiff row by row."""
         return np.zeros(X.shape), np.zeros(X.shape[0], dtype=bool)
 
     def __call__(self, x) -> float:
@@ -171,9 +178,6 @@ class Affine(ConvexFunction):
     def conjugate(self):
         # sup_x <y - a, x> - c: finite (and equal to -c) only at y = a
         return AddConst(IndicatorPoint(self.a), -self.c)
-
-    def subdiff(self, x):
-        return SingletonSet(self.a)
 
     def gradient_many(self, X):
         return np.tile(self.a, (X.shape[0], 1)), np.ones(X.shape[0], dtype=bool)
@@ -219,9 +223,6 @@ class Quadratic(ConvexFunction):
         if not keep.any():  # Q = 0: f is affine
             return Affine(self.b, self.c).conjugate()
         return SubspaceQuadratic(self.U[:, keep], self.w[keep], self.b, -self.c)
-
-    def subdiff(self, x):
-        return SingletonSet(dots(x[None, :], self.Q) + self.b)
 
     def gradient_many(self, X):
         return dots(X[:, None, :], self.Q) + self.b, np.ones(X.shape[0], dtype=bool)
@@ -292,13 +293,9 @@ class ScaledNorm(ConvexFunction):
         return Tilt(ball, -self.center)
 
     def subdiff(self, x):
-        d = x - self.center
-        n = norms(d)
-        if n <= MEMBERSHIP_TOL:
-            if self.ell == 0.0:
-                return SingletonSet(np.zeros(self.dim))
+        if self.ell > 0.0 and norms(x - self.center) <= MEMBERSHIP_TOL:
             return BallSet(np.zeros(self.dim), self.ell)
-        return SingletonSet(self.ell * d / n)
+        return super().subdiff(x)
 
     def gradient_many(self, X):
         D = X - self.center
@@ -672,9 +669,6 @@ class Envelope(ConvexFunction):
     def conjugate(self):
         # (f_lam)* = f* + (lam/2) ||.||^2
         return AddQuadratic(self.f.conjugate(), self.lam)
-
-    def subdiff(self, x):
-        return SingletonSet(self.gradient_many(x.reshape(1, -1))[0][0])
 
     def gradient_many(self, X):
         return (X - self.f.prox_many(self.lam, X)) / self.lam, np.ones(X.shape[0], dtype=bool)

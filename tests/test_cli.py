@@ -324,6 +324,24 @@ def test_verify_all_envelope_conjugate_refined_past_the_lattice(tmp_path, capsys
     assert code == 0
 
 
+_ILL_CONDITIONED_Q = [[0.4781, -0.6842, 0.3947], [-0.6842, 1.0101, -0.5769],
+                      [0.3947, -0.5769, 2.0218]]  # eigenvalues 0.01, 1 and 2.5
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "3"])
+def test_verify_all_ill_conditioned_quadratic_has_no_false_counterexample(
+        tmp_path, capsys, seed):
+    # f_1 is nearly flat along the 0.01 eigenvector, so a climb from lam q can
+    # stop far short of the sup while still inside the box; such a query was
+    # compared both ways and gave a gap of 2.1-3.1 under a certificate of 8-10
+    spec = write_spec(tmp_path, "q.json", {"atom": "quadratic", "Q": _ILL_CONDITIONED_Q})
+    code, out, _ = run_cli(["verify-all", "--f", spec, "--g", spec,
+                            "--anchor", "0,0,0", "--seed", seed], capsys)
+    statuses = _statuses(out)
+    assert statuses["envelope_conjugate(f)"] == statuses["envelope_conjugate(g)"] == "verified"
+    assert code == 0
+
+
 @pytest.mark.parametrize("f, g", [
     ({"atom": "indicator_halfspace", "a": [1.0, 0.0], "beta": 1.0},
      {"atom": "indicator_ball", "center": [0.0, 0.0], "radius": 1.0}),

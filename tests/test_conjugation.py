@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcalc as pc
+from proxcalc import conjugation
 from proxcalc.conjugation import conjugate_argmax, conjugate_many
 from proxcalc.errors import DimensionMismatch
 from proxcalc.verify import battery_samples
@@ -189,16 +190,25 @@ def test_envelope_conjugate_identity_by_construction(rng):
 def _closed_form_cases(draw):
     """(f, lam, query seed) in 2-D or 3-D. Queries of the battery's cloud
     (radius 1.5) reach the edge of dom f* of the norms, where the objective
-    <q, v> - f_lam(v) has a nearly flat ridge."""
+    <q, v> - f_lam(v) has a nearly flat ridge. The rotated quadratics have an
+    eigenvalue down to 0.01: f_lam is nearly flat along its eigenvector."""
     dim = draw(st.sampled_from([2, 3]))
 
     def vec(lo, hi):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=dim, max_size=dim)))
 
+    def rotated_quadratic():
+        u = vec(0.1, 1.0) * draw(st.sampled_from([-1.0, 1.0]))
+        H = np.eye(dim) - 2.0 * np.outer(u, u) / (u @ u)  # a reflection
+        w = np.concatenate([[draw(st.floats(0.01, 0.05))], vec(0.3, 2.5)[1:]])
+        M = H @ np.diag(w) @ H
+        return pc.Quadratic(0.5 * (M + M.T), vec(-1.0, 1.0))
+
     c = vec(-1.0, 1.0)
     f = draw(st.sampled_from([
         lambda: pc.ScaledNorm(draw(st.floats(1.0, 3.0)), c),
         lambda: pc.Quadratic(np.diag(vec(0.3, 2.0)), vec(-1.0, 1.0)),
+        rotated_quadratic,
         lambda: pc.IndicatorBall(c, draw(st.floats(0.3, 2.0))),
         lambda: pc.IndicatorBox(c - vec(0.1, 1.5), c + vec(0.1, 1.5)),
         lambda: pc.Tilt(pc.ScaledNorm(draw(st.floats(1.0, 3.0)), c), vec(-0.4, 0.4)),
@@ -309,6 +319,35 @@ def test_envelope_conjugate_certified_off_the_start_ray(f, lam, Q):
     assert rep.status == "verified"
     assert rep.details["interior_queries"] == 3
     assert rep.details["certificate"] <= 2e-5
+
+
+def test_envelope_conjugate_certifies_at_a_small_lam():
+    # at lam = 1e-4 a unit step along grad phi = q - grad f_lam is 1e4 times
+    # too long for its (1/lam)-Lipschitz gradient; the ascent climbs lam phi,
+    # whose gradient is 1-Lipschitz at every lam
+    ball = pc.IndicatorBall([0.2, 0.2, 0.2], 1.3)
+    grid = pc.SampleGrid([-15.0] * 3, [15.0] * 3, [2] * 3)
+    X = battery_samples(3, 1, 25, 6.0)
+    Q = np.vstack([battery_samples(3, 2, 25, 1.5), X - ball.prox_many(1.0, X)])
+    rep = pc.verify_envelope_conjugate(ball, 1e-4, grid, Q)
+    assert rep.status == "verified" and rep.details["interior_queries"] == 50
+
+
+def test_envelope_conjugate_compares_an_uncertified_query_one_way(monkeypatch):
+    # an ascent that stops inside the box short of the sup (here: at half the
+    # maximizer 2q of <q, v> - ||v||^2/4) certifies nothing there, so phi(v)
+    # is a lower bound only and a shortfall must not read as a counterexample
+    ascend = conjugation.ascend
+
+    def stalled(grad_many, Z, Y, lo, hi):
+        return 0.5 * ascend(grad_many, Z, Y, lo, hi)[0], None
+
+    monkeypatch.setattr(conjugation, "ascend", stalled)
+    grid = pc.SampleGrid([-15.0] * 2, [15.0] * 2, [2] * 2)
+    Q = battery_samples(2, 2, 25, 1.5)
+    rep = pc.verify_envelope_conjugate(pc.Quadratic(np.eye(2)), 1.0, grid, Q)
+    assert rep.details["interior_queries"] == 0
+    assert rep.status == "hypothesis_fails" and rep.conclusion_residual == 0.0
 
 
 def test_envelope_conjugate_rejects_function_of_other_dimension():

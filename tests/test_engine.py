@@ -429,6 +429,9 @@ _SEARCHES = ["_line_search"]
 @example(a=0.5, c=6.0, kinks=[(5.9999987500004375, 2.0)])
 @example(a=2.0, c=1.0, kinks=[(1.033635340273252, 0.5)])
 @example(a=1.0, c=3.3, kinks=[(3.40831768530355, 1.0)])
+# the bracket parabola's vertex lies 8.8e-4 from the argmin, where phi moves
+# by 5e-15 over +-h, below its rounding: only rungs further out refute it
+@example(a=2.83203125, c=0.0, kinks=[(4.0, 9.5), (5.0, 7.5)])
 def test_line_search_matches_brute_force(search, a, c, kinks):
     phi_many = _convex_piece(a, c, kinks)
     grid = np.concatenate([np.linspace(0.0, 40.0, 400_001), [k for k, _ in kinks]])
@@ -455,6 +458,25 @@ def test_line_search_takes_two_batches_on_a_quadratic(a, c):
     t, ft = engine._line_search(phi_many, a * c * c, _STEP_TOL)
     assert len(calls) == 2
     assert abs(t - c) <= _STEP_TOL and ft == float(phi([t])[0])
+
+
+def test_line_search_accepts_a_vertex_within_rounding(monkeypatch):
+    # lam = 1e6: the first zoom round's vertex is the argmin, but phi there
+    # loses to a neighbour by one ulp; refused, the rounds went on into the
+    # band where phi is flat to rounding and landed 1.2e-2 off after 12 batches
+    f, lam = pc.Affine([0.4, -0.7], 0.3), 1e6
+    x = battery_samples(2, 5, 8, 4.0)[4]
+    calls = []
+    objective_many = engine._objective_many
+
+    def counted(*args):
+        calls.append(args[3].shape[0])
+        return objective_many(*args)
+
+    monkeypatch.setattr(engine, "_objective_many", counted)
+    res = numerical_prox(f, lam, x)
+    assert res.converged and len(calls) <= 4
+    assert np.linalg.norm(res.minimizer - pc.prox_closed_form(f, lam, x)) <= 1e-5 * max(1.0, lam)
 
 
 _VERTEX_BESIDE_A_KINK = [  # (a, c, kink, weight): the kink is the argmin and

@@ -11,8 +11,9 @@ a BLAS product. When a change of bytes is deliberate, re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-which prints, per fixture, the exit and check/status lines that moved;
-say in the change log which bytes moved and why.
+which prints, per fixture, the exit and check/status lines that moved and
+how many lines moved under each key (``detail.certificate: 2``); say in
+the change log which bytes moved and why.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import json
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -193,13 +195,26 @@ def _verdicts(text):
     return out
 
 
+def _moved_keys(old, new):
+    """{key: count} of the lines that moved, keyed by the text before ": "
+    (the whole line where there is none); a changed line counts once."""
+    removed, added = Counter(), Counter()
+    for line in difflib.ndiff(old.splitlines(), new.splitlines()):
+        if line[:2] in ("- ", "+ "):
+            key = line[2:].partition(": ")[0]
+            (removed if line[0] == "-" else added)[key] += 1
+    return {key: max(removed[key], added[key]) for key in sorted(removed | added)}
+
+
 def _write(name, text):
-    """Record one fixture and print the verdict lines it changed."""
+    """Record one fixture and print the verdict lines it changed and how
+    many lines moved under each key."""
     path = GOLDEN / f"{name}.txt"
     old = path.read_text(encoding="utf-8") if path.exists() else ""
     path.write_text(text, encoding="utf-8")
     moved = [line for line in difflib.ndiff(_verdicts(old), _verdicts(text))
              if line[:2] in ("- ", "+ ")]
+    moved += [f"{key}: {count}" for key, count in _moved_keys(old, text).items()]
     if moved:
         print(f"{name}:", *moved, sep="\n  ")
 
