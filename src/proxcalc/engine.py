@@ -21,17 +21,25 @@ of f is then found bit for bit, where descent would only land within its
 tolerance. A probe is never a start: descent starts at x, or at the first
 finite probe when F(x) = +inf.
 
-Each descent step searches t >= 0 on the ray y - t s, relying on the
-convexity of F along it: a geometric bracket of steps lam 2^k,
-k = -40..60, narrowed until it is 1e-12 (1 + lam) / max(lam, 1) wide, so
-that at any lam the search resolves y to about 1e-12 ||s||. The whole
-bracket is one batch, and each zoom round scores 257 evenly spaced points
-at once, together with the vertex of the parabola through the three
-bracket points and a ladder of steps out from it, h 4^k away for h half
-the width: when the vertex is lowest among them all up to rounding,
-convexity puts the minimizer within h of it, or its value within four
-roundings of the minimum, and the search stops. At a kink the vertex
-misses and a rung shows it, so the round goes on narrowing the bracket.
+Each descent step searches t >= 0 on the ray y - t p, relying on the
+convexity of F along it. p is the least-norm subgradient s, or, where df
+is a singleton at y and at the last iterate (a ``SingletonSet``, or any
+point of an envelope chain), the PR+ conjugate direction s + beta p',
+beta = <s, s - s'> / ||s'||^2 (Gilbert & Nocedal 1992), if beta > 0 and
+<p, s> > 0: no zigzag on curved smooth pieces, and no conjugate memory
+across kinks, where it can jam (Wolfe 1975). Only a steepest step ends a
+solve on displacement; a conjugate step that moves less than the
+tolerance or does not descend restarts steepest from the same y. The
+line search is a geometric bracket of steps lam 2^k, k = -40..60,
+narrowed until it is 1e-12 (1 + lam) / max(lam, 1) wide, so that at any
+lam the search resolves y to about 1e-12 ||p||. The whole bracket is one
+batch, and each zoom round scores 257 evenly spaced points at once,
+together with the vertex of the parabola through the three bracket points
+and a ladder of steps out from it, h 4^k away for h half the width: when
+the vertex is lowest among them all up to rounding, convexity puts the
+minimizer within h of it, or its value within four roundings of the
+minimum, and the search stops. At a kink the vertex misses and a rung
+shows it, so the round goes on narrowing the bracket.
 """
 
 from __future__ import annotations
@@ -112,8 +120,10 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     or when no step descends and the least-norm subgradient s of F meets
     ||s|| min(lam, 1) <= 1e-5: for lam <= 1 that bounds the distance to the
     minimizer by 1e-5, for lam >= 1 the error of the envelope gradient
-    (x - y) / lam, and it does not tighten as lam grows. ``budget.max_iters``
-    counts descent steps. A non-converged result is still returned, with
+    (x - y) / lam, and it does not tighten as lam grows. Steps are steepest,
+    or PR+ conjugate where df is a singleton (see the module docstring), and
+    only a steepest step stops on displacement. ``budget.max_iters`` counts
+    descent steps of both kinds. A non-converged result is still returned, with
     ``converged=False`` and the final optimality residual attached.
     """
     lam = fn.check_lam(lam)
@@ -137,33 +147,44 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
         for p in fn.structured_probes(f):
             fp = _objective(f, lam, x, p)
             if math.isfinite(fp):
-                ns = float(fn.norms(subgrad(p)))
+                ns = float(fn.norms(subgrad(p)[0]))
                 if ns * lam < budget.tol:
                     return ProxResult(p, fp, "numerical", 0, ns)
 
     iters = 0
-    # descent along the least-norm subgradient with a line search
-    # (steps in units of lam, so the bracket steps stay finite for any lam)
+    # steepest or PR+ conjugate descent with a line search (steps in units
+    # of lam, so the bracket steps stay finite for any lam)
     step_tol = 1e-12 * (1.0 + lam) / (lam * max(lam, 1.0))
     residual = float("inf")
+    memory = None  # (s, p) of the last step, kept only where df is a singleton
     while iters < budget.max_iters:
-        s = subgrad(y)
+        s, smooth = subgrad(y)
         residual = float(fn.norms(s))
         if not math.isfinite(residual):
             # a finite-difference row left dom f: no descent direction
             return ProxResult(y, fy, "numerical", iters, residual, converged=False)
         if residual * lam < budget.tol:
             return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, residual)
-        d = lam * s
+        p = s
+        if smooth and memory is not None:
+            s_prev, p_prev = memory
+            beta = float(fn.dots(s, s - s_prev)) / float(fn.sq_norms(s_prev))
+            q = s + beta * p_prev
+            if beta > 0.0 and float(fn.dots(q, s)) > 0.0:
+                p = q
+        memory = (s, p) if smooth else None
+        d = lam * p
         t, ft = _line_search(lambda T: _objective_many(f, lam, x, y - T[:, None] * d),
                              fy, step_tol)
         iters += 1
-        if ft < fy:
+        disp = t * lam * float(fn.norms(p))
+        if ft < fy and (p is s or disp >= budget.tol):
             y = y - t * d
-            disp = t * lam * residual
             fy = ft
             if disp < budget.tol:
                 return ProxResult(y, fy, "numerical", iters, residual)
+        elif p is not s:
+            memory = None  # a conjugate step that stalls: steepest from this y
         else:
             # no descent along the steepest ray: numerical floor reached
             return ProxResult(y, fy, "numerical", iters, residual,
@@ -184,14 +205,17 @@ def _find_finite_start(f, lam, x):
 
 
 def _subgradient_oracle(f, lam, x):
-    """Subgradient of the prox objective F at y.
+    """(s, smooth): a subgradient s of the prox objective F at y, and whether
+    df(y) is known to be a singleton.
 
     Catalog chains without envelope nodes expose structured subdifferentials;
     the least-norm element of dF(y) = df(y) + (y - x)/lam is then exact.
     Everything else (envelope chains, tabulated functions) is smooth enough
-    for central differences.
+    for central differences; of these only envelope chains, C^1, count as
+    smooth.
     """
-    use_sets = isinstance(f, fn.ConvexFunction) and not fn.contains_envelope(f)
+    catalog = isinstance(f, fn.ConvexFunction)
+    use_sets = catalog and not fn.contains_envelope(f)
 
     if use_sets:
         from .errors import EmptySubdifferential, UnsupportedSubdifferential
@@ -199,13 +223,14 @@ def _subgradient_oracle(f, lam, x):
         def subgrad(y):
             v = (y - x) / lam
             try:
-                return f.subdiff(y).shift(v).project(np.zeros(f.dim))
+                sd = f.subdiff(y)
+                return sd.shift(v).project(np.zeros(f.dim)), sd.kind == "singleton"
             except (UnsupportedSubdifferential, EmptySubdifferential):
-                return _fd_gradient(f, y) + v
+                return _fd_gradient(f, y) + v, False
         return subgrad
 
     def subgrad(y):
-        return _fd_gradient(f, y) + (y - x) / lam
+        return _fd_gradient(f, y) + (y - x) / lam, catalog
     return subgrad
 
 
