@@ -14,8 +14,9 @@ with them ``conjugate --grid``) are views of its result.
 
 ``ascend`` climbs to a sup of <z, y> - u(y) over a box, a conjugate value, for
 a batch of rows z, u a Moreau envelope of index 1, and bounds each shortfall
-by concavity. ``determination.reconstruct`` and ``verify_envelope_conjugate``
-(which tabulates nothing) both run it.
+by the Frank-Wolfe gap (Jaggi, ICML 2013), on a box face too; the step after
+a clipped one is plain. ``determination.reconstruct`` and
+``verify_envelope_conjugate`` (which tabulates nothing) both run it.
 """
 
 from __future__ import annotations
@@ -176,28 +177,32 @@ def ascend(grad_many, Z: np.ndarray, Y: np.ndarray, lo, hi):
     A step follows F = z - grad u(y) with one Anderson secant (Walker & Ni,
     SIAM J. Numer. Anal. 49(4), 2011), F - gamma (dY + dF) for
     gamma = max(<F, dF> / ||dF||^2, -5) (dY, dF the last changes), or
-    doubles the last step where the gradient did not change (a flat piece),
-    then takes plain F, not a secant across the kink; it is clipped to the
-    box and calls ``grad_many`` once on the active rows. By concavity
-    ||F|| max ||corner - y|| bounds the shortfall if the maximizer is in the
-    box. A row stops at bound <= _CERTIFIED, when its clipped step leaves it
-    where it was, or after _MAX_STEPS steps.
+    doubles the last step where the gradient did not change (a flat piece);
+    it is clipped to the box and calls ``grad_many`` once on the active rows.
+    After a doubling or a clip the next step is plain F, not a secant across
+    a kink. The Frank-Wolfe gap sum_i max(F_i (hi_i - y_i), F_i (lo_i - y_i))
+    bounds the shortfall against the box maximum by concavity, on a face
+    too, and is at most ||F|| max ||corner - y||. A row stops at that bound
+    <= _CERTIFIED, when its clipped step leaves it where it was, or after
+    _MAX_STEPS steps.
     """
     Y, bound, act = np.clip(Y, lo, hi), np.full(len(Z), np.inf), np.arange(len(Z))
-    z, y, F, dY, doubled = Z, Y, np.zeros_like(Y), np.zeros_like(Y), np.zeros(len(Z), bool)
+    z, y, F, dY, plain = Z, Y, np.zeros_like(Y), np.zeros_like(Y), np.zeros(len(Z), bool)
     for k in range(_MAX_STEPS):
         Fk = z - grad_many(y)
-        b = np.sqrt(fn.sq_norms(Fk) * fn.sq_norms(np.maximum(y - lo, hi - y)))
+        b = fn.dots(Fk, np.where(Fk > 0, hi - y, lo - y))  # the Frank-Wolfe gap
         dF = Fk - F
         flat = ~np.any(dF, axis=1)
         gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, fn.sq_norms(dF))
-        gamma = np.where(doubled, 0.0, np.maximum(gamma, -5.0))
+        gamma = np.where(plain, 0.0, np.maximum(gamma, -5.0))
         step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
-        new = np.clip(y + (step if k else Fk), lo, hi)
+        to = y + (step if k else Fk)
+        new = np.clip(to, lo, hi)
         go = (b > _CERTIFIED) & np.any(new != y, axis=1) & (k + 1 < _MAX_STEPS)
         Y[act[~go]], bound[act[~go]] = y[~go], b[~go]
         if not go.any():
             break
-        act, z, y, new, Fk, flat = (a[go] for a in (act, z, y, new, Fk, flat))
-        F, dY, y, doubled = Fk, new - y, new, flat
+        plain = flat | np.any(new != to, axis=1)
+        act, z, y, new, Fk, plain = (a[go] for a in (act, z, y, new, Fk, plain))
+        F, dY, y = Fk, new - y, new
     return Y, bound

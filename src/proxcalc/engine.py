@@ -7,24 +7,27 @@ r"""Prox solver, Moreau envelope, envelope gradient, and decomposition residual.
 
 which is (1/lam)-strongly convex. The numerical path never consults the
 closed-form prox rules, so it serves as an independent cross-check:
-indicator chains short-circuit to their projection subroutines, chains
-containing an envelope node are smooth and use finite-difference gradients
-(one batch of 2d shifted rows), and everything else descends along the
-least-norm subgradient of F. A difference row outside dom f leaves no
-gradient, and the solve stops unconverged with an infinite residual.
+indicator chains short-circuit to their projection subroutines, and
+everything else descends along the least-norm subgradient of F, exact on
+catalog chains (an envelope chain's is its gradient). Where a node has no
+structured subdifferential, and on non-catalog objects, finite differences
+(one batch of 2d shifted rows) stand in; a difference row outside dom f
+leaves no gradient, and the solve stops unconverged with an infinite
+residual.
 
-On catalog chains without an envelope node the subgradients are exact, so
-before descending the solver tests the structured probe points (centres,
-corners, anchors) in order and returns, with 0 iterations, the first where
-the least-norm subgradient of F is below the tolerance: a prox at a kink
-of f is then found bit for bit, where descent would only land within its
-tolerance. A probe is never a start: descent starts at x, or at the first
-finite probe when F(x) = +inf.
+On catalog chains without an envelope node, before descending, the solver
+tests the structured probe points (centres, corners, anchors) in order and
+returns, with 0 iterations, the first where the least-norm subgradient of
+F is below the tolerance: a prox at a kink of f is then found bit for bit,
+where descent would only land within its tolerance. A probe is never a
+start: descent starts at x, or at the first finite probe when
+F(x) = +inf. Envelope chains skip the walk: they are C^1 and finite
+everywhere, with no kink to find and no start to look for.
 
 Each descent step searches t >= 0 on the ray y - t p, relying on the
 convexity of F along it. p is the least-norm subgradient s, or, where df
-is a singleton at y and at the last iterate (a ``SingletonSet``, or any
-point of an envelope chain), the PR+ conjugate direction s + beta p',
+is a singleton at y and at the last iterate (a ``SingletonSet``, as at
+any point of an envelope chain), the PR+ conjugate direction s + beta p',
 beta = <s, s - s'> / ||s'||^2 (Gilbert & Nocedal 1992), if beta > 0 and
 <p, s> > 0: no zigzag on curved smooth pieces, and no conjugate memory
 across kinks, where it can jam (Wolfe 1975). Only a steepest step ends a
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functions as fn
-from .errors import DomainUnreachable, UnsupportedProx
+from .errors import (DomainUnreachable, EmptySubdifferential, UnsupportedProx,
+                     UnsupportedSubdifferential)
 
 _BRACKET = np.exp2(np.arange(-40.0, 61.0))  # line-search steps, in units of lam
 _ZOOM_POINTS = 257  # points per batched zoom round, both bracket ends included
@@ -138,18 +142,20 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
 
     y = x.copy()
     fy = _objective(f, lam, x, y)
-    if not np.isfinite(fy):
-        y, fy = _find_finite_start(f, lam, x)
-
     subgrad = _subgradient_oracle(f, lam, x)
     if catalog and not fn.contains_envelope(f):
-        # exact kink test (see the module docstring)
+        # exact kink test, which also takes the first finite probe as the
+        # start when F(x) = +inf (see the module docstring)
         for p in fn.structured_probes(f):
             fp = _objective(f, lam, x, p)
             if math.isfinite(fp):
                 ns = float(fn.norms(subgrad(p)[0]))
                 if ns * lam < budget.tol:
                     return ProxResult(p, fp, "numerical", 0, ns)
+                if not math.isfinite(fy):
+                    y, fy = p, fp
+    if not math.isfinite(fy):
+        raise DomainUnreachable("all probe points evaluate to +inf")
 
     iters = 0
     # steepest or PR+ conjugate descent with a line search (steps in units
@@ -193,44 +199,25 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     return ProxResult(y, fy, "numerical", iters, residual, converged=False)
 
 
-def _find_finite_start(f, lam, x):
-    probes = [x]
-    if isinstance(f, fn.ConvexFunction):
-        probes.extend(fn.structured_probes(f))
-    for p in probes:
-        v = _objective(f, lam, x, p)
-        if np.isfinite(v):
-            return p.copy(), v
-    raise DomainUnreachable("all probe points evaluate to +inf")
-
-
 def _subgradient_oracle(f, lam, x):
     """(s, smooth): a subgradient s of the prox objective F at y, and whether
     df(y) is known to be a singleton.
 
-    Catalog chains without envelope nodes expose structured subdifferentials;
-    the least-norm element of dF(y) = df(y) + (y - x)/lam is then exact.
-    Everything else (envelope chains, tabulated functions) is smooth enough
-    for central differences; of these only envelope chains, C^1, count as
-    smooth.
+    On catalog chains s is the least-norm element of
+    dF(y) = df(y) + (y - x)/lam, exact, and smooth means df(y) is a
+    ``SingletonSet`` (at every point of an envelope chain, C^1). Where no
+    structured subdifferential exists, and on everything else (tabulated
+    functions), s comes from central differences and counts as not smooth.
     """
-    catalog = isinstance(f, fn.ConvexFunction)
-    use_sets = catalog and not fn.contains_envelope(f)
-
-    if use_sets:
-        from .errors import EmptySubdifferential, UnsupportedSubdifferential
-
-        def subgrad(y):
-            v = (y - x) / lam
+    def subgrad(y):
+        v = (y - x) / lam
+        if isinstance(f, fn.ConvexFunction):
             try:
                 sd = f.subdiff(y)
                 return sd.shift(v).project(np.zeros(f.dim)), sd.kind == "singleton"
             except (UnsupportedSubdifferential, EmptySubdifferential):
-                return _fd_gradient(f, y) + v, False
-        return subgrad
-
-    def subgrad(y):
-        return _fd_gradient(f, y) + (y - x) / lam, catalog
+                pass
+        return _fd_gradient(f, y) + v, False
     return subgrad
 
 

@@ -649,14 +649,6 @@ class Envelope(ConvexFunction):
         self.f = f
         self.lam = check_scalar("envelope index", lam)
         self.dim = f.dim
-        depth = sum(isinstance(g, Envelope) for g in chain(self))
-        if depth >= 3:
-            import warnings
-
-            warnings.warn(
-                f"envelope nesting depth {depth}: every level pays an inner solve",
-                stacklevel=2,
-            )
 
     def value_many(self, X):
         P = self.f.prox_many(self.lam, X)

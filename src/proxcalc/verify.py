@@ -214,16 +214,12 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
     mask = dists > 1e-12
     lhat = float(np.max(diffs[mask] / dists[mask])) if np.any(mask) else 0.0
 
-    residual = 0.0
-    witness = None
-    norms_x = fn.norms(X)
-    for y in Y:
-        P = f.prox_many(1.0, X + y)
-        gaps = norms_x - ell - fn.norms(P - y)
-        i = int(np.argmax(gaps))
-        if gaps[i] > residual:
-            residual = float(gaps[i])
-            witness = (X[i].copy(), y.copy())
+    # every (y, x) pair, y-major, in one batch
+    n = X.shape[0]
+    Yn = np.repeat(Y, n, axis=0)
+    P = f.prox_many(1.0, np.tile(X, (Y.shape[0], 1)) + Yn)
+    gaps = np.tile(fn.norms(X), Y.shape[0]) - ell - fn.norms(P - Yn)
+    residual = float(np.max(gaps, initial=0.0))
 
     lip_holds = lhat <= ell + tol
     ineq_holds = residual <= tol
@@ -233,8 +229,9 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
         status = VERIFIED
     elif not lip_holds and not ineq_holds:
         status = COUNTEREXAMPLE
+        k = int(np.argmax(gaps))
         witnesses.append(
-            (witness[0], f"with y={witness[1].tolist()} violates by {residual:.3e}")
+            (X[k % n].copy(), f"with y={Y[k // n].tolist()} violates by {residual:.3e}")
         )
     else:
         status = HYPOTHESIS_FAILS  # sampling was inconclusive

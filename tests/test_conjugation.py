@@ -350,6 +350,39 @@ def test_envelope_conjugate_compares_an_uncertified_query_one_way(monkeypatch):
     assert rep.status == "hypothesis_fails" and rep.conclusion_residual == 0.0
 
 
+def test_ascend_bound_is_zero_at_a_box_face_maximizer():
+    # u = ||y||^2 / 2: the sup of <z, y> - u(y) over the box is at clip(z),
+    # where the gradient z - clip(z) points out of the box and the
+    # Frank-Wolfe gap is 0, though ||F|| times the corner distance is not
+    Z = np.array([[3.0, 0.5], [-4.0, 2.5], [0.2, -0.1]])
+    lo, hi = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
+    Y, bound = conjugation.ascend(lambda Y: Y, Z, Z, lo, hi)
+    assert np.array_equal(Y, np.clip(Z, lo, hi))
+    assert np.array_equal(bound, np.zeros(3))
+
+
+@pytest.mark.parametrize("lam", [30.0, 300.0])
+def test_envelope_conjugate_stops_ascents_held_at_a_box_face(monkeypatch, lam):
+    # at a large lam the maximizers x + lam q of most queries lie beyond the
+    # box: their ascents end on a face, where the gradient does not vanish,
+    # and went on to the 100-step cap under a ||F|| max ||corner - y|| stop
+    calls = [0]
+    ascend = conjugation.ascend
+
+    def counted(grad_many, *args):
+        def grad(X):
+            calls[0] += 1
+            return grad_many(X)
+        return ascend(grad, *args)
+
+    monkeypatch.setattr(conjugation, "ascend", counted)
+    grid = pc.SampleGrid([-15.0] * 3, [15.0] * 3, [2] * 3)
+    rep = pc.verify_envelope_conjugate(pc.IndicatorBall([0.2, 0.2, 0.2], 1.3), lam, grid,
+                                       battery_samples(3, 1, 50, 4.0))
+    assert calls[0] <= 15  # 100 prox batches with the corner-distance stop
+    assert rep.status == ("verified" if lam == 30.0 else "hypothesis_fails")
+
+
 def test_envelope_conjugate_rejects_function_of_other_dimension():
     grid = pc.SampleGrid([-5.0] * 2, [5.0] * 2, [21] * 2)
     with pytest.raises(DimensionMismatch):

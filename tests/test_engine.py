@@ -205,6 +205,17 @@ def test_subgradient_oracle_flags_only_a_singleton_df_as_smooth():
     assert not tab(np.array([0.5]))[1]
 
 
+def test_subgradient_oracle_on_an_envelope_chain_is_its_exact_gradient():
+    # an envelope chain's subdifferential is the singleton of its gradient,
+    # so the solver reads it there, not from central differences
+    f = pc.Tilt(pc.Envelope(pc.ScaledNorm(1.5, [0.4, -0.3]), 0.5), [0.3, 0.2])
+    x, lam = np.array([0.3, -0.2]), 0.7
+    oracle = engine._subgradient_oracle(f, lam, x)
+    for y in battery_samples(2, 5, 12, 3.0):
+        s, smooth = oracle(y)
+        assert smooth and np.array_equal(s, f.gradient_many(y[None])[0][0] + (y - x) / lam)
+
+
 _KINKS = [  # (f, its kink, u -> (x - kink) / lam for x with prox = kink, |u| <= 1)
     (pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, 0.2]), [0.0, 0.0],
      lambda u: 0.9 * u - np.array([0.3, 0.2])),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import proxcalc as pc
 import proxcalc.verify as verify_module
 from proxcalc import conjugation
+from proxcalc import functions as fn
 from proxcalc.errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
 from proxcalc.reports import sampled_verdict
 from proxcalc.sampling import Lcg
@@ -260,6 +261,29 @@ def test_lipschitz_affine_exact(X2):
     assert rep.status == "verified"
     assert rep.details["lhat"] == pytest.approx(1.0, abs=1e-2)
     assert rep.details["lhat"] <= 1.0 + 1e-12
+
+
+def test_lipschitz_scores_every_pair_in_one_prox_batch(monkeypatch, X2):
+    Y = np.vstack([battery_samples(2, 23, 9, 3.0), np.zeros((1, 2))])
+    # the first (y, x) pair of the largest gap, y-major, as one batch per y finds it
+    gaps = [fn.norms(X2) - 1.0 - fn.norms(SQ2.prox_many(1.0, X2 + y) - y) for y in Y]
+    j, i = np.unravel_index(np.argmax(gaps), (len(Y), len(X2)))
+    calls = [0]
+    prox_many = pc.Quadratic.prox_many
+
+    def counted(self, lam, X):
+        calls[0] += 1
+        return prox_many(self, lam, X)
+
+    monkeypatch.setattr(pc.Quadratic, "prox_many", counted)
+    rep = check_lipschitz(SQ2, 1.0, X2, Y)
+    assert calls[0] == 1  # one per y, 10, before
+    assert rep.status == "counterexample"
+    assert rep.conclusion_residual == gaps[j][i]
+    assert np.array_equal(rep.witnesses[0][0], X2[i])
+    assert rep.witnesses[0][1].startswith(f"with y={Y[j].tolist()} ")
+    empty = check_lipschitz(NORM2, 1.0, X2, np.empty((0, 2)))
+    assert empty.conclusion_residual == 0.0 and empty.status == "verified"
 
 
 def test_lipschitz_requires_finite_values(X2):
