@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +63,9 @@ def sampled_verdict(name, X, hyp, tol_h, gaps, tol, note, details,
 
 def fmt_float(v) -> str:
     v = float(v)
-    if np.isposinf(v):
+    if v == math.inf:
         return "+inf"
-    if np.isneginf(v):
+    if v == -math.inf:
         return "-inf"
     return repr(v)
 

@@ -61,6 +61,9 @@ INFIMUM_RADIUS = 50.0
 INFIMUM_POINTS = 10_000
 DIVERGENCE_CUTOFF = -1e6
 
+# pair entries per row block of the Lipschitz difference quotient
+_PAIR_BLOCK = 2 ** 14
+
 
 # No library code calls this; perfbench/tracer.py binds it until ROADMAP item 4.
 def sampled_conjugate_infimum(f: fn.ConvexFunction, radius: float = INFIMUM_RADIUS,
@@ -197,10 +200,12 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
                     tol: float = TOL_CLOSED) -> CheckReport:
     """Both directions of the Lipschitz characterization.
 
-    Direction A estimates the Lipschitz constant from value differences;
-    direction B measures the residual of ||x|| - ell <= ||prox_f(x+y) - y||
-    over the (x, y) sample product. The two must agree: both clean, or both
-    violated.
+    Direction A estimates the Lipschitz constant from value differences,
+    max |f(x_i) - f(x_k)| / ||x_i - x_k|| over the sample pairs more than
+    1e-12 apart; it scores the pairs k >= i only, in row blocks of about
+    2**14 pairs, so its memory does not grow as n^2 d. Direction B measures
+    the residual of ||x|| - ell <= ||prox_f(x+y) - y|| over the (x, y)
+    sample product. The two must agree: both clean, or both violated.
     """
     ell = fn.check_scalar("ell", ell, positive=False)
     tol = fn.check_scalar("tol", tol, positive=False)
@@ -209,10 +214,7 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
     fv = fn.evaluate_many(f, X)
     if not np.all(np.isfinite(fv)):
         raise ValueError("Lipschitz check needs f finite-valued on the samples")
-    diffs = np.abs(fv[:, None] - fv[None, :])
-    dists = fn.norms(X[:, None, :] - X[None, :, :])
-    mask = dists > 1e-12
-    lhat = float(np.max(diffs[mask] / dists[mask])) if np.any(mask) else 0.0
+    lhat = _max_quotient(fv, X)
 
     # every (y, x) pair, y-major, in one batch
     n = X.shape[0]
@@ -245,6 +247,35 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
         details={"lhat": lhat, "consistent": consistent,
                  "samples_x": int(X.shape[0]), "samples_y": int(Y.shape[0])},
     )
+
+
+def _max_quotient(fv, X) -> float:
+    """max |fv[i] - fv[k]| / ||X[i] - X[k]|| over the sample pairs more than
+    1e-12 apart, 0.0 when there are none.
+
+    Each block of rows is scored against the columns from its first row on,
+    which covers every pair k >= i. Both factors are symmetric in the pair,
+    and the squared distance is summed from the first column on as
+    ``fn.norms`` sums it, so the maximum has the bits of the full n x n one.
+    """
+    n = X.shape[0]
+    rows = max(1, _PAIR_BLOCK // max(n, 1))
+    lhat = 0.0
+    for i in range(0, n, rows):
+        block = slice(i, i + rows)
+        dists = np.subtract.outer(X[block, 0], X[i:, 0])
+        np.multiply(dists, dists, out=dists)
+        step = np.empty_like(dists)
+        for j in range(1, X.shape[1]):
+            np.subtract.outer(X[block, j], X[i:, j], out=step)
+            np.multiply(step, step, out=step)
+            dists += step
+        np.sqrt(dists, out=dists)
+        diffs = np.abs(np.subtract.outer(fv[block], fv[i:]))
+        ratios = np.zeros_like(dists)
+        np.divide(diffs, dists, out=ratios, where=dists > 1e-12)
+        lhat = np.maximum(lhat, ratios.max(initial=0.0))  # a NaN stays NaN
+    return float(lhat)
 
 
 def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
@@ -467,11 +498,11 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
     reports.append(rep)
 
     box = SampleGrid(np.full(f.dim, -2.5 * radius), np.full(f.dim, 2.5 * radius), [2] * f.dim)
+    cloud = battery_samples(f.dim, seed + 1, 25, radius / 4)
     for tag, h in (("f", f), ("g", g)):
         reports += [_decomposition_report(h, X, tag), _envelope_gradient_report(h, X, tag)]
         # envelope gradients x - prox_h(x) lie in dom h*, even on a ray; the sup is at x
-        queries = np.vstack([battery_samples(h.dim, seed + 1, 25, radius / 4),
-                             X[:25] - h.prox_many(1.0, X[:25])])
+        queries = np.vstack([cloud, X[:25] - h.prox_many(1.0, X[:25])])
         rep = conjugation.verify_envelope_conjugate(h, 1.0, box, queries, TOL_GRID)
         rep.name = f"envelope_conjugate({tag})"
         reports.append(rep)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import proxcalc as pc
-from proxcalc.cli import main, parse_grid, parse_point
+from proxcalc.cli import build_parser, main, parse_grid, parse_point
 from proxcalc.errors import SpecParseError
+from proxcalc.reports import fmt_float
 
 
 def write_spec(tmp_path, name, doc):
@@ -206,6 +207,27 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     code, out, err = run_cli(["verify-all", "--help"], capsys)
     assert (code, err) == (0, "")
     assert out.startswith("usage: proxcalc verify-all")
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(sq_spec, norm_spec, capsys):
+    argv = ["verify-all", "--f", sq_spec, "--g", norm_spec, "--anchor", "0,0",
+            "--seed", "3", "--samples", "30", "--ell", "1.0"]
+    build_parser.cache_clear()
+    alone = run_cli(argv, capsys)
+    assert build_parser() is build_parser()
+    code, out, err = run_cli(["verify-all", "--f", sq_spec, "--bogus"], capsys)
+    assert (code, out) == (1, "") and err.startswith("usage: proxcalc")
+    assert run_cli(argv, capsys) == alone
+    assert alone[0] == 2 and "check: lipschitz(ell=1.0)" in alone[1]
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("inf"), "+inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+    (-0.0, "-0.0"), (5e-324, "5e-324"), (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(1 / 3), "0.3333333333333333"), (np.float64(-np.inf), "-inf"),
+])
+def test_fmt_float_strings(value, text):
+    assert fmt_float(value) == text
 
 
 def test_reconstruct_expansive_oracle_table_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Theorem checkers: comparison, gradients, norm bound, Lipschitz,
 equivalences, support distance."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,43 @@ def test_lipschitz_scores_every_pair_in_one_prox_batch(monkeypatch, X2):
     assert rep.witnesses[0][1].startswith(f"with y={Y[j].tolist()} ")
     empty = check_lipschitz(NORM2, 1.0, X2, np.empty((0, 2)))
     assert empty.conclusion_residual == 0.0 and empty.status == "verified"
+
+
+def _tensor_lhat(fv, X):
+    # the quotient over the full (n, n, d) difference tensor, every pair twice
+    diffs = np.abs(fv[:, None] - fv[None, :])
+    dists = fn.norms(X[:, None, :] - X[None, :, :])
+    mask = dists > 1e-12
+    return float(np.max(diffs[mask] / dists[mask])) if np.any(mask) else 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("n", [0, 1, 2, 181, 205])  # 181: a last block of one row
+def test_lipschitz_quotient_matches_the_full_pair_tensor(dim, n):
+    rng = np.random.default_rng(100 * dim + n)
+    X = rng.normal(size=(n, dim)) * 3.0
+    if n > 4:
+        X[3] = X[1]                 # a duplicate row
+        X[4] = X[0] + 1e-13 / dim   # a near duplicate, closer than 1e-12
+    f = pc.Quadratic(np.diag(rng.uniform(0.5, 2.0, dim)), rng.normal(size=dim))
+    rep = check_lipschitz(f, 1.0, X, X[:2])
+    assert rep.details["lhat"] == _tensor_lhat(fn.evaluate_many(f, X), X)
+    # values unrelated to X: an unmasked (near) duplicate would dominate
+    fv = rng.normal(size=n)
+    assert verify_module._max_quotient(fv, X) == _tensor_lhat(fv, X)
+
+
+def test_lipschitz_quotient_memory_does_not_grow_as_n_squared_d():
+    X = battery_samples(16, 3, 1001, 4.0)
+    f = pc.ScaledNorm(1.0, np.zeros(16))
+    tracemalloc.start()
+    try:
+        rep = check_lipschitz(f, 1.0, X, X[:1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status == "verified"
+    assert peak < 16 * 2 ** 20  # the (n, n, d) tensor alone is 128 MB
 
 
 def test_lipschitz_requires_finite_values(X2):
