@@ -133,8 +133,10 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
     ||G|| max ||corner - v||, |G| = |grad phi(v)| widened by its rounding at the
     box's scale, exceeds phi(v*) - phi(v) by concavity for v* in the box; a
     query is interior when that bound is at most tol/100 and v is off the box
-    boundary.
+    boundary. One prox batch P = prox_{lam f}(V) at the end points V gives both
+    f_lam(V) = f(P) + ||V - P||^2 / (2 lam) and G; lam is validated on entry.
     """
+    fn.check_lam(lam)
     tol = fn.check_scalar("tol", tol, positive=False)
     if f.dim != grid.dim:
         raise DimensionMismatch(f"function dim {f.dim} != box dim {grid.dim}")
@@ -145,11 +147,11 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
     V, q, T = np.clip(lam * Q, lo, hi), Q[finite], lam * 2.0 ** 40
     V[finite] = ascend(lambda X: X - f.prox_many(lam, X), lam * q,
                        f.prox_many(T, T * q) + lam * q, lo, hi)[0]
+    P, span = f.prox_many(lam, V), np.maximum(np.abs(lo), np.abs(hi))
     qv = fn.dots(Q, V)
-    lhs = qv - fn.evaluate_many(fn.Envelope(f, lam), V)
+    lhs = qv - fn._check_no_nan(f.value_many(P) + fn.sq_norms(V - P) / (2.0 * lam))
     # |G| plus its rounding (the prox map rounds at the box's scale), times the
     # distance to the farthest corner
-    P, span = f.prox_many(lam, V), np.maximum(np.abs(lo), np.abs(hi))
     G = np.abs(Q - (V - P) / lam) + fn.ROUNDING * (np.abs(Q) + (np.abs(P) + span) / lam)
     bound = np.sqrt(fn.sq_norms(G) * fn.sq_norms(np.maximum(V - lo, hi - V)))
     # phi(v) <= (f_lam)*(q) anywhere: where the sup may lie beyond v, only lhs > rhs counts

@@ -2,10 +2,10 @@
 
 The kinds are singletons, balls, boxes, halflines (rays; normal cones
 anchor them at 0) and the empty set. Every descriptor supports projection
-of an arbitrary point (which gives its least-norm element), a
-support-function evaluation and translation. Box bounds may be infinite,
-which covers orthant-style normal cones and the full space; every other
-kind has finite parameters.
+of an arbitrary point (which gives its least-norm element) and
+translation. Box bounds may be infinite, which covers orthant-style normal
+cones and the full space; every other kind has finite parameters.
+``sets_equal`` decides equality for every pair of kinds.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 from . import functions as fn  # imports this module first; fn is read at call time
 from .errors import EmptySubdifferential
 
-_TOL = 1e-9
-
 
 class SubdiffSet:
     """Base class; concrete kinds are Singleton/Ball/Box/HalflineCone/Empty."""
@@ -25,10 +23,6 @@ class SubdiffSet:
     dim: int
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def support(self, u: np.ndarray) -> float:
-        """sup over the set of <u, .>; +inf when unbounded in direction u."""
         raise NotImplementedError
 
     def shift(self, w: np.ndarray) -> "SubdiffSet":
@@ -48,9 +42,6 @@ class SingletonSet(SubdiffSet):
 
     def project(self, z):
         return self.point.copy()
-
-    def support(self, u):
-        return float(fn.dots(u, self.point))
 
     def shift(self, w):
         return SingletonSet(self.point + w)
@@ -76,9 +67,6 @@ class BallSet(SubdiffSet):
             return np.asarray(z, dtype=float).copy()
         return self.center + d * (self.radius / n)
 
-    def support(self, u):
-        return float(fn.dots(u, self.center) + self.radius * fn.norms(u))
-
     def shift(self, w):
         return BallSet(self.center + w, self.radius)
 
@@ -98,12 +86,6 @@ class BoxSet(SubdiffSet):
 
     def project(self, z):
         return np.clip(z, self.lo, self.hi)
-
-    def support(self, u):
-        u = np.asarray(u, dtype=float)
-        # 0 * inf must contribute 0, not nan
-        terms = np.where(u > 0, u * self.hi, np.where(u < 0, u * self.lo, 0.0))
-        return float(np.sum(terms))
 
     def shift(self, w):
         return BoxSet(self.lo + w, self.hi + w)
@@ -129,11 +111,6 @@ class HalflineSet(SubdiffSet):
         t = max(0.0, float(fn.dots(z - self.anchor, d) / fn.sq_norms(d)))
         return self.anchor + t * d
 
-    def support(self, u):
-        if fn.dots(u, self.direction) > _TOL:
-            return float("inf")
-        return float(fn.dots(u, self.anchor))
-
     def shift(self, w):
         return HalflineSet(self.anchor + w, self.direction)
 
@@ -150,9 +127,6 @@ class EmptySet(SubdiffSet):
     def project(self, z):
         raise EmptySubdifferential("projection onto the empty set")
 
-    def support(self, u):
-        return float("-inf")
-
     def shift(self, w):
         return self
 
@@ -160,19 +134,23 @@ class EmptySet(SubdiffSet):
         return f"EmptySet(dim={self.dim})"
 
 
-def sets_equal(a: SubdiffSet, b: SubdiffSet, tol: float = 1e-7):
-    """Structural comparison; returns True/False, or None when undecidable.
+def sets_equal(a: SubdiffSet, b: SubdiffSet, tol: float = 1e-7) -> bool:
+    """Whether two sets agree to within tol, decided for every pair of kinds.
 
-    Degenerate kinds are normalized first (a radius-0 ball is its center, a
-    box with lo == hi is a point).
+    Both sets are normalized first:
+
+    * a ball of radius <= tol is its center;
+    * a box whose widths are all <= tol is its midpoint;
+    * in 1-D, a ball is the box [c - r, c + r] and a halfline the box
+      [a, inf) or (-inf, a];
+    * in d >= 2, a box with one infinite half-axis and width <= tol on every
+      other axis is a halfline.
+
+    Normalized sets of different kinds differ.
     """
     a = _normalize(a, tol)
     b = _normalize(b, tol)
-    if a.kind != b.kind:
-        if "empty" in (a.kind, b.kind):
-            return False
-        return None
-    if a.dim != b.dim:
+    if a.kind != b.kind or a.dim != b.dim:
         return False
     if a.kind == "empty":
         return True
@@ -182,11 +160,9 @@ def sets_equal(a: SubdiffSet, b: SubdiffSet, tol: float = 1e-7):
         return bool(fn.norms(a.center - b.center) <= tol and abs(a.radius - b.radius) <= tol)
     if a.kind == "box":
         return bool(_bounds_close(a.lo, b.lo, tol) and _bounds_close(a.hi, b.hi, tol))
-    if a.kind == "halfline_cone":
-        da = a.direction / fn.norms(a.direction)
-        db = b.direction / fn.norms(b.direction)
-        return bool(fn.norms(a.anchor - b.anchor) <= tol and fn.norms(da - db) <= tol)
-    return None
+    da = a.direction / fn.norms(a.direction)
+    db = b.direction / fn.norms(b.direction)
+    return bool(fn.norms(a.anchor - b.anchor) <= tol and fn.norms(da - db) <= tol)
 
 
 def _normalize(s: SubdiffSet, tol: float) -> SubdiffSet:
@@ -194,6 +170,18 @@ def _normalize(s: SubdiffSet, tol: float) -> SubdiffSet:
         return SingletonSet(s.center)
     if s.kind == "box" and np.all(np.isfinite(s.lo)) and np.all(s.hi - s.lo <= tol):
         return SingletonSet(0.5 * (s.lo + s.hi))
+    if s.dim == 1 and s.kind == "ball":
+        return BoxSet(s.center - s.radius, s.center + s.radius)
+    if s.dim == 1 and s.kind == "halfline_cone":
+        inf = np.full(1, np.inf)
+        return BoxSet(s.anchor, inf) if s.direction[0] > 0 else BoxSet(-inf, s.anchor)
+    if s.kind == "box" and s.dim >= 2:
+        up, down = np.isposinf(s.hi), np.isneginf(s.lo)
+        rest = ~(up | down)
+        if np.sum(up) + np.sum(down) == 1 and np.all(s.hi[rest] - s.lo[rest] <= tol):
+            # a ray along +-e_i from the finite bound of axis i
+            anchor = np.where(rest, 0.5 * (s.lo + s.hi), np.where(up, s.lo, s.hi))
+            return HalflineSet(anchor, up - down.astype(float))
     return s
 
 

@@ -1,5 +1,7 @@
 """Grid tabulation and the numerical Legendre-Fenchel transform."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,6 +397,42 @@ def test_envelope_conjugate_rejects_wrong_query_width():
     with pytest.raises(DimensionMismatch):
         pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0, grid,
                                      np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), INF])
+def test_envelope_conjugate_rejects_a_bad_lam_before_any_arithmetic(lam):
+    grid = pc.SampleGrid([-5.0] * 2, [5.0] * 2, [2] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lam"):
+            pc.verify_envelope_conjugate(pc.ScaledNorm(1.0, [0.0, 0.0]), lam, grid,
+                                         [[0.2, 0.1], [-0.4, 0.3]])
+
+
+def test_envelope_conjugate_runs_one_prox_batch_at_the_end_points(monkeypatch):
+    # after the ascent, one prox_{lam f} batch at the end points gives both
+    # f_lam(V) and the gradient bound
+    f, lam = pc.ScaledNorm(1.0, [0.0, 0.0]), 0.5
+    grid = pc.SampleGrid([-5.0] * 2, [5.0] * 2, [2] * 2)
+    Q = battery_samples(2, 4, 25, 0.8)
+    ascend, prox_many, calls = conjugation.ascend, pc.ScaledNorm.prox_many, []
+
+    def counted_ascend(*args):
+        out = ascend(*args)
+        calls.append("ascended")
+        return out
+
+    def counted_prox(self, lam, X):
+        calls.append(lam)
+        return prox_many(self, lam, X)
+
+    monkeypatch.setattr(conjugation, "ascend", counted_ascend)
+    monkeypatch.setattr(pc.ScaledNorm, "prox_many", counted_prox)
+    monkeypatch.setattr(pc.Envelope, "value_many", None)
+    rep = pc.verify_envelope_conjugate(f, lam, grid, Q)
+    assert rep.status == "verified"
+    after = calls[calls.index("ascended") + 1:]
+    assert after == [lam]
 
 
 def test_envelope_conjugate_rejects_nan_query():

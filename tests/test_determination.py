@@ -58,6 +58,43 @@ def test_oracle_counts_calls():
     assert oracle.call_count == 6
 
 
+_NORM2 = pc.ScaledNorm(1.0, [0.0, 0.0])
+_TABLE_IN = pc.Lcg(3).points_in_ball(40, 2, 3.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pc.ProxOracle.from_function(pc.Tilt(_NORM2, [0.3, -0.1]), lam=0.7),
+    lambda: pc.ProxOracle.from_table(np.linspace(-3, 3, 13).reshape(-1, 1),
+                                     np.tanh(np.linspace(-3, 3, 13)).reshape(-1, 1)),
+    lambda: pc.ProxOracle.from_table(_TABLE_IN, _NORM2.prox_many(1.0, _TABLE_IN)),
+    lambda: pc.ProxOracle(lambda x: _NORM2.prox_many(1.0, x[None])[0], 2),
+], ids=["function", "table_1d", "table_2d", "query_only"])
+def test_oracle_point_is_a_one_row_batch(make):
+    oracle = make()
+    for x in ([0.4, -1.3], [7.0, 0.2], [0.0, 0.0]):
+        x = np.asarray(x[:oracle.dim])
+        count = oracle.call_count
+        y = oracle(x)
+        assert oracle.call_count == count + 1
+        assert y.shape == (oracle.dim,)
+        assert y.tobytes() == oracle.query_many(x[None])[0].tobytes()
+
+
+def test_query_only_oracle_reconstructs():
+    norm = pc.ScaledNorm(1.0, [0.0])
+    reports = []
+    for oracle in (pc.ProxOracle(lambda x: norm.prox_many(1.0, x[None])[0], 1),
+                   pc.ProxOracle.from_function(norm)):
+        reports.append(pc.reconstruct(pc.ReconstructionTask(
+            oracle=oracle, x0=[0.0], tilde_grid=pc.SampleGrid([-10.0], [10.0], [3]),
+            query_points=[[-1.0], [2.0], [0.5]], f_at_x0=0.0)))
+    by_row, batched = reports
+    assert [v for _, v in by_row.recovered] == [v for _, v in batched.recovered]
+    assert by_row.details["oracle_calls"] == batched.details["oracle_calls"]
+    for q, v in by_row.recovered:
+        assert abs(v - abs(q[0])) <= 1e-8
+
+
 def test_oracle_nan_output_rejected():
     oracle = pc.ProxOracle(lambda x: x * np.nan, dim=1,
                            batch_query=lambda X: np.full(X.shape, np.nan))

@@ -15,7 +15,6 @@ from proxcalc import conjugation
 from proxcalc import functions as fn
 from proxcalc.errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
 from proxcalc.reports import sampled_verdict
-from proxcalc.sampling import Lcg
 from proxcalc.sets import EmptySet, sets_equal
 from proxcalc.verify import (
     _decomposition_report,
@@ -389,7 +388,6 @@ def _subdiff_items_row_by_row(f, g, X, tol):
     """The structured-set loop over every row: the reference that the
     batched items iii and iv must reproduce exactly."""
     r3 = r4 = 0.0
-    rng = Lcg(77)
     try:
         for x in X:
             sf, sg = pc.subdifferential(f, x), pc.subdifferential(g, x)
@@ -399,16 +397,7 @@ def _subdiff_items_row_by_row(f, g, X, tol):
                     r3 = r4 = float("inf")
                 continue
             r3 = max(r3, float(np.linalg.norm(sf.min_norm_element() - sg.min_norm_element())))
-            eq = sets_equal(sf, sg, tol)
-            if eq is None:
-                for _ in range(20):
-                    u = rng.unit_vector(f.dim)
-                    a, b = sf.support(u), sg.support(u)
-                    if np.isinf(a) and np.isinf(b):
-                        continue
-                    r4 = max(r4, abs(a - b) if np.isfinite(a) and np.isfinite(b)
-                             else float("inf"))
-            elif not eq:
+            if not sets_equal(sf, sg, tol):
                 r4 = float("inf")
     except UnsupportedSubdifferential:
         return 0.0, 0.0, True
@@ -422,7 +411,7 @@ HUBER2 = pc.Envelope(NORM2, 1.0)
     (HUBER2, pc.AddConst(HUBER2, 2.0)),  # every row smooth, items hold
     (HUBER2, SQ2),  # every row smooth, items fail
     (pc.Envelope(pc.ScaledNorm(1.0, [1e-3, 0.0]), 1.0), HUBER2),  # small gaps
-    (NORM2, HUBER2),  # undecidable ball-vs-singleton at the centre
+    (NORM2, HUBER2),  # a ball against a singleton at the centre
     (NORM2, pc.Tilt(pc.Translate(NORM2, [0.5, 0.0]), [0.1, 0.0])),
     (pc.IndicatorBall([0.0, 0.0], 2.0), pc.IndicatorBox([-2.0, -1.0], [2.0, 1.0])),  # empties
     (pc.SupportBall([0.0, 0.0], 1.0), pc.SupportBox([-1.0, -1.0], [1.0, 1.0])),  # ball vs box
@@ -532,6 +521,32 @@ def test_support_distance_witness_prints_plain_floats(X2):
     (_, text), = rep.witnesses
     assert text.startswith("prox norm ")
     assert "np.float64(" not in text
+
+
+def test_support_distance_reports_the_determination_constant(X2):
+    # f = sigma_C + 5: the constant is inf sigma_C* - inf f* = f(0) = 5, not inf sigma_C* = 0
+    f = pc.AddConst(pc.SupportBall([0.0, 0.0], 1.0), 5.0)
+    rep = check_support_distance(f, pc.IndicatorBall([0.0, 0.0], 1.0), X2)
+    assert rep.status == "verified"
+    assert rep.details["constant"] == 5.0
+
+
+class _DoubledNorm(pc.ScaledNorm):
+    """Prox of the norm, values of twice the norm: not a consistent pair."""
+
+    def value_many(self, X):
+        return 2.0 * super().value_many(X)
+
+
+def test_support_distance_counterexample_carries_the_backward_witnesses(X2):
+    f, C = _DoubledNorm(1.0, [0.0, 0.0]), pc.IndicatorBall([0.0, 0.0], 1.0)
+    rep = check_support_distance(f, C, X2)
+    back = pc.determine_from_norm(f, pc.SupportBall([0.0, 0.0], 1.0), X2, x0=None,
+                                  tol_h=1e-7)
+    assert rep.status == back.status == "counterexample"
+    assert len(rep.witnesses) == 10
+    assert [(p.tolist(), t) for p, t in rep.witnesses] == \
+        [(p.tolist(), t) for p, t in back.witnesses]
 
 
 def test_support_distance_needs_origin(X2):
