@@ -24,7 +24,7 @@ from . import functions as fn
 from .conjugation import conjugate_argmax
 from .determination import ProxOracle, ReconstructionTask, reconstruct
 from .errors import ProxcalcError, SpecParseError
-from .grids import SampleGrid, tabulate
+from .grids import SampleGrid, read_csv_rows, tabulate
 from .reports import COUNTEREXAMPLE, fmt_float, fmt_point, render_reports
 from .specfmt import load_document
 from .verify import check_comparison, battery_samples, standard_battery
@@ -50,16 +50,6 @@ def parse_grid(text: str) -> SampleGrid:
         except ValueError:
             raise SpecParseError(f"bad grid axis '{axis}': non-numeric field")
     return SampleGrid(lo, hi, counts)
-
-
-def _read_points_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                rows.append([float(p) for p in line.split(",")])
-    return np.array(rows)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -167,14 +157,17 @@ def run(argv=None) -> int:
         if args.f:
             oracle = ProxOracle.from_function(load_document(args.f))
         else:
-            pairs = _read_points_csv(args.oracle_table)
-            dim = pairs.shape[1] // 2
+            pairs = read_csv_rows(args.oracle_table)
+            dim, odd = divmod(pairs.shape[1], 2)
+            if odd:
+                raise SpecParseError(f"{args.oracle_table}: an oracle table row is input "
+                                     f"then output coordinates, got {pairs.shape[1]} columns")
             oracle = ProxOracle.from_table(pairs[:, :dim], pairs[:, dim:])
         report = reconstruct(ReconstructionTask(
             oracle=oracle,
             x0=parse_point(args.anchor),
             tilde_grid=parse_grid(args.grid),
-            query_points=_read_points_csv(args.queries),
+            query_points=read_csv_rows(args.queries),
             f_at_x0=args.f_at_anchor,
         ))
         lines = [f"# convention={report.convention}",
@@ -193,7 +186,7 @@ def run(argv=None) -> int:
     if args.command == "compare":
         f = load_document(args.f)
         g = load_document(args.g)
-        anchor = parse_point(args.anchor)
+        anchor = fn.as_point(parse_point(args.anchor), f.dim)
         extra = fn.structured_probes(f) + fn.structured_probes(g) + [anchor]
         X = battery_samples(f.dim, args.seed, args.samples, args.radius, extra)
         rep = check_comparison(f, g, anchor, X, tol_c=args.tol)

@@ -179,7 +179,8 @@ def ascend(grad_many, Z: np.ndarray, Y: np.ndarray, lo, hi):
     A step follows F = z - grad u(y) with one Anderson secant (Walker & Ni,
     SIAM J. Numer. Anal. 49(4), 2011), F - gamma (dY + dF) for
     gamma = max(<F, dF> / ||dF||^2, -5) (dY, dF the last changes), or
-    doubles the last step where the gradient did not change (a flat piece);
+    doubles the last step where ||dF||^2 = 0, the gradient unchanged or
+    changed too little to square (a flat piece);
     it is clipped to the box and calls ``grad_many`` once on the active rows.
     After a doubling or a clip the next step is plain F, not a secant across
     a kink. The Frank-Wolfe gap sum_i max(F_i (hi_i - y_i), F_i (lo_i - y_i))
@@ -194,8 +195,9 @@ def ascend(grad_many, Z: np.ndarray, Y: np.ndarray, lo, hi):
         Fk = z - grad_many(y)
         b = fn.dots(Fk, np.where(Fk > 0, hi - y, lo - y))  # the Frank-Wolfe gap
         dF = Fk - F
-        flat = ~np.any(dF, axis=1)
-        gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, fn.sq_norms(dF))
+        dF2 = fn.sq_norms(dF)
+        flat = dF2 == 0.0
+        gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, dF2)
         gamma = np.where(plain, 0.0, np.maximum(gamma, -5.0))
         step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
         to = y + (step if k else Fk)

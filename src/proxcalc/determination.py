@@ -377,7 +377,7 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     """
     tol_h = fn.check_scalar("tol_h", tol_h, positive=False)
     tol_c = fn.check_scalar("tol_c", tol_c, positive=False)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    samples = as_queries(samples, f.dim)
     pf = f.prox_many(1.0, samples)
     pg = g.prox_many(1.0, samples)
 

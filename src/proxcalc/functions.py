@@ -433,24 +433,32 @@ class IndicatorHalfspace(ConvexFunction):
         return f"IndicatorHalfspace({self.a.tolist()}, {self.beta})"
 
 
-class SupportBall(ConvexFunction):
+class _Support(ConvexFunction):
+    """sigma_C = iota_C* for the set C of ``self.indicator``, whose constructor
+    is the only check of C's parameters. The conjugate is that indicator, and
+    the Moreau identity peels the prox off the projection onto C."""
+
+    def __init__(self, indicator: ConvexFunction):
+        self.indicator = indicator
+        self.dim = indicator.dim
+
+    def prox_many(self, lam, X):
+        # prox_{lam sigma_C}(x) = x - lam proj_C(x / lam)
+        return X - lam * self.indicator.prox_many(1.0, X / lam)
+
+    def conjugate(self):
+        return self.indicator
+
+
+class SupportBall(_Support):
     """Support function of B(center, radius): <center, x> + radius * ||x||."""
 
     def __init__(self, center, radius: float):
-        self.center = as_point(center)
-        self.radius = check_scalar("radius", radius)
-        self.dim = _capped_dim(self.center.size)
+        super().__init__(IndicatorBall(center, radius))
+        self.center, self.radius = self.indicator.center, self.indicator.radius
 
     def value_many(self, X):
         return dots(X, self.center) + self.radius * norms(X)
-
-    def prox_many(self, lam, X):
-        # prox of a support function peels off the projection onto the set:
-        # prox_{lam sigma_C}(x) = x - lam proj_C(x / lam)
-        return X - lam * IndicatorBall(self.center, self.radius).prox_many(1.0, X / lam)
-
-    def conjugate(self):
-        return IndicatorBall(self.center, self.radius)
 
     def subdiff(self, x):
         n = norms(x)
@@ -462,24 +470,15 @@ class SupportBall(ConvexFunction):
         return f"SupportBall({self.center.tolist()}, {self.radius})"
 
 
-class SupportBox(ConvexFunction):
+class SupportBox(_Support):
     """Support function of the box [lo, hi]: sum_i max(lo_i x_i, hi_i x_i)."""
 
     def __init__(self, lo, hi):
-        self.lo = as_point(lo)
-        self.hi = as_point(hi, self.lo.size)
-        if np.any(self.lo > self.hi):
-            raise ValueError("box needs lo <= hi componentwise")
-        self.dim = _capped_dim(self.lo.size)
+        super().__init__(IndicatorBox(lo, hi))
+        self.lo, self.hi = self.indicator.lo, self.indicator.hi
 
     def value_many(self, X):
         return dots(X, np.where(X > 0, self.hi, self.lo))
-
-    def prox_many(self, lam, X):
-        return X - lam * np.clip(X / lam, self.lo, self.hi)
-
-    def conjugate(self):
-        return IndicatorBox(self.lo, self.hi)
 
     def subdiff(self, x):
         gl = np.where(x > MEMBERSHIP_TOL, self.hi, self.lo)
@@ -490,27 +489,20 @@ class SupportBox(ConvexFunction):
         return f"SupportBox({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-class SupportHalfspace(ConvexFunction):
+class SupportHalfspace(_Support):
     """Support function of {x : <a, x> <= beta}: beta t on the ray y = t a,
     t >= 0, and +inf off it. Produced by conjugating a halfspace indicator;
     not part of the document format."""
 
     def __init__(self, a, beta: float):
-        self.halfspace = IndicatorHalfspace(a, beta)
-        self.a, self.beta, self.dim = self.halfspace.a, self.halfspace.beta, self.halfspace.dim
+        super().__init__(IndicatorHalfspace(a, beta))
+        self.a, self.beta = self.indicator.a, self.indicator.beta
 
     def value_many(self, X):
         t = dots(X, self.a) / sq_norms(self.a)
         off = norms(X - t[:, None] * self.a) / (1.0 + norms(X))
         on_ray = (t >= -MEMBERSHIP_TOL) & (off <= MEMBERSHIP_TOL)
         return np.where(on_ray, self.beta * np.maximum(t, 0.0), INF)
-
-    def prox_many(self, lam, X):
-        # the Moreau peel, as for SupportBall: x - lam proj_H(x / lam)
-        return X - lam * self.halfspace.prox_many(1.0, X / lam)
-
-    def conjugate(self):
-        return self.halfspace
 
     def __repr__(self):
         return f"SupportHalfspace({self.a.tolist()}, {self.beta})"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import functions as fn
@@ -11,7 +13,9 @@ GRID_MAX_POINTS = 10**6
 
 
 class SampleGrid:
-    """Axis-aligned lattice: per-axis bounds lo < hi and point counts >= 2."""
+    """Axis-aligned lattice: per-axis bounds lo < hi and point counts >= 2.
+    Any size is accepted, as ``reconstruct`` reads only the box; building the
+    lattice past GRID_MAX_POINTS points raises ValueError before allocating."""
 
     def __init__(self, lo, hi, counts):
         self.lo = fn.as_point(lo)
@@ -24,17 +28,17 @@ class SampleGrid:
             raise ValueError("grid needs lo < hi componentwise")
         if np.any(self.counts < 2):
             raise ValueError("grid needs >= 2 points per axis")
-        if int(np.prod(self.counts)) > GRID_MAX_POINTS:
-            raise ValueError(f"grid exceeds {GRID_MAX_POINTS} points")
         self.dim = self.lo.size
+        self.size = math.prod(self.counts.tolist())  # Python ints: no overflow
         self._points = None
         self._boundary = None
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.counts))
+    def _check_cap(self) -> None:
+        if self.size > GRID_MAX_POINTS:
+            raise ValueError(f"grid exceeds {GRID_MAX_POINTS} points")
 
     def axes(self) -> list[np.ndarray]:
+        self._check_cap()
         return [
             np.linspace(self.lo[i], self.hi[i], self.counts[i]) for i in range(self.dim)
         ]
@@ -55,6 +59,7 @@ class SampleGrid:
         Built once per grid; the array is shared and read-only.
         """
         if self._boundary is None:
+            self._check_cap()
             masks = []
             for count in self.counts:
                 m = np.zeros(count, dtype=bool)
@@ -111,23 +116,34 @@ def write_table_csv(table: ValueTable, path: str) -> None:
             handle.write(f"{coords},{val}\n")
 
 
-def read_table_csv(path: str) -> ValueTable:
-    """Rebuild a ValueTable, inferring the lattice from the coordinates."""
+def read_csv_rows(path: str) -> np.ndarray:
+    """A CSV file of decimals ('+inf' and 'nan' included) as an (n, width)
+    array, skipping blank lines and '#' comments. A non-decimal field or a
+    row of another width than the first raises ValueError naming path:line."""
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
-            coords = [float(p) for p in parts[:-1]]
-            v = float("inf") if parts[-1].strip() in ("+inf", "inf") else float(parts[-1])
-            rows.append((coords, v))
+            try:
+                row = [float(p) for p in line.split(",")]
+            except ValueError as exc:  # names the field
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{line_no}: expected {len(rows[0])} fields, got {len(row)}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"no rows in {path}")
-    dim = len(rows[0][0])
-    coords = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
+    return np.array(rows)
+
+
+def read_table_csv(path: str) -> ValueTable:
+    """Rebuild a ValueTable from rows of coordinates then value, read by
+    ``read_csv_rows``, inferring the lattice; a partial lattice raises."""
+    rows = read_csv_rows(path)
+    coords, values = rows[:, :-1], rows[:, -1]
+    dim = coords.shape[1]
     axes = [np.unique(coords[:, i]) for i in range(dim)]
     grid = SampleGrid([a[0] for a in axes], [a[-1] for a in axes], [a.size for a in axes])
     if coords.shape[0] != grid.size:

@@ -102,7 +102,7 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
     g0 = fn.evaluate(g, x0)
     if not (np.isfinite(f0) and np.isfinite(g0)):
         raise AnchorOutsideDomain("anchor must lie in dom f and dom g")
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = conjugation.as_queries(samples, f.dim)
     pf = f.prox_many(1.0, X)
     pg = g.prox_many(1.0, X)
     hyp = float(np.max(np.maximum(fn.norms(pf - x0) - fn.norms(pg - x0), 0.0)))
@@ -157,7 +157,7 @@ def check_gradient_comparison(f, g, samples, lam: float | None = None,
         g = fn.Envelope(g, lam)
     if not isinstance(f, fn.Envelope) or not isinstance(g, fn.Envelope):
         raise ValueError("pass envelope nodes, or supply lam to wrap both")
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = conjugation.as_queries(samples, f.dim)
     nf = fn.norms(f.gradient_many(X)[0])
     ng = fn.norms(g.gradient_many(X)[0])
     hyp = float(np.max(np.maximum(nf - ng, 0.0)))
@@ -175,22 +175,32 @@ def check_gradient_comparison(f, g, samples, lam: float | None = None,
 def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
                            tol: float = 1e-6) -> CheckReport:
     """Hypothesis ||x|| - ell <= ||prox_g(x)||, conclusion
-    g - g(0) <= ell ||.||; with ell = 0, additionally g is constant."""
+    g - g(0) <= ell ||.||; with ell = 0, additionally g is constant.
+
+    Scored as ``check_comparison(ell ||.||, g)`` at the anchor 0: g = +inf at
+    a sample is an infinite gap, and before a counterexample the hypothesis
+    sweep widens (``_hypothesis_extended``). Where the hypothesis fails only
+    beyond that reach (a halfspace indicator with ell = 100), the report is
+    a sampled counterexample, as ``check_comparison`` gives.
+    """
     ell = fn.check_scalar("ell", ell, positive=False)
     tol = fn.check_scalar("tol", tol, positive=False)
     g0 = fn.evaluate(g, np.zeros(g.dim))
     if not np.isfinite(g0):
         raise AnchorOutsideDomain("g(0) must be finite")
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = conjugation.as_queries(samples, g.dim)
     norms = fn.norms(X)
     hyp = float(np.max(np.maximum(norms - ell - fn.norms(g.prox_many(1.0, X)), 0.0)))
     gv = fn.evaluate_many(g, X)
     finite = np.isfinite(gv)
-    gaps = np.zeros(X.shape[0])
+    gaps = np.full(X.shape[0], np.inf)
     gaps[finite] = np.maximum(gv[finite] - g0 - ell * norms[finite], 0.0)
     if ell == 0.0 and np.any(finite):
         # constancy: the spread max g - min g, attained at argmax g
         gaps[finite] = np.maximum(gaps[finite], gv[finite] - np.min(gv[finite]))
+    if hyp <= tol and np.any(gaps > tol):
+        origin = np.zeros(g.dim)
+        hyp = max(hyp, _hypothesis_extended(fn.ScaledNorm(ell, dim=g.dim), g, origin, X, tol))
     return sampled_verdict(f"norm_lower_bound(ell={ell})", X, hyp, tol, gaps, tol,
                            lambda i: f"gap={gaps[i]:.3e}",
                            {"samples": int(X.shape[0]), "g_at_0": g0})
@@ -209,8 +219,8 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
     """
     ell = fn.check_scalar("ell", ell, positive=False)
     tol = fn.check_scalar("tol", tol, positive=False)
-    X = np.atleast_2d(np.asarray(samples_x, dtype=float))
-    Y = np.atleast_2d(np.asarray(samples_y, dtype=float))
+    X = conjugation.as_queries(samples_x, f.dim)
+    Y = conjugation.as_queries(samples_y, f.dim)
     fv = fn.evaluate_many(f, X)
     if not np.all(np.isfinite(fv)):
         raise ValueError("Lipschitz check needs f finite-valued on the samples")
@@ -294,53 +304,39 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     """
     tol_prox = fn.check_scalar("tol_prox", tol_prox, positive=False)
     tol_value = fn.check_scalar("tol_value", tol_value, positive=False)
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = conjugation.as_queries(samples, f.dim)
     pf = f.prox_many(1.0, X)
     pg = g.prox_many(1.0, X)
 
     inf_f, inf_g = fn.conjugate_infimum(f), fn.conjugate_infimum(g)
     precondition_ok = bool(np.isfinite(inf_f) and np.isfinite(inf_g))
-
-    pattern: dict[str, str] = {}
-    residuals: dict[str, float] = {}
-
-    r1 = float(np.max(np.abs(fn.norms(pf) - fn.norms(pg))))
-    pattern["i_prox_norms"] = "holds" if r1 <= tol_prox else "fails"
-    residuals["i_prox_norms"] = r1
-
+    const = inf_g - inf_f if precondition_ok else 0.0
     fv = fn.evaluate_many(f, X)
     gv = fn.evaluate_many(g, X)
-    const = inf_g - inf_f if precondition_ok else 0.0
-    r2 = float(np.fmax.reduce(_constant_gaps(fv, gv, const), initial=0.0))
-    pattern["ii_constant_shift"] = "holds" if r2 <= tol_value else "fails"
-    residuals["ii_constant_shift"] = r2
-
     r3, r4, skipped = _subdiff_items(f, g, X, tol_prox)
+    table = {  # item: (residual, tolerance)
+        "i_prox_norms": (float(np.max(np.abs(fn.norms(pf) - fn.norms(pg)))), tol_prox),
+        "ii_constant_shift": (float(np.fmax.reduce(_constant_gaps(fv, gv, const), initial=0.0)),
+                              tol_value),
+        "iii_min_selection": (r3, tol_prox),
+        "iv_subdifferentials": (r4, tol_prox),
+        "v_prox_maps": (float(np.max(fn.norms(pf - pg))), tol_prox),
+    }
+    residuals = {item: r for item, (r, _) in table.items()}
+    pattern = {item: "holds" if r <= tol else "fails" for item, (r, tol) in table.items()}
     if skipped:
         pattern["iii_min_selection"] = pattern["iv_subdifferentials"] = "skipped"
-    else:
-        pattern["iii_min_selection"] = "holds" if r3 <= tol_prox else "fails"
-        pattern["iv_subdifferentials"] = "holds" if r4 <= tol_prox else "fails"
-    residuals["iii_min_selection"] = r3
-    residuals["iv_subdifferentials"] = r4
 
-    r5 = float(np.max(fn.norms(pf - pg)))
-    pattern["v_prox_maps"] = "holds" if r5 <= tol_prox else "fails"
-    residuals["v_prox_maps"] = r5
-
-    outcomes = {v for v in pattern.values() if v != "skipped"}
-    uniform = len(outcomes) <= 1
+    uniform = len(set(pattern.values()) - {"skipped"}) <= 1
     if not precondition_ok:
         status = PRECONDITION_VIOLATED
-    elif uniform:
-        status = VERIFIED
     else:
-        status = COUNTEREXAMPLE
+        status = VERIFIED if uniform else COUNTEREXAMPLE
     # the residual of the equivalence claim itself: items that hold must be
     # within tolerance (their max is reported); a uniformly failing pattern
-    # violates nothing
-    held = [residuals[k] for k, v in pattern.items() if v == "holds"]
-    concl = float(max(held)) if held and uniform else (float("inf") if not uniform else 0.0)
+    # violates nothing, and a mixed one is infinitely wrong
+    concl = (max((residuals[k] for k, v in pattern.items() if v == "holds"), default=0.0)
+             if uniform else float("inf"))
     witnesses = []
     if status == COUNTEREXAMPLE:
         mixed = ", ".join(f"{k}={v}" for k, v in sorted(pattern.items()))
@@ -399,14 +395,12 @@ def _subdiff_items(f, g, X, tol):
 
 
 def support_function_of(C: fn.ConvexFunction) -> fn.ConvexFunction:
-    """The support function of the set behind an indicator atom."""
-    if isinstance(C, fn.IndicatorBall):
-        return fn.SupportBall(C.center, C.radius)
-    if isinstance(C, fn.IndicatorBox):
-        return fn.SupportBox(C.lo, C.hi)
-    if isinstance(C, fn.IndicatorPoint):
-        return fn.Affine(C.p, 0.0)
-    raise ValueError("C must be an indicator atom (ball, box, or point)")
+    """The support function of the set behind an indicator atom of a ball,
+    a box or a point: sigma_C = iota_C*, so it is C's closed-form conjugate.
+    Any other C raises ValueError."""
+    if not isinstance(C, (fn.IndicatorBall, fn.IndicatorBox, fn.IndicatorPoint)):
+        raise ValueError("C must be an indicator atom (ball, box, or point)")
+    return C.conjugate()
 
 
 def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
@@ -421,7 +415,7 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
     tol = fn.check_scalar("tol", tol, positive=False)
     if fn.evaluate(C, np.zeros(C.dim)) != 0.0:
         raise OriginNotInC("the support-distance check needs 0 in C")
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
+    X = conjugation.as_queries(samples, f.dim)
     proj = C.prox_many(1.0, X)
     dists = fn.norms(X - proj)
     pnorms = fn.norms(f.prox_many(1.0, X))

@@ -284,6 +284,56 @@ def test_reconstruct_nan_oracle_table_exits_2(tmp_path, capsys):
     assert "OracleError" in err
 
 
+@pytest.mark.parametrize("option, text, message", [
+    ("--queries", "1.0,0.5\n0.5\n", "{path}:2: expected 2 fields, got 1\n"),
+    ("--queries", "# header\n1.0,0.5\nabc,0.2\n",
+     "{path}:3: could not convert string to float: 'abc'\n"),
+    ("--queries", "\n# nothing\n", "no rows in {path}\n"),
+    ("--oracle-table", "0.0,0.0,0.0\n1.0,0.5,0.5\n",
+     "{path}: an oracle table row is input then output coordinates, got 3 columns\n"),
+])
+def test_reconstruct_csv_errors_name_the_file_and_line(tmp_path, norm_spec, capsys,
+                                                       option, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "q.csv"
+    good.write_text("1.0,0.5\n")
+    if option == "--queries":
+        source, queries = ["--f", norm_spec], bad
+    else:
+        source, queries = ["--oracle-table", str(bad)], good
+    code, out, err = run_cli(["reconstruct", *source, "--anchor", "0,0",
+                              "--grid=-4:4:41;-4:4:41", "--queries", str(queries)], capsys)
+    assert (code, out, err) == (1, "", "error: " + message.format(path=bad))
+
+
+def test_reconstruct_16d_reads_only_the_box(tmp_path, capsys):
+    # 3**16 lattice points exceed the cap, but reconstruct builds no lattice
+    spec = write_spec(tmp_path, "n16.json",
+                      {"atom": "scaled_norm", "ell": 1.0, "center": [0.0] * 16})
+    queries_path = tmp_path / "q.csv"
+    queries_path.write_text(",".join(["0.5"] * 16) + "\n")
+    code, out, err = run_cli([
+        "reconstruct", "--f", spec, "--anchor", ",".join(["0"] * 16), "--f-at-anchor", "0",
+        "--grid=" + ";".join(["-2:2:3"] * 16), "--queries", str(queries_path),
+    ], capsys)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[-1].split(",")[-1]) == pytest.approx(2.0, abs=1e-6)
+
+
+def test_conjugate_grid_past_the_cap_is_a_usage_error(norm_spec, capsys):
+    code, out, err = run_cli(["conjugate", "--f", norm_spec, "--x", "0,0",
+                              "--grid=-4:4:4294967296;-4:4:4294967296"], capsys)
+    assert (code, out, err) == (1, "", "error: grid exceeds 1000000 points\n")
+
+
+@pytest.mark.parametrize("command", ["compare", "verify-all"])
+def test_anchor_of_the_wrong_dimension(norm_spec, capsys, command):
+    code, out, err = run_cli([command, "--f", norm_spec, "--g", norm_spec,
+                              "--anchor", "0,0,0"], capsys)
+    assert (code, out, err) == (2, "", "error: DimensionMismatch: expected dimension 2, got 3\n")
+
+
 def test_verify_all_csv_format(sq_spec, tmp_path, capsys):
     out_path = tmp_path / "reports.csv"
     code, _, _ = run_cli([

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import proxcalc as pc
 from proxcalc import conjugation
+from proxcalc import functions as fn
 from proxcalc.conjugation import conjugate_argmax, conjugate_many
 from proxcalc.errors import DimensionMismatch
 from proxcalc.verify import battery_samples
@@ -40,12 +41,28 @@ def test_tabulate_dimension_mismatch():
 
 
 def test_grid_caps():
-    # dimensions 1..16 as for functions; the point cap bounds every tabulation
+    # dimensions 1..16 as for functions; the point cap bounds every lattice
+    # that is built, not the grid description
     with pytest.raises(DimensionMismatch):
         pc.SampleGrid([-1.0] * 17, [1.0] * 17, [2] * 17)
     assert pc.SampleGrid([-1.0] * 16, [1.0] * 16, [2] * 16).dim == 16
-    with pytest.raises(ValueError):
-        pc.SampleGrid([-1.0, -1.0], [1.0, 1.0], [1001, 1001])
+    grid = pc.SampleGrid([-1.0, -1.0], [1.0, 1.0], [1001, 1001])
+    for build in (grid.points, grid.boundary_mask,
+                  lambda: pc.tabulate(pc.ScaledNorm(1.0, dim=2), grid)):
+        with pytest.raises(ValueError, match="grid exceeds 1000000 points"):
+            build()
+
+
+@pytest.mark.parametrize("counts, size", [([2**32, 2**32], 2**64), ([2**16] * 16, 2**256)])
+def test_grid_size_does_not_overflow(counts, size):
+    # np.prod in int64 wraps these sizes to 0; the lattice is never built,
+    # the cap raises first
+    grid = pc.SampleGrid([-1.0] * len(counts), [1.0] * len(counts), counts)
+    assert grid.size == size
+    with pytest.raises(ValueError, match="grid exceeds"):
+        pc.tabulate(pc.ScaledNorm(1.0, dim=len(counts)), grid)
+    with pytest.raises(ValueError, match="grid exceeds"):
+        grid.boundary_mask()
 
 
 def test_grid_lattice_built_once_and_read_only():
@@ -225,10 +242,28 @@ def test_envelope_conjugate_gap_within_certificate(case):
     f, lam, seed = case
     grid = pc.SampleGrid([-15.0] * f.dim, [15.0] * f.dim, [21] * f.dim)
     Q = pc.Lcg(seed).points_in_ball(25, f.dim, 1.5)
+    # as in the battery, the envelope gradient (x - prox_{lam f}(x)) / lam has
+    # its sup at x: at the atom's last structured probe (a centre, the middle
+    # of a box, or the origin of a quadratic) one query stays interior however
+    # flat f_lam is, and inside dom f*
+    x = fn.structured_probes(f)[-1][None, :]
+    Q = np.vstack([Q, (x - f.prox_many(lam, x)) / lam])
     rep = pc.verify_envelope_conjugate(f, lam, grid, Q, tol=2e-3)
     assert rep.details["interior_queries"] > 0
     assert rep.details["certificate"] <= 2e-5
     assert rep.conclusion_residual <= rep.details["certificate"]
+
+
+@pytest.mark.parametrize("f, lam", [
+    (pc.Quadratic(np.eye(3), [0.0, 0.0, 2.225073858507e-311]), 1.0),
+    (pc.ScaledNorm(1.0, [1.0, 7.34871236192399e-281]), 0.5),
+])
+def test_ascent_survives_a_gradient_change_too_small_to_square(f, lam):
+    # ||dF||^2 underflows to 0 while dF != 0; the secant must not divide by it
+    x = np.zeros((1, f.dim))
+    box = pc.SampleGrid([-15.0] * f.dim, [15.0] * f.dim, [2] * f.dim)
+    rep = pc.verify_envelope_conjugate(f, lam, box, (x - f.prox_many(lam, x)) / lam)
+    assert rep.status == "verified" and rep.details["interior_queries"] == 1
 
 
 @pytest.mark.parametrize("seed", [111, 242, 330, 379])

@@ -107,6 +107,25 @@ def test_read_table_csv_rejects_ragged(tmp_path):
         pc.read_table_csv(str(p))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0.0,1.0\n0.5\n", "bad.csv:2: expected 2 fields, got 1"),
+    ("0.0,1.0\n\n0.5,x\n", "bad.csv:3: could not convert string to float: 'x'"),
+    ("# only a comment\n", "no rows in .*bad.csv"),
+])
+def test_read_table_csv_errors_name_the_line(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        pc.read_table_csv(str(p))
+
+
+def test_read_table_csv_reads_plus_inf(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("1.0,+inf\n0.0,0.5\n-1.0,inf\n")
+    t = pc.read_table_csv(str(p))
+    assert t.values.tolist() == [float("inf"), 0.5, float("inf")]
+
+
 def test_reports_render_infinities():
     rep = pc.CheckReport("demo", "hypothesis_fails", float("inf"), 0.0, 1e-6)
     text = pc.render_reports([rep])

@@ -1,0 +1,99 @@
+"""Fault injection: a 1% error in one closed-form rule of the catalog must
+turn some report of the verify-all battery into a counterexample.
+
+Each row patches one method of one class, runs ``standard_battery`` on a
+pair that reaches it in 2-D and in 8-D with seed 1, and expects a
+counterexample in both. The unfaulted pairs report none.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from proxcalc import functions as fn
+from proxcalc.verify import standard_battery
+
+FAULT = 1.01
+
+
+def _pairs(d):
+    e = np.ones(d) / np.sqrt(d)
+    w = np.linspace(1.0, 2.0, d)
+    return {
+        "norm_vs_ball": (fn.ScaledNorm(2.0, dim=d), fn.IndicatorBall(np.zeros(d), 1.0)),
+        "quad_vs_ball": (fn.Quadratic(np.diag(w)), fn.IndicatorBall(0.2 * e, 1.5)),
+        "env_vs_quad": (fn.Envelope(fn.ScaledNorm(1.0, dim=d), 0.5), fn.Quadratic(np.diag(w))),
+        "supbox_vs_box": (fn.SupportBox(-w, w), fn.IndicatorBox(-0.5 * w, w)),
+        "tilt_vs_translate": (fn.Tilt(fn.ScaledNorm(1.0, dim=d), 0.3 * e),
+                              fn.Translate(fn.Quadratic(np.diag(w)), 0.4 * e)),
+        "supball_vs_addq": (fn.SupportBall(0.1 * e, 1.2),
+                            fn.AddQuadratic(fn.ScaledNorm(1.0, dim=d), 0.5)),
+        "half_vs_norm": (fn.IndicatorHalfspace(e, 0.5), fn.ScaledNorm(1.0, dim=d)),
+    }
+
+
+def _scaled_lam(orig):
+    return lambda self, lam, X: orig(self, FAULT * lam, X)
+
+
+def _scaled_output(orig):
+    return lambda self, X: FAULT * orig(self, X)
+
+
+def _scaled_attribute(name, factor=FAULT):
+    """The method run on a copy of the node whose attribute ``name`` is
+    scaled by ``factor``: a ball's radius, a box's upper face, an envelope's
+    index."""
+    def make(orig):
+        def faulty(self, *args):
+            node = SimpleNamespace(**vars(self))
+            setattr(node, name, factor * getattr(self, name))
+            return orig(node, *args)
+        return faulty
+    return make
+
+
+_ROWS = [  # (class, method, fault, pair that reaches the method)
+    (fn.ScaledNorm, "prox_many", _scaled_lam, "norm_vs_ball"),  # the threshold lam ell
+    (fn.ScaledNorm, "value_many", _scaled_output, "norm_vs_ball"),
+    (fn.ScaledNorm, "conjugate", _scaled_attribute("ell"), "norm_vs_ball"),
+    # a projection under the support function's Moreau peel
+    (fn.IndicatorBall, "prox_many", _scaled_attribute("radius"), "supball_vs_addq"),
+    (fn.IndicatorBall, "conjugate", _scaled_attribute("radius"), "quad_vs_ball"),
+    # the upper face moved 1% inward, under the peel of SupportBox too
+    (fn.IndicatorBox, "prox_many", _scaled_attribute("hi", 1.0 / FAULT), "supbox_vs_box"),
+    (fn.IndicatorHalfspace, "prox_many", _scaled_attribute("a"), "half_vs_norm"),
+    (fn.Quadratic, "prox_many", _scaled_lam, "quad_vs_ball"),
+    (fn.Quadratic, "value_many", _scaled_output, "quad_vs_ball"),
+    (fn.Envelope, "value_many", _scaled_output, "env_vs_quad"),
+    (fn.Envelope, "prox_many", _scaled_attribute("lam"), "supball_vs_addq"),  # inner index
+    (fn.Tilt, "prox_many", _scaled_attribute("a"), "tilt_vs_translate"),
+    (fn.Translate, "conjugate", _scaled_attribute("t"), "tilt_vs_translate"),
+    (fn.Translate, "value_many", _scaled_output, "tilt_vs_translate"),
+    (fn.SupportBox, "value_many", _scaled_output, "supbox_vs_box"),
+    (fn.SupportBox, "prox_many", _scaled_lam, "supbox_vs_box"),
+    (fn.SupportBall, "value_many", _scaled_output, "supball_vs_addq"),
+    (fn.SupportBall, "prox_many", _scaled_lam, "supball_vs_addq"),
+    (fn.AddQuadratic, "prox_many", _scaled_attribute("alpha"), "supball_vs_addq"),
+]
+
+
+def _counterexamples(f, g, d):
+    reports = standard_battery(f, g, np.zeros(d), seed=1)
+    return [r.name for r in reports if r.status == "counterexample"]
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_unfaulted_pairs_report_no_counterexample(d):
+    for name, (f, g) in _pairs(d).items():
+        assert _counterexamples(f, g, d) == [], name
+
+
+@pytest.mark.parametrize("cls, method, fault, pair", _ROWS,
+                         ids=[f"{c.__name__}.{m}" for c, m, _, _ in _ROWS])
+def test_battery_detects_a_one_percent_fault(monkeypatch, cls, method, fault, pair):
+    monkeypatch.setattr(cls, method, fault(getattr(cls, method)))
+    for d in (2, 8):
+        f, g = _pairs(d)[pair]
+        assert _counterexamples(f, g, d), f"{d}-D battery missed the fault"

@@ -512,3 +512,76 @@ def test_extended_real_guard():
     f = pc.Tilt(pc.IndicatorPoint([1.0]), [2.0])
     assert pc.evaluate(f, [0.0]) == INF
     assert pc.evaluate(f, [1.0]) == pytest.approx(-2.0)
+
+
+# ---------------------------------------------------------------------------
+# Support atoms: sigma_C = iota_C*, one Moreau peel
+# ---------------------------------------------------------------------------
+
+def _peel_ball(center, radius, lam, X):
+    D = X / lam - center
+    scale = np.minimum(1.0, radius / np.maximum(np.sqrt(D[:, 0] * D[:, 0] + D[:, 1] * D[:, 1]),
+                                                1e-300))
+    return X - lam * (center + scale[:, None] * D)
+
+
+def _peel_box(lo, hi, lam, X):
+    return X - lam * np.clip(X / lam, lo, hi)
+
+
+def _peel_halfspace(a, beta, lam, X):
+    Y = X / lam
+    excess = np.maximum(Y[:, 0] * a[0] + Y[:, 1] * a[1] - beta, 0.0)
+    return X - lam * (Y - (excess / (a[0] * a[0] + a[1] * a[1]))[:, None] * a)
+
+
+_SUPPORTS = [  # (atom, its indicator's type, the closed-form peel written out)
+    (pc.SupportBall([0.3, -0.2], 1.5), pc.IndicatorBall,
+     lambda lam, X: _peel_ball(np.array([0.3, -0.2]), 1.5, lam, X)),
+    (pc.SupportBox([-1.0, 0.0], [0.5, 2.0]), pc.IndicatorBox,
+     lambda lam, X: _peel_box(np.array([-1.0, 0.0]), np.array([0.5, 2.0]), lam, X)),
+    (pc.functions.SupportHalfspace([0.8, -0.6], 0.25), pc.IndicatorHalfspace,
+     lambda lam, X: _peel_halfspace(np.array([0.8, -0.6]), 0.25, lam, X)),
+]
+
+
+@pytest.mark.parametrize("sigma, indicator_type, peel", _SUPPORTS)
+def test_support_atoms_share_the_indicator_peel(sigma, indicator_type, peel):
+    assert type(sigma.indicator) is indicator_type
+    assert sigma.conjugate() is sigma.indicator
+    X = Lcg(11).points_in_ball(60, 2, 8.0)
+    for lam in (0.3, 1.0, 7.0):
+        assert np.array_equal(sigma.prox_many(lam, X), peel(lam, X))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: pc.SupportBall([0.0, 0.0], 0.0), ValueError, "radius must be finite and > 0"),
+    (lambda: pc.SupportBall([0.0, float("nan")], 1.0), ValueError,
+     "point coordinates must be finite"),
+    (lambda: pc.SupportBall([0.0] * 17, 1.0), DimensionMismatch, "dimension 17 outside 1..16"),
+    (lambda: pc.SupportBox([0.0, 1.0], [1.0, 0.0]), ValueError,
+     "box needs lo <= hi componentwise"),
+    (lambda: pc.SupportBox([0.0, 0.0], [1.0]), DimensionMismatch, "expected dimension 2, got 1"),
+    (lambda: pc.functions.SupportHalfspace([0.0, 0.0], 1.0), ValueError,
+     "halfspace normal must be nonzero"),
+    (lambda: pc.functions.SupportHalfspace([1.0, 0.0], INF), ValueError,
+     "beta must be finite"),
+])
+def test_support_atom_constructor_errors(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+@pytest.mark.parametrize("C", [pc.IndicatorBall([0.1, 0.0], 2.0),
+                               pc.IndicatorBox([-1.0, -0.5], [1.0, 2.0]),
+                               pc.IndicatorPoint([0.4, -0.3])])
+def test_support_function_of_is_the_conjugate(C):
+    sigma = pc.verify.support_function_of(C)
+    assert repr(sigma) == repr(C.conjugate())
+    X = Lcg(5).points_in_ball(30, 2, 5.0)
+    assert np.array_equal(sigma.value_many(X), C.conjugate().value_many(X))
+
+
+def test_support_function_of_rejects_a_halfspace():
+    with pytest.raises(ValueError, match="C must be an indicator atom"):
+        pc.verify.support_function_of(pc.IndicatorHalfspace([1.0, 0.0], 1.0))

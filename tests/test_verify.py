@@ -13,7 +13,12 @@ import proxcalc as pc
 import proxcalc.verify as verify_module
 from proxcalc import conjugation
 from proxcalc import functions as fn
-from proxcalc.errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
+from proxcalc.errors import (
+    AnchorOutsideDomain,
+    DimensionMismatch,
+    OriginNotInC,
+    UnsupportedSubdifferential,
+)
 from proxcalc.reports import sampled_verdict
 from proxcalc.sets import EmptySet, sets_equal
 from proxcalc.verify import (
@@ -231,6 +236,24 @@ def test_norm_lower_bound_quadratic_hypothesis_fails(X2):
     # prox = x/2: at ||x|| = 4 the hypothesis 3 <= 2 is false
     rep = check_norm_lower_bound(SQ2, 1.0, X2)
     assert rep.status == "hypothesis_fails"
+
+
+@pytest.mark.parametrize("ell, status", [(6.0, "hypothesis_fails"), (10.0, "hypothesis_fails"),
+                                         (100.0, "counterexample")])
+def test_norm_lower_bound_scores_infinite_values_as_comparison_does(ell, status):
+    # g = +inf on half the samples, so g - g(0) <= ell ||x|| fails there; the
+    # hypothesis holds on the samples and fails only at ||x|| > ell, which
+    # the widened sweep reaches for ell = 6 and 10 but not for ell = 100
+    g = pc.IndicatorHalfspace([1.0, 0.0], 0.0)
+    X = battery_samples(2, 1, 200, 6.0)
+    outside = np.sum(X[:, 0] > 1e-9)
+    rep = check_norm_lower_bound(g, ell, X)
+    assert outside == 99 and rep.status == status
+    if status == "counterexample":
+        assert rep.hypothesis_residual == 0.0 and rep.conclusion_residual == np.inf
+        assert len(rep.witnesses) == 1 and rep.witnesses[0][0][0] > 0.0
+    else:
+        assert rep.hypothesis_residual > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +698,39 @@ def test_battery_sampled_reports_witness_exactly_their_counterexamples(f_doc, g_
 def test_numeric_options_checked_where_they_enter(X2, call, message):
     with pytest.raises(ValueError, match=f"^{message} must be"):
         call(X2)
+
+
+_CHECKERS = [  # every checker, and determine_from_norm, on samples S
+    lambda S: check_comparison(NORM2, SQ2, [0.0, 0.0], S),
+    lambda S: check_gradient_comparison(NORM2, SQ2, S, lam=1.0),
+    lambda S: check_norm_lower_bound(SQ2, 1.0, S),
+    lambda S: check_lipschitz(NORM2, 1.0, S, [[0.0, 0.0]]),
+    lambda S: check_lipschitz(NORM2, 1.0, [[0.0, 0.0]], S),
+    lambda S: check_equivalences(NORM2, SQ2, S),
+    lambda S: check_support_distance(NORM2, pc.IndicatorBall([0.0, 0.0], 1.0), S),
+    lambda S: pc.determine_from_norm(NORM2, SQ2, S),
+    lambda S: pc.determine_from_norm(NORM2, SQ2, S, x0=[0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("call", _CHECKERS)
+def test_samples_checked_on_entry(monkeypatch, call):
+    # a NaN coordinate and a wrong width are refused before any prox batch
+    def no_prox(self, lam, X):
+        raise AssertionError("a prox batch ran on unchecked samples")
+
+    monkeypatch.setattr(pc.ScaledNorm, "prox_many", no_prox)
+    monkeypatch.setattr(pc.Quadratic, "prox_many", no_prox)
+    with pytest.raises(ValueError, match="^query coordinates must be finite$"):
+        call(np.array([[1.0, 0.5], [NAN, 0.2]]))
+    with pytest.raises(DimensionMismatch, match=r"got shape \(3, 3\)"):
+        call(np.zeros((3, 3)))
+
+
+def test_a_vector_of_one_dimensional_samples_is_n_points():
+    rep = check_comparison(pc.ScaledNorm(1.0, [0.0]), pc.Quadratic([[1.0]]), [0.0],
+                           [0.5, 1.0, 2.0])
+    assert rep.details["samples"] == 3
 
 
 # ---------------------------------------------------------------------------
