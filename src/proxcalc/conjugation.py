@@ -187,26 +187,31 @@ def ascend(grad_many, Z: np.ndarray, Y: np.ndarray, lo, hi):
     bounds the shortfall against the box maximum by concavity, on a face
     too, and is at most ||F|| max ||corner - y||. A row stops at that bound
     <= _CERTIFIED, when its clipped step leaves it where it was, or after
-    _MAX_STEPS steps.
+    _MAX_STEPS steps. The first step is F itself; the batch is cut down to
+    the rows that go on only on a step where some row stops.
     """
     Y, bound, act = np.clip(Y, lo, hi), np.full(len(Z), np.inf), np.arange(len(Z))
     z, y, F, dY, plain = Z, Y, np.zeros_like(Y), np.zeros_like(Y), np.zeros(len(Z), bool)
     for k in range(_MAX_STEPS):
         Fk = z - grad_many(y)
-        b = fn.dots(Fk, np.where(Fk > 0, hi - y, lo - y))  # the Frank-Wolfe gap
-        dF = Fk - F
-        dF2 = fn.sq_norms(dF)
-        flat = dF2 == 0.0
-        gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, dF2)
-        gamma = np.where(plain, 0.0, np.maximum(gamma, -5.0))
-        step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
-        to = y + (step if k else Fk)
-        new = np.clip(to, lo, hi)
-        go = (b > _CERTIFIED) & np.any(new != y, axis=1) & (k + 1 < _MAX_STEPS)
-        Y[act[~go]], bound[act[~go]] = y[~go], b[~go]
+        b = fn.dots(Fk, np.where(Fk > 0, hi, lo) - y)  # the Frank-Wolfe gap
+        if k:
+            dF = Fk - F
+            dF2 = fn.sq_norms(dF)
+            flat = dF2 == 0.0
+            gamma = fn.dots(Fk, dF) / np.where(flat, 1.0, dF2)
+            gamma = np.where(plain, 0.0, np.maximum(gamma, -5.0))
+            to = y + np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
+        else:  # F = dY = 0: the step is F itself
+            flat, to = fn.sq_norms(Fk) == 0.0, y + Fk
+        new = np.minimum(np.maximum(to, lo), hi)
+        go = (b > _CERTIFIED) & (new != y).any(axis=1) & (k + 1 < _MAX_STEPS)
         if not go.any():
+            Y[act], bound[act] = y, b
             break
-        plain = flat | np.any(new != to, axis=1)
-        act, z, y, new, Fk, plain = (a[go] for a in (act, z, y, new, Fk, plain))
+        plain = flat | (new != to).any(axis=1)
+        if not go.all():  # keep only the rows that go on
+            Y[act[~go]], bound[act[~go]] = y[~go], b[~go]
+            act, z, y, new, Fk, plain = (a[go] for a in (act, z, y, new, Fk, plain))
         F, dY, y = Fk, new - y, new
     return Y, bound

@@ -16,7 +16,7 @@ rebuilds f at each query q, with z = q - x0, by four steps:
    knowing f(x0) fixes u absolutely (otherwise u(0) = 0 and the output is
    declared "up to a constant"); then f(q) = <z, y> - u(y) - ||z||^2 / 2.
 
-Before the ascent, the field is vetted in three oracle batches:
+Before the ascent, the field is vetted in one oracle batch:
 monotonicity and firm nonexpansiveness on sampled pairs, and discrete
 cross-partial symmetry at sampled probes. A field that fails these is not
 the prox of any proper convex l.s.c. function and reconstruction aborts.
@@ -122,7 +122,7 @@ def _checked(out, shape: tuple) -> np.ndarray:
     if out.shape != shape:
         raise DimensionMismatch(
             f"oracle returned shape {out.shape}, expected {shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OracleError("oracle returned a non-finite point")
     return out
 
@@ -170,28 +170,25 @@ def validate_field(oracle: ProxOracle, x0, radius: float, seed: int = 13,
     """Monotonicity, firm nonexpansiveness, and cross-partial symmetry.
 
     Returns (monotonicity_residual, firm_residual, symmetry_residual);
-    raises NonConservativeField beyond tolerance. The symmetry check uses
-    central differences at sampled points and is skipped in dimension 1.
+    raises NonConservativeField beyond tolerance. One Lcg(seed) draw gives
+    the pairs and, from dimension 2 on, 12 probes for central differences;
+    one oracle batch scores all 2 pairs + 24 dim rows.
     """
     x0 = fn.as_point(x0, oracle.dim)
-    rng = Lcg(seed)
-    dim = oracle.dim
-    A = rng.points_in_ball(pairs, dim, radius)
-    B = rng.points_in_ball(pairs, dim, radius)
-    GA = _field_many(oracle, x0, A)
-    GB = _field_many(oracle, x0, B)
-    D = GA - GB
-    inner = fn.dots(D, A - B)
+    dim, h = oracle.dim, 1e-5
+    probes = 12 if dim >= 2 else 0
+    P = Lcg(seed).points_in_ball(2 * pairs + probes, dim, radius)
+    # after the pairs, rows p_k + h e_i, then p_k - h e_i, for every probe k and axis i
+    shifts = P[2 * pairs:, None, :] + np.array([h, -h])[:, None, None, None] * np.eye(dim)
+    G = _field_many(oracle, x0, np.vstack([P[:2 * pairs], shifts.reshape(-1, dim)]))
+    D = G[:pairs] - G[pairs:2 * pairs]
+    inner = fn.dots(D, P[:pairs] - P[pairs:2 * pairs])
     mono = float(np.max(np.maximum(-inner, 0.0)))
     firm = float(np.max(np.maximum(fn.sq_norms(D) - inner, 0.0)))
 
     sym = 0.0
-    if dim >= 2:
-        h = 1e-5
-        probes = rng.points_in_ball(12, dim, radius)
-        # rows p_k + h e_i, then p_k - h e_i, for every probe k and axis i
-        shifts = probes[:, None, :] + np.array([h, -h])[:, None, None, None] * np.eye(dim)
-        G = _field_many(oracle, x0, shifts.reshape(-1, dim)).reshape(shifts.shape)
+    if probes:
+        G = G[2 * pairs:].reshape(shifts.shape)
         J = (G[0] - G[1]) / (2 * h)  # J[k] is the transposed Jacobian at probe k
         sym = float(np.max(np.abs(J - np.swapaxes(J, 1, 2))))
 

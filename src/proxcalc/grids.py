@@ -20,7 +20,10 @@ class SampleGrid:
     def __init__(self, lo, hi, counts):
         self.lo = fn.as_point(lo)
         self.hi = fn.as_point(hi, self.lo.size)
-        self.counts = np.atleast_1d(np.asarray(counts, dtype=int))
+        try:
+            self.counts = np.atleast_1d(np.asarray(counts, dtype=int))
+        except OverflowError:  # a Python int past int64
+            raise ValueError("grid counts must fit in a signed 64-bit integer") from None
         if self.counts.size != self.lo.size:
             raise DimensionMismatch("counts must match the number of axes")
         fn._capped_dim(self.lo.size)

@@ -535,9 +535,12 @@ def _envelope_gradient_report(h, X, tag, lam: float = 1.0,
     shifted = np.concatenate([X[:, None] + E, X[:, None] - E]).reshape(-1, d)
     Y, env = engine.prox_rows(h, lam, np.vstack([X, shifted]))
     ga = (X - Y[:n]) / lam
-    up, down = env[n:].reshape(2, n, d)
+    # +inf among a row's 2 d + 1 envelope values (a prox outside dom h) is an infinite residual
+    inf = env == np.inf
+    wrong = inf[:n] | inf[n:].reshape(2, n, d).any(axis=(0, 2))
+    up, down = np.where(inf, 0.0, env)[n:].reshape(2, n, d)
     gfd = (up - down) / (2 * step)
-    residuals = fn.norms(ga - gfd) / np.fmax(1.0, fn.norms(ga))
+    residuals = np.where(wrong, np.inf, fn.norms(ga - gfd) / np.fmax(1.0, fn.norms(ga)))
     return sampled_verdict(f"envelope_gradient({tag})", X, 0.0, 0.0, residuals, tol,
                            lambda i: f"relative_error={residuals[i]:.3e}",
                            {"samples": int(X.shape[0]), "fd_step": step, "lam": lam})

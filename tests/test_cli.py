@@ -327,6 +327,20 @@ def test_conjugate_grid_past_the_cap_is_a_usage_error(norm_spec, capsys):
     assert (code, out, err) == (1, "", "error: grid exceeds 1000000 points\n")
 
 
+@pytest.mark.parametrize("command", ["conjugate", "reconstruct"])
+def test_grid_count_past_int64_is_a_usage_error(tmp_path, norm_spec, capsys, command):
+    grid = "--grid=-4:4:99999999999999999999;-4:4:3"
+    if command == "conjugate":
+        args = ["conjugate", "--f", norm_spec, "--x", "0,0", grid]
+    else:
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5,0.5\n")
+        args = ["reconstruct", "--f", norm_spec, "--anchor", "0,0", grid,
+                "--queries", str(queries)]
+    err = "error: grid counts must fit in a signed 64-bit integer\n"
+    assert run_cli(args, capsys) == (1, "", err)
+
+
 @pytest.mark.parametrize("command", ["compare", "verify-all"])
 def test_anchor_of_the_wrong_dimension(norm_spec, capsys, command):
     code, out, err = run_cli([command, "--f", norm_spec, "--g", norm_spec,

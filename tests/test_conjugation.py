@@ -398,6 +398,94 @@ def test_ascend_bound_is_zero_at_a_box_face_maximizer():
     assert np.array_equal(bound, np.zeros(3))
 
 
+# the seed-1 queries of the reconstruct benchmark, then z = 0 and a row
+# whose maximizer lies past the box face (|y*| >= |z| = 8 > 6)
+ASCENT_QUERIES = np.array([
+    [-0.8547867916857068, 0.0797664110263574], [1.1613424345620091, -0.14124968104364805],
+    [0.44246200595435453, -0.10870701726715376], [-0.18436150078320862, -1.1541516542060641],
+    [-0.6477460624095775, -0.17164594235806072], [-0.13129273625772345, 0.7696442710281607],
+    [0.5812012759044367, 0.9241735832561387], [0.7539598735588834, -0.14419176618193155],
+    [-0.8850848261130942, -0.08966471342484526], [0.14871184687151331, 0.13255153590238788],
+    [-0.7435220925284661, -0.7295435383949421], [0.1468960635772427, -0.8679561725924134],
+    [-0.5225530415358514, -0.4491681094426935], [0.9248743029302648, -0.5290981541417045],
+    [0.640416897854922, 0.1626860507906172], [-0.7951042365437101, -0.14438217993361263],
+    [-0.42507815783890124, 0.11103424590730301], [0.7041736633683146, 0.29089886954457855],
+    [-0.34152748461229704, -0.4199220449417399], [0.36942740680668207, -0.49117675162445695],
+    [-0.8672228901969207, -0.5731052148652769], [-0.0402881314606, 0.6341651819229046],
+    [0.0, 0.0], [8.0, -1.0]])
+# a 4-D quadratic with eigenvalues 0.01 to 100, whose rows all run to the step cap
+CAPPED_WEIGHTS = [0.01, 0.21544346900318834, 4.6415888336127775, 100.0]
+CAPPED_QUERIES = np.array([
+    [1.4645408149224817, -2.045593690498228, -0.8787393210849093, -0.05169803501279095],
+    [3.34982037956727, 3.6675998088626045, 0.20413865885154112, 0.024540226323041415],
+    [0.4664850572540267, 3.865899399468961, 0.6046556183230498, -0.05317251681348912],
+    [3.821748700144306, -4.14439331418035, 0.4396418978047125, -0.0346823692821026],
+    [3.8834973875037377, 0.36840971226528996, -0.38342240918167453, -0.008267109020448403]])
+ASCENT_CASES = {  # name: (f, Z, branches some of its rows reach)
+    "shifted_quadratic": (fn.Translate(fn.Quadratic(np.eye(2)), [-0.5, 0.3]), ASCENT_QUERIES,
+                          {"face"}),
+    # the gradient vanishes on the ball of radius 1.5 that holds the queries
+    "scaled_norm": (fn.ScaledNorm(1.5, dim=2), ASCENT_QUERIES, {"face", "flat"}),
+    "tilted_norm": (fn.Tilt(fn.ScaledNorm(1.0, dim=2), [-0.3, 0.2]), ASCENT_QUERIES, {"face"}),
+    "huber_1.5": (fn.Envelope(fn.ScaledNorm(1.5, dim=2), 1.0), ASCENT_QUERIES, {"face"}),
+    "huber_1": (fn.Envelope(fn.ScaledNorm(1.0, dim=2), 1.0), ASCENT_QUERIES, {"face"}),
+    "capped_quadratic_4d": (fn.Quadratic(np.diag(CAPPED_WEIGHTS)), CAPPED_QUERIES, {"cap"}),
+}
+
+
+def _reference_ascend(grad_many, Z, Y, lo, hi):
+    """The ascent of ``conjugation.ascend`` written out step by step: every
+    row keeps its full bookkeeping on every step, dot products run column by
+    column from 0.0, and steps are clipped with np.clip. Also returns the
+    branches some row took: "flat" (a doubled step), "face" (a clipped
+    step) and "cap" (stopped by _MAX_STEPS)."""
+    def dots(P, Q):
+        s = 0.0
+        for j in range(P.shape[-1]):
+            s = s + P[..., j] * Q[..., j]
+        return s
+
+    Y, bound, act = np.clip(Y, lo, hi), np.full(len(Z), np.inf), np.arange(len(Z))
+    z, y, F, dY, plain = Z, Y, np.zeros_like(Y), np.zeros_like(Y), np.zeros(len(Z), bool)
+    branches = set()
+    for k in range(conjugation._MAX_STEPS):
+        Fk = z - grad_many(y)
+        b = dots(Fk, np.where(Fk > 0, hi - y, lo - y))
+        dF = Fk - F
+        dF2 = dots(dF, dF)
+        flat = dF2 == 0.0
+        gamma = dots(Fk, dF) / np.where(flat, 1.0, dF2)
+        gamma = np.where(plain, 0.0, np.maximum(gamma, -5.0))
+        step = np.where(flat[:, None], 2.0 * dY, Fk - gamma[:, None] * (dY + dF))
+        to = y + (step if k else Fk)
+        new = np.clip(to, lo, hi)
+        go = (b > conjugation._CERTIFIED) & np.any(new != y, axis=1)
+        if k + 1 == conjugation._MAX_STEPS and go.any():
+            branches.add("cap")
+            go[:] = False
+        Y[act[~go]], bound[act[~go]] = y[~go], b[~go]
+        if not go.any():
+            break
+        branches |= {"flat"} if k and flat[go].any() else set()
+        branches |= {"face"} if np.any(new != to) else set()
+        plain = flat | np.any(new != to, axis=1)
+        act, z, y, new, Fk, plain = (a[go] for a in (act, z, y, new, Fk, plain))
+        F, dY, y = Fk, new - y, new
+    return Y, bound, branches
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_CASES))
+def test_ascend_keeps_its_bits(name):
+    # every end point and bound equals the written-out ascent's bit for bit
+    f, Z, branches = ASCENT_CASES[name]
+    lo, hi = np.full(Z.shape[1], -6.0), np.full(Z.shape[1], 6.0)
+    Y, bound = conjugation.ascend(lambda X: f.prox_many(1.0, X), Z, Z.copy(), lo, hi)
+    Y_ref, bound_ref, taken = _reference_ascend(lambda X: f.prox_many(1.0, X), Z, Z.copy(), lo, hi)
+    assert np.array_equal(Y, Y_ref) and np.array_equal(np.signbit(Y), np.signbit(Y_ref))
+    assert np.array_equal(bound, bound_ref)
+    assert branches <= taken
+
+
 @pytest.mark.parametrize("lam", [30.0, 300.0])
 def test_envelope_conjugate_stops_ascents_held_at_a_box_face(monkeypatch, lam):
     # at a large lam the maximizers x + lam q of most queries lie beyond the

@@ -183,6 +183,19 @@ def test_field_validation_residuals():
     assert sym <= 1e-3
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_validate_field_scores_every_row_in_one_batch(dim):
+    # 2 x 40 pair rows, then 12 probes shifted both ways along each axis
+    f, batches = pc.ScaledNorm(1.0, dim=dim), []
+
+    def batch(X):
+        batches.append(len(X))
+        return f.prox_many(1.0, X)
+
+    validate_field(pc.ProxOracle(None, dim, batch), np.zeros(dim), radius=4.0)
+    assert batches == [80 + (24 * dim if dim >= 2 else 0)]
+
+
 def test_lattice_path_gap_vanishes_for_linear_field():
     # trapezoid legs are exact for a linear field, so every axis order agrees
     oracle = pc.ProxOracle.from_function(pc.Translate(pc.Quadratic(np.eye(2)), [-0.5, 0.3]))

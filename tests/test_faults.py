@@ -97,3 +97,16 @@ def test_battery_detects_a_one_percent_fault(monkeypatch, cls, method, fault, pa
     for d in (2, 8):
         f, g = _pairs(d)[pair]
         assert _counterexamples(f, g, d), f"{d}-D battery missed the fault"
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_prox_outside_the_domain_is_an_infinite_envelope_gradient_residual(monkeypatch, d):
+    # a projection onto a ball 1% too large lands where the indicator is
+    # +inf: the envelope-gradient report scores those rows as infinite
+    # residuals, with no inf - inf (an error under the suite's warning filter)
+    monkeypatch.setattr(fn.IndicatorBall, "prox_many",
+                        _scaled_attribute("radius")(fn.IndicatorBall.prox_many))
+    f, g = _pairs(d)["norm_vs_ball"]
+    reports = {r.name: r for r in standard_battery(f, g, np.zeros(d), seed=1)}
+    rep = reports["envelope_gradient(g)"]
+    assert rep.status == "counterexample" and rep.conclusion_residual == np.inf

@@ -216,6 +216,51 @@ def test_fenchel_inequality_property(x1, x2, y1, y2):
 
 
 # ---------------------------------------------------------------------------
+# dots, the row-exact kernel
+# ---------------------------------------------------------------------------
+
+def _dots_reference(X, A):
+    """<x, a> written out for every broadcast row: each product added to
+    0.0 in Python floats, left to right."""
+    X, A = np.broadcast_arrays(X, A)
+    out = np.empty(X.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        s = 0.0
+        for x, a in zip(X[idx].tolist(), A[idx].tolist()):
+            s = s + x * a
+        out[idx] = s
+    return out
+
+
+def _entries(rng, shape):
+    special = np.array([0.0, -0.0, INF, -INF, np.nan, 1.5, -2.25])
+    X = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.random(shape) < 0.3
+    X[pick] = rng.choice(special, size=int(pick.sum()))
+    return X
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_dots_keeps_its_bits(d):
+    rng = np.random.default_rng(d)
+    v, w, X, A = (_entries(rng, s) for s in [(d,), (d,), (9, d), (9, d)])
+    M, X3 = _entries(rng, (4, d)), _entries(rng, (3, 9, d))
+    # products of signed zeros only: a sum that began at the first product
+    # would keep -0.0 where the sum from 0.0 gives 0.0
+    Z, W = rng.choice([0.0, -0.0], size=(2, 9, d))
+    Z[0], W[0] = 0.0, -0.0
+    pairs = [(v, w), (X, A), (X, w), (X3, A), (X[..., None, :], M), (Z, W), (Z[0], W[0])]
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN here
+        cases = [(pc.functions.dots(P, Q), _dots_reference(P, Q)) for P, Q in pairs]
+    for got, ref in cases:
+        assert np.shape(got) == ref.shape
+        assert np.array_equal(got, ref, equal_nan=True)
+        # a NaN's sign is no part of its value (the hardware picks it)
+        num = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(got)[num], np.signbit(ref)[num])
+
+
+# ---------------------------------------------------------------------------
 # prox_closed_form
 # ---------------------------------------------------------------------------
 

@@ -110,6 +110,12 @@ kinds = st.sampled_from(["ball", "log_radial", "unit"])
 @given(seed=seeds, dim=dims, kind=kinds, radius=st.floats(1e-3, 1e3),
        n=st.integers(0, 300), k=st.integers(0, 300))
 @example(seed=3, dim=16, kind="ball", radius=6.0, n=5000, k=1700)
+# validate_field draws its 2 x 40 pair points and, from 2-D on, 12 probes in one call
+@example(seed=13, dim=1, kind="ball", radius=3.0, n=80, k=40)
+@example(seed=13, dim=2, kind="ball", radius=3.0, n=92, k=80)
+@example(seed=13, dim=3, kind="ball", radius=3.0, n=92, k=80)
+@example(seed=13, dim=8, kind="ball", radius=3.0, n=92, k=80)
+@example(seed=13, dim=16, kind="ball", radius=3.0, n=92, k=80)
 def test_clouds_are_stable_across_splits(seed, dim, kind, radius, n, k):
     k = min(k, n)
     whole, split = Lcg(seed), Lcg(seed)
