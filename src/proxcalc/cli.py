@@ -68,21 +68,30 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prox", help="evaluate prox_{lambda f}(x)")
-    p.add_argument("--f", required=True, help="function-spec document")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--x", required=True, help="query point, comma-separated")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--f", required=True, help="function-spec document")
+    point.add_argument("--x", required=True, help="query point, comma-separated")
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--f", required=True)
+    pair.add_argument("--g", required=True)
+    pair.add_argument("--anchor", required=True)
+    pair.add_argument("--samples", type=int, default=200)
+    pair.add_argument("--radius", type=float, default=6.0)
+    pair.add_argument("--seed", type=int, default=0)
+    pair.add_argument("--tol", type=float, default=1e-6,
+                      help="conclusion tolerance for the comparison checks")
+    pair.add_argument("--format", choices=["csv", "structured-text"],
+                      default="structured-text")
+    pair.add_argument("--out", default=None)
+
+    p = sub.add_parser("prox", parents=[point, lam], help="evaluate prox_{lambda f}(x)")
     p.add_argument("--numerical", action="store_true",
                    help="force the iterative solver instead of closed forms")
-
-    p = sub.add_parser("envelope", help="evaluate the Moreau envelope f_lambda(x)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--x", required=True)
-
-    p = sub.add_parser("conjugate", help="evaluate the Fenchel conjugate f*(x)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--x", required=True)
+    sub.add_parser("envelope", parents=[point, lam],
+                   help="evaluate the Moreau envelope f_lambda(x)")
+    p = sub.add_parser("conjugate", parents=[point], help="evaluate the Fenchel conjugate f*(x)")
     p.add_argument("--grid", help="force grid conjugation on this lattice")
 
     p = sub.add_parser("reconstruct", help="rebuild f from a prox oracle")
@@ -95,52 +104,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True, help="CSV of query points")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("compare", help="comparison principle for a pair")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--anchor", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--radius", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--format", choices=["csv", "structured-text"],
-                   default="structured-text")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("verify-all", help="full check battery for a pair")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--anchor", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--radius", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=0)
+    sub.add_parser("compare", parents=[pair], help="comparison principle for a pair")
+    p = sub.add_parser("verify-all", parents=[pair], help="full check battery for a pair")
     p.add_argument("--ell", type=float, default=None,
                    help="also run the Lipschitz and norm-lower-bound checks")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="conclusion tolerance for the comparison checks")
-    p.add_argument("--format", choices=["csv", "structured-text"],
-                   default="structured-text")
-    p.add_argument("--out", default=None)
     return ap
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    f = load_document(args.f) if args.f is not None else None
     if args.command == "prox":
-        f = load_document(args.f)
         x = parse_point(args.x)
         res = engine.prox(f, args.lam, x, force_numerical=args.numerical)
         _emit(fmt_point(res.minimizer) + "\n", None)
         return 0 if res.converged else 2
 
     if args.command == "envelope":
-        f = load_document(args.f)
         val = engine.moreau_envelope(f, args.lam, parse_point(args.x))
         _emit(fmt_float(val) + "\n", None)
         return 0
 
     if args.command == "conjugate":
-        f = load_document(args.f)
         x = parse_point(args.x)
         if args.grid:
             table = tabulate(f, parse_grid(args.grid))
@@ -154,8 +139,8 @@ def run(argv=None) -> int:
         return 0
 
     if args.command == "reconstruct":
-        if args.f:
-            oracle = ProxOracle.from_function(load_document(args.f))
+        if f is not None:
+            oracle = ProxOracle.from_function(f)
         else:
             pairs = read_csv_rows(args.oracle_table)
             dim, odd = divmod(pairs.shape[1], 2)
@@ -184,7 +169,6 @@ def run(argv=None) -> int:
         return 0
 
     if args.command == "compare":
-        f = load_document(args.f)
         g = load_document(args.g)
         anchor = fn.as_point(parse_point(args.anchor), f.dim)
         extra = fn.structured_probes(f) + fn.structured_probes(g) + [anchor]
@@ -194,7 +178,6 @@ def run(argv=None) -> int:
         return 2 if rep.status == COUNTEREXAMPLE else 0
 
     if args.command == "verify-all":
-        f = load_document(args.f)
         g = load_document(args.g)
         reports = standard_battery(f, g, parse_point(args.anchor), args.seed,
                                    count=args.samples, radius=args.radius,

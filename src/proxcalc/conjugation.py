@@ -50,18 +50,8 @@ def conjugate_argmax(table: ValueTable, query):
 
 def conjugate_many(table: ValueTable, queries: np.ndarray):
     """Vectorized conjugation; returns (values, boundary flags)."""
-    vals, arg = _conjugate_kernel(table, as_queries(queries, table.grid.dim))
+    vals, arg = _conjugate_kernel(table, fn.as_queries(queries, table.grid.dim))
     return vals, table.grid.boundary_mask()[arg]
-
-
-def as_queries(queries, dim: int) -> np.ndarray:
-    """Query points as an (n, dim) float array: 1-D input is one point, or n
-    points when dim is 1. A wrong width raises DimensionMismatch and a
-    non-finite coordinate ValueError."""
-    Q = fn._as_batch(queries, dim)
-    if not np.all(np.isfinite(Q)):
-        raise ValueError("query coordinates must be finite")
-    return Q
 
 
 def _conjugate_kernel(table: ValueTable, Q: np.ndarray):
@@ -136,12 +126,12 @@ def verify_envelope_conjugate(f, lam: float, grid: SampleGrid, queries,
     boundary. One prox batch P = prox_{lam f}(V) at the end points V gives both
     f_lam(V) = f(P) + ||V - P||^2 / (2 lam) and G; lam is validated on entry.
     """
-    fn.check_lam(lam)
+    fn.check_scalar("lam", lam)
     tol = fn.check_scalar("tol", tol, positive=False)
     if f.dim != grid.dim:
         raise DimensionMismatch(f"function dim {f.dim} != box dim {grid.dim}")
     lo, hi = grid.lo, grid.hi
-    Q = as_queries(queries, grid.dim)
+    Q = fn.as_queries(queries, grid.dim)
     rhs = fn.evaluate_many(fn.conjugate_closed_form(f), Q) + 0.5 * lam * fn.sq_norms(Q)
     finite = np.isfinite(rhs)  # outside dom f* the sup is +inf: no ascent
     V, q, T = np.clip(lam * Q, lo, hi), Q[finite], lam * 2.0 ** 40

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functions as fn
-from .conjugation import as_queries, ascend
+from .conjugation import ascend
 from .errors import (
     AnchorOutsideDomain,
     DimensionMismatch,
@@ -50,6 +50,8 @@ SYMMETRY_TOL = 1e-3
 PATH_TOL = 1e-4
 MAX_PANELS = 1024
 RAY_PANELS = 64
+# oracle rows per batch of the ray integrals, so memory does not grow with the queries
+_RAY_BATCH = 2 ** 16
 
 
 class ProxOracle:
@@ -76,12 +78,18 @@ class ProxOracle:
 
         1-D tables interpolate linearly per output coordinate; higher
         dimensions use barycentric-linear interpolation inside the convex
-        hull of the inputs with nearest-neighbor fallback outside.
+        hull of the inputs with nearest-neighbor fallback outside. Inputs
+        must be finite and, from dimension 2 on, must not all lie in one
+        hyperplane (a triangulation needs a full-dimensional hull); either
+        fault raises ValueError before any query. Outputs are checked when
+        queried: a non-finite one raises OracleError.
         """
         inputs = np.asarray(inputs, dtype=float)
         outputs = np.asarray(outputs, dtype=float)
         if inputs.shape != outputs.shape:
             raise DimensionMismatch("oracle table inputs/outputs must share shape")
+        if not np.isfinite(inputs).all():
+            raise ValueError("oracle table inputs must be finite")
         dim = inputs.shape[1]
         if dim == 1:
             order = np.argsort(inputs[:, 0])
@@ -92,8 +100,12 @@ class ProxOracle:
                 return np.interp(X[:, 0], xs, ys).reshape(-1, 1)
         else:
             from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+            from scipy.spatial import QhullError
 
-            lin = LinearNDInterpolator(inputs, outputs)
+            try:
+                lin = LinearNDInterpolator(inputs, outputs)
+            except QhullError:
+                raise ValueError(f"oracle table inputs must span R^{dim}") from None
             near = NearestNDInterpolator(inputs, outputs)
 
             def many(X):
@@ -137,7 +149,9 @@ class ReconstructionTask:
 
     def __post_init__(self):
         self.x0 = fn.as_point(self.x0, self.oracle.dim)
-        self.query_points = as_queries(self.query_points, self.oracle.dim)
+        if self.f_at_x0 is not None:
+            self.f_at_x0 = fn._finite("f_at_x0", self.f_at_x0)
+        self.query_points = fn.as_queries(self.query_points, self.oracle.dim)
         if self.tilde_grid.dim != self.oracle.dim:
             raise DimensionMismatch("grid does not match the oracle dimension")
 
@@ -215,11 +229,17 @@ def _simpson_weights(panels: int) -> tuple[np.ndarray, np.ndarray]:
 def _ray_integrals(oracle: ProxOracle, x0: np.ndarray, X: np.ndarray,
                    panels: int) -> np.ndarray:
     """int_0^1 <G(t x), x> dt for every row x of X: composite Simpson, nodes summed
-    left to right, every (node, row) pair scored in one oracle batch."""
+    left to right. The (node, row) pairs of a block of rows of X go to the oracle
+    in one batch of at most _RAY_BATCH pairs."""
     t, w = _simpson_weights(panels)
-    nodes = t[:, None, None] * X[None, :, :]
-    G = _field_many(oracle, x0, nodes.reshape(-1, X.shape[1])).reshape(nodes.shape)
-    return np.cumsum(w[:, None] * fn.dots(G, X), axis=0)[-1]
+    rows = _RAY_BATCH // t.size
+    u = np.empty(X.shape[0])
+    for i in range(0, X.shape[0], rows):
+        B = X[i:i + rows]
+        nodes = t[:, None, None] * B[None, :, :]
+        G = _field_many(oracle, x0, nodes.reshape(-1, X.shape[1])).reshape(nodes.shape)
+        u[i:i + rows] = np.cumsum(w[:, None] * fn.dots(G, B), axis=0)[-1]
+    return u
 
 
 def _staircase_integral(oracle: ProxOracle, x0: np.ndarray, x: np.ndarray,
@@ -374,7 +394,7 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     """
     tol_h = fn.check_scalar("tol_h", tol_h, positive=False)
     tol_c = fn.check_scalar("tol_c", tol_c, positive=False)
-    samples = as_queries(samples, f.dim)
+    samples = fn.as_queries(samples, f.dim)
     pf = f.prox_many(1.0, samples)
     pg = g.prox_many(1.0, samples)
 

@@ -69,8 +69,7 @@ class SolverBudget:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and > 0")
+        self.tol = fn.check_scalar("tol", self.tol)
 
 
 @dataclass
@@ -88,14 +87,16 @@ def _objective(f, lam: float, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _objective_many(f, lam: float, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """_objective at each row of Y, with evaluate_many's checks on every row."""
-    return fn.evaluate_many(f, Y) + fn.sq_norms(x - Y) / (2.0 * lam)
+    """_objective at each row of Y, with evaluate's extended-real check on
+    every row. The rows are the solver's own, so no coordinate check: a
+    line-search step that overflows to inf stays an ExtendedRealError."""
+    return fn._check_no_nan(f.value_many(Y)) + fn.sq_norms(x - Y) / (2.0 * lam)
 
 
 def prox(f, lam: float, x, budget: SolverBudget | None = None,
          force_numerical: bool = False) -> ProxResult:
     """prox_{lam f}(x) plus the envelope value and solver diagnostics."""
-    lam = fn.check_lam(lam)
+    lam = fn.check_scalar("lam", lam)
     x = fn.as_point(x, f.dim)
     if not force_numerical and hasattr(f, "prox_many"):
         try:
@@ -109,7 +110,7 @@ def prox(f, lam: float, x, budget: SolverBudget | None = None,
 def prox_rows(f, lam: float, X):
     """(prox_{lam f}, envelope value) at the rows of X: one closed-form
     batch, with evaluate's checks."""
-    lam = fn.check_lam(lam)
+    lam = fn.check_scalar("lam", lam)
     X = np.asarray(X, dtype=float)
     Y = f.prox_many(lam, X)
     if not np.all(np.isfinite(Y)):
@@ -130,7 +131,7 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     descent steps of both kinds. A non-converged result is still returned, with
     ``converged=False`` and the final optimality residual attached.
     """
-    lam = fn.check_lam(lam)
+    lam = fn.check_scalar("lam", lam)
     budget = budget or SolverBudget()
     x = fn.as_point(x, f.dim)
     catalog = isinstance(f, fn.ConvexFunction)

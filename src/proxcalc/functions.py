@@ -62,12 +62,17 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _as_batch(X, dim: int) -> np.ndarray:
+def as_queries(X, dim: int) -> np.ndarray:
+    """Points as an (n, dim) float array: 1-D input is one point, or n
+    points when dim is 1. A wrong width raises DimensionMismatch and a
+    non-finite coordinate ValueError, as ``as_point`` does for one point."""
     A = np.asarray(X, dtype=float)
     if A.ndim == 1:
         A = A.reshape(1, -1) if dim > 1 else A.reshape(-1, 1)
     if A.ndim != 2 or A.shape[1] != dim:
         raise DimensionMismatch(f"expected points of dimension {dim}, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("query coordinates must be finite")
     return A
 
 
@@ -89,11 +94,6 @@ def sq_norms(W):
 
 def norms(W):
     return np.sqrt(sq_norms(W))
-
-
-def check_lam(lam) -> float:
-    """The prox parameter as a float; NaN, infinities and lam <= 0 raise."""
-    return check_scalar("lam", lam)
 
 
 def check_scalar(name: str, value, positive: bool = True) -> float:
@@ -712,7 +712,7 @@ def evaluate(f: ConvexFunction, x) -> float:
 
 def evaluate_many(f: ConvexFunction, X) -> np.ndarray:
     """Values over a batch of points, shape (n, dim) -> (n,)."""
-    return _check_no_nan(f.value_many(_as_batch(X, f.dim)))
+    return _check_no_nan(f.value_many(as_queries(X, f.dim)))
 
 
 def conjugate_closed_form(f: ConvexFunction) -> ConvexFunction:
@@ -732,13 +732,13 @@ def conjugate_infimum(f: ConvexFunction) -> float:
 
 def prox_closed_form(f: ConvexFunction, lam: float, x) -> np.ndarray:
     """Closed-form prox_{lam f}(x); raises UnsupportedProx outside the table."""
-    lam = check_lam(lam)
+    lam = check_scalar("lam", lam)
     p = as_point(x, f.dim)
     return f.prox_many(lam, p.reshape(1, -1))[0]
 
 
 def prox_many_closed_form(f: ConvexFunction, lam: float, X) -> np.ndarray:
-    return f.prox_many(check_lam(lam), _as_batch(X, f.dim))
+    return f.prox_many(check_scalar("lam", lam), as_queries(X, f.dim))
 
 
 def subdifferential(f: ConvexFunction, x) -> SubdiffSet:

@@ -18,7 +18,8 @@ set and reports residuals, a status, and witnesses of failure:
   hold or fail together.
 * ``check_support_distance``: for closed convex C containing 0,
   ||prox_f|| = dist(., C) exactly when f is the support function of C up to
-  a constant.
+  a constant; a corollary of ``determine_from_norm`` at the origin, since
+  ||prox_{sigma_C}|| = dist(., C) by Moreau's identity.
 
 Conclusions are never asserted when the sampled hypothesis fails. Statuses
 are one of verified / hypothesis_fails / counterexample /
@@ -26,8 +27,8 @@ precondition_violated; a counterexample on a pair that passes its
 preconditions would contradict a theorem and is treated as build-breaking
 by the test suite. The sampled checks hand a hypothesis residual and
 per-sample conclusion gaps to ``reports.sampled_verdict``, which decides
-status and witnesses; the Lipschitz, equivalences and support-distance
-checks keep composite rules.
+status and witnesses; the Lipschitz and equivalences checks keep composite
+rules.
 
 Infima of conjugates are exact: inf f* = -f(0) by Fenchel-Moreau, so f* is
 bounded below exactly when 0 lies in dom f (``functions.conjugate_infimum``).
@@ -102,7 +103,7 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
     g0 = fn.evaluate(g, x0)
     if not (np.isfinite(f0) and np.isfinite(g0)):
         raise AnchorOutsideDomain("anchor must lie in dom f and dom g")
-    X = conjugation.as_queries(samples, f.dim)
+    X = fn.as_queries(samples, f.dim)
     pf = f.prox_many(1.0, X)
     pg = g.prox_many(1.0, X)
     hyp = float(np.max(np.maximum(fn.norms(pf - x0) - fn.norms(pg - x0), 0.0)))
@@ -157,7 +158,7 @@ def check_gradient_comparison(f, g, samples, lam: float | None = None,
         g = fn.Envelope(g, lam)
     if not isinstance(f, fn.Envelope) or not isinstance(g, fn.Envelope):
         raise ValueError("pass envelope nodes, or supply lam to wrap both")
-    X = conjugation.as_queries(samples, f.dim)
+    X = fn.as_queries(samples, f.dim)
     nf = fn.norms(f.gradient_many(X)[0])
     ng = fn.norms(g.gradient_many(X)[0])
     hyp = float(np.max(np.maximum(nf - ng, 0.0)))
@@ -188,7 +189,7 @@ def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
     g0 = fn.evaluate(g, np.zeros(g.dim))
     if not np.isfinite(g0):
         raise AnchorOutsideDomain("g(0) must be finite")
-    X = conjugation.as_queries(samples, g.dim)
+    X = fn.as_queries(samples, g.dim)
     norms = fn.norms(X)
     hyp = float(np.max(np.maximum(norms - ell - fn.norms(g.prox_many(1.0, X)), 0.0)))
     gv = fn.evaluate_many(g, X)
@@ -219,8 +220,8 @@ def check_lipschitz(f: fn.ConvexFunction, ell: float, samples_x, samples_y,
     """
     ell = fn.check_scalar("ell", ell, positive=False)
     tol = fn.check_scalar("tol", tol, positive=False)
-    X = conjugation.as_queries(samples_x, f.dim)
-    Y = conjugation.as_queries(samples_y, f.dim)
+    X = fn.as_queries(samples_x, f.dim)
+    Y = fn.as_queries(samples_y, f.dim)
     fv = fn.evaluate_many(f, X)
     if not np.all(np.isfinite(fv)):
         raise ValueError("Lipschitz check needs f finite-valued on the samples")
@@ -304,7 +305,7 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     """
     tol_prox = fn.check_scalar("tol_prox", tol_prox, positive=False)
     tol_value = fn.check_scalar("tol_value", tol_value, positive=False)
-    X = conjugation.as_queries(samples, f.dim)
+    X = fn.as_queries(samples, f.dim)
     pf = f.prox_many(1.0, X)
     pg = g.prox_many(1.0, X)
 
@@ -407,48 +408,31 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
                            tol: float = TOL_CLOSED) -> CheckReport:
     """||prox_f(x)|| = dist(x, C) on samples, then f = support of C + const.
 
-    C is an indicator atom whose set must contain the origin. The forward
-    residual compares prox norms with distances; when it passes, the
-    backward determination runs f against the support function of C, and
-    its witnesses and its constant inf sigma_C* - inf f* = f(0) carry over.
+    C is an indicator atom whose set must contain the origin. By Moreau's
+    identity prox_{sigma_C}(x) = x - proj_C(x), so ||prox_{sigma_C}|| is the
+    distance to C and the check is ``determine_from_norm(f, sigma_C)`` at the
+    origin: its hypothesis residual is the forward residual, its witnesses
+    and its constant inf sigma_C* - inf f* = f(0) carry over. A failing
+    forward residual is reported at its worst sample, prox norm against
+    distance.
     """
     tol = fn.check_scalar("tol", tol, positive=False)
     if fn.evaluate(C, np.zeros(C.dim)) != 0.0:
         raise OriginNotInC("the support-distance check needs 0 in C")
-    X = conjugation.as_queries(samples, f.dim)
-    proj = C.prox_many(1.0, X)
-    dists = fn.norms(X - proj)
-    pnorms = fn.norms(f.prox_many(1.0, X))
-    gaps = np.abs(pnorms - dists)
-    forward = float(np.max(gaps))
-    sigma = support_function_of(C)
+    back = determine_from_norm(f, support_function_of(C), samples, x0=None, tol_h=tol)
+    forward, n = back.hypothesis_residual, back.details["samples"]
     if forward <= tol:
-        back = determine_from_norm(f, sigma, X, x0=None, tol_h=max(tol, 1e-7))
-        status = back.status
-        concl = back.conclusion_residual
-        witnesses = back.witnesses
-        details = {
-            "forward_residual": forward,
-            "backward_status": back.status,
-            "constant": back.details["inf_conj_g"] - back.details["inf_conj_f"],
-            "samples": int(X.shape[0]),
-        }
-    else:
-        status = HYPOTHESIS_FAILS
-        concl = 0.0
-        worst = int(np.argmax(gaps))
-        witnesses = [(X[worst], f"prox norm {float(pnorms[worst])!r} "
-                                f"vs distance {float(dists[worst])!r}")]
-        details = {"forward_residual": forward, "samples": int(X.shape[0])}
-    return CheckReport(
-        name="support_distance",
-        status=status,
-        hypothesis_residual=forward,
-        conclusion_residual=concl,
-        tolerance=tol,
-        witnesses=witnesses,
-        details=details,
-    )
+        details = {"forward_residual": forward, "backward_status": back.status,
+                   "constant": back.details["inf_conj_g"] - back.details["inf_conj_f"],
+                   "samples": n}
+        return CheckReport("support_distance", back.status, forward,
+                           back.conclusion_residual, tol, back.witnesses, details)
+    X = fn.as_queries(samples, f.dim)
+    pnorms, dists = fn.norms(f.prox_many(1.0, X)), fn.norms(X - C.prox_many(1.0, X))
+    worst = int(np.argmax(np.abs(pnorms - dists)))
+    note = f"prox norm {float(pnorms[worst])!r} vs distance {float(dists[worst])!r}"
+    return CheckReport("support_distance", HYPOTHESIS_FAILS, forward, 0.0, tol,
+                       [(X[worst], note)], {"forward_residual": forward, "samples": n})
 
 
 # ---------------------------------------------------------------------------

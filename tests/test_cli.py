@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -282,6 +283,51 @@ def test_reconstruct_nan_oracle_table_exits_2(tmp_path, capsys):
     ], capsys)
     assert code == 2
     assert "OracleError" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reconstruct_non_finite_f_at_anchor_is_a_usage_error(tmp_path, norm_spec, capsys,
+                                                             value):
+    queries_path = tmp_path / "q.csv"
+    queries_path.write_text("1.0,0.5\n")
+    code, out, err = run_cli([
+        "reconstruct", "--f", norm_spec, "--anchor", "0,0", f"--f-at-anchor={value}",
+        "--grid=-4:4:81;-4:4:81", "--queries", str(queries_path),
+    ], capsys)
+    assert (code, out, err) == (1, "", "error: f_at_x0 must be finite\n")
+
+
+@pytest.mark.parametrize("dim, table, message", [
+    (1, "0,0\nnan,1\n1,0.5\n2,1\n", "inputs must be finite"),
+    (2, "0,0,0,0\n1,1,0.5,0.5\n2,2,1,1\n3,3,2,2\n", "inputs must span R^2"),
+    (2, "0,0,0,0\n1,0,0.5,0\nnan,1,0,0.5\n0,1,0,0.5\n", "inputs must be finite"),
+], ids=["nan_1d", "collinear_2d", "nan_2d"])
+def test_reconstruct_bad_oracle_table_inputs_are_usage_errors(tmp_path, capsys, dim, table,
+                                                              message):
+    table_path = tmp_path / "prox_samples.csv"
+    table_path.write_text(table)
+    queries_path = tmp_path / "q.csv"
+    queries_path.write_text(",".join(["0.5"] * dim) + "\n")
+    code, out, err = run_cli([
+        "reconstruct", "--oracle-table", str(table_path), "--anchor", ",".join(["0"] * dim),
+        "--grid=" + ";".join(["-4:4:81"] * dim), "--queries", str(queries_path),
+    ], capsys)
+    assert (code, out, err) == (1, "", f"error: oracle table {message}\n")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("prox", "--f --lambda --x --numerical"),
+    ("envelope", "--f --lambda --x"),
+    ("conjugate", "--f --x --grid"),
+    ("reconstruct", "--f --oracle-table --anchor --f-at-anchor --grid --queries --out"),
+    ("compare", "--f --g --anchor --samples --radius --seed --tol --format --out"),
+    ("verify-all", "--f --g --anchor --samples --radius --seed --ell --tol --format --out"),
+])
+def test_every_command_lists_its_options(capsys, command, options):
+    code, out, err = run_cli([command, "--help"], capsys)
+    assert (code, err) == (0, "")
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.M)
+    assert sorted(listed) == sorted(["--help"] + options.split())
 
 
 @pytest.mark.parametrize("option, text, message", [

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import proxcalc as pc
-from proxcalc import conjugation
+from proxcalc import conjugation, determination
 from proxcalc.determination import (
     _constant_gaps,
     _ray_integrals,
@@ -418,6 +418,37 @@ def test_ray_integrals_exact_on_affine_field():
     assert oracle.call_count == 129 * X.shape[0]
 
 
+def test_ray_integrals_bound_their_oracle_batches(monkeypatch):
+    # blocks of rows keep each row's bits; the 2,967 rows of the 22 queries
+    # and the pin of a reconstruct_2d op stay one batch
+    f = pc.Tilt(pc.ScaledNorm(1.5, [0.0, 0.0]), [-0.3, 0.2])
+    X = battery_samples(2, 7, 50, 3.0)
+    batches = []
+
+    def many(X):
+        batches.append(X.shape[0])
+        return f.prox_many(1.0, X)
+
+    expected = _ray_integrals(pc.ProxOracle(None, 2, many), np.zeros(2), X, 64)
+    _ray_integrals(pc.ProxOracle(None, 2, many), np.zeros(2), X[:23], 64)
+    assert batches == [129 * 50, 2967]
+    batches.clear()
+    monkeypatch.setattr(determination, "_RAY_BATCH", 1000)
+    blocked = pc.ProxOracle(None, 2, many)
+    got = _ray_integrals(blocked, np.zeros(2), X, 64)
+    assert got.tobytes() == expected.tobytes()
+    assert batches == [129 * 7] * 7 + [129]
+    assert blocked.call_count == 129 * 50
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_reconstruction_task_rejects_a_non_finite_f_at_x0(value):
+    oracle = pc.ProxOracle.from_function(pc.ScaledNorm(1.0, [0.0]))
+    with pytest.raises(ValueError, match="^f_at_x0 must be finite$"):
+        pc.ReconstructionTask(oracle, [0.0], pc.SampleGrid([-1.0], [1.0], [3]),
+                              [[0.5]], f_at_x0=value)
+
+
 def test_reconstruct_envelope_of_norm_3d():
     f = pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0, 0.0]), 1.0)
     grid = pc.SampleGrid([-4.0] * 3, [4.0] * 3, [81] * 3)
@@ -572,3 +603,17 @@ def test_table_oracle_2d_reconstruction():
     for q, v in rep.recovered:
         truth = pc.evaluate(f, q)
         assert v == pytest.approx(truth, abs=5e-3)
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ([[0.0], [np.nan], [1.0]], "^oracle table inputs must be finite$"),
+    ([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]], "^oracle table inputs must be finite$"),
+    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], r"^oracle table inputs must span R\^2$"),
+    ([[0.0, 0.0], [1.0, 0.0]], r"^oracle table inputs must span R\^2$"),
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+     r"^oracle table inputs must span R\^3$"),
+], ids=["nan_1d", "inf_2d", "collinear_2d", "two_points_2d", "coplanar_3d"])
+def test_table_oracle_rejects_bad_inputs(inputs, message):
+    inputs = np.array(inputs)
+    with pytest.raises(ValueError, match=message):
+        pc.ProxOracle.from_table(inputs, 0.5 * np.nan_to_num(inputs, posinf=0.0))

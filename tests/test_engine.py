@@ -470,6 +470,15 @@ def test_prox_rows_keeps_evaluate_checks():
             prox_rows(tilt, 1.0, [[1e200], [0.0]])
 
 
+def test_a_line_search_overflow_stays_a_solver_failure():
+    # at lam = 1e300 the far bracket steps overflow to inf rows (numpy warns of
+    # the overflow and of inf - inf): the solver's own rows, so an extended-real
+    # error (exit 2), not a coordinate error
+    f = pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ExtendedRealError):
+        numerical_prox(f, 1e300, [3.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # line search and batched objective
 # ---------------------------------------------------------------------------

@@ -630,3 +630,13 @@ def test_support_function_of_is_the_conjugate(C):
 def test_support_function_of_rejects_a_halfspace():
     with pytest.raises(ValueError, match="C must be an indicator atom"):
         pc.verify.support_function_of(pc.IndicatorHalfspace([1.0, 0.0], 1.0))
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.0], [INF, 0.0], [0.0, -INF]])
+def test_batch_entry_points_reject_non_finite_rows(row):
+    # as evaluate does for one point: no NaN rows, no +inf value, no inf - inf error
+    X = [[1.0, 2.0], row]
+    for call in (lambda: pc.evaluate_many(norm2(), X),
+                 lambda: pc.functions.prox_many_closed_form(norm2(), 1.0, X)):
+        with pytest.raises(ValueError, match="^query coordinates must be finite$"):
+            call()

@@ -1,5 +1,6 @@
 """Source hygiene without a linter: every name a library module imports is
-read somewhere in that module."""
+read somewhere in that module, and every private module-level name is read
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,42 @@ def test_every_imported_name_is_read(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     assert {n for n in _imported(tree) if n not in _read(tree)} == {"math", "path"}
+
+
+def _private_definitions(tree):
+    """{name: line} for the module-level defs, classes and assignments whose
+    names start with a single underscore."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target]) if isinstance(t, ast.Name)]
+        else:
+            continue
+        names.update({t: node.lineno for t in targets
+                      if t.startswith("_") and not t.startswith("__")})
+    return names
+
+
+def _read_anywhere(trees):
+    """Names read as a bare name or as an attribute in any of the trees."""
+    return set().union(*(_read(t) for t in trees)) | {
+        node.attr for t in trees for node in ast.walk(t)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    read = _read_anywhere(trees.values())
+    unread = {f"{name}:{line} {private}" for name, tree in trees.items()
+              for private, line in _private_definitions(tree).items() if private not in read}
+    assert not unread, f"private names nothing in the package reads: {sorted(unread)}"
+
+
+def test_the_check_sees_an_unread_private_name():
+    tree = ast.parse("_A = 1\n_B = 2\n__all__ = []\ndef _f():\n    return _A\n"
+                     "class _C:\n    pass\nx = m._C(_f())\n")
+    assert set(_private_definitions(tree)) - _read_anywhere([tree]) == {"_B"}

@@ -19,7 +19,7 @@ from proxcalc.errors import (
     OriginNotInC,
     UnsupportedSubdifferential,
 )
-from proxcalc.reports import sampled_verdict
+from proxcalc.reports import report_to_text, sampled_verdict
 from proxcalc.sets import EmptySet, sets_equal
 from proxcalc.verify import (
     _decomposition_report,
@@ -575,6 +575,81 @@ def test_support_distance_counterexample_carries_the_backward_witnesses(X2):
 def test_support_distance_needs_origin(X2):
     with pytest.raises(OriginNotInC):
         check_support_distance(NORM2, pc.IndicatorBall([5.0, 0.0], 1.0), X2)
+
+
+def _two_pass_support_distance(f, C, X, tol):
+    """The support-distance check as two passes: the distance test by hand,
+    then determine_from_norm against sigma_C under the tolerance max(tol, 1e-7)."""
+    proj = C.prox_many(1.0, X)
+    dists = fn.norms(X - proj)
+    pnorms = fn.norms(f.prox_many(1.0, X))
+    gaps = np.abs(pnorms - dists)
+    forward = float(np.max(gaps))
+    if forward <= tol:
+        back = pc.determine_from_norm(f, verify_module.support_function_of(C), X, x0=None,
+                                      tol_h=max(tol, 1e-7))
+        return pc.CheckReport("support_distance", back.status, forward,
+                              back.conclusion_residual, tol, back.witnesses, {
+                                  "forward_residual": forward,
+                                  "backward_status": back.status,
+                                  "constant": back.details["inf_conj_g"]
+                                  - back.details["inf_conj_f"],
+                                  "samples": int(X.shape[0])})
+    worst = int(np.argmax(gaps))
+    return pc.CheckReport("support_distance", "hypothesis_fails", forward, 0.0, tol,
+                          [(X[worst], f"prox norm {float(pnorms[worst])!r} "
+                                      f"vs distance {float(dists[worst])!r}")],
+                          {"forward_residual": forward, "samples": int(X.shape[0])})
+
+
+def _support_distance_cases(d):
+    """(f, C) pairs that verify, fail the hypothesis and meet a counterexample."""
+    zero, centre = np.zeros(d), np.full(d, 0.3 / np.sqrt(d))
+    return [
+        (pc.SupportBall(zero, 1.0), pc.IndicatorBall(zero, 1.0)),
+        (pc.AddConst(pc.SupportBall(centre, 2.0), 3.0), pc.IndicatorBall(centre, 2.0)),
+        (pc.SupportBox(np.full(d, -1.0), np.linspace(0.5, 2.0, d)),
+         pc.IndicatorBox(np.full(d, -1.0), np.linspace(0.5, 2.0, d))),
+        (pc.Affine(zero, 0.0), pc.IndicatorPoint(zero)),
+        (pc.Quadratic(np.eye(d)), pc.IndicatorBall(zero, 1.0)),
+        (pc.ScaledNorm(2.0, zero), pc.IndicatorBall(centre, 1.0)),
+        (pc.SupportBall(zero, 1.0), pc.IndicatorBox(-np.ones(d), np.ones(d))),
+        (_DoubledNorm(1.0, zero), pc.IndicatorBall(zero, 1.0)),
+        (_DoubledNorm(1.0, zero), pc.IndicatorBall(centre, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("tol", [1e-9, 1e-8, 1e-6])
+def test_support_distance_matches_the_two_pass_check(d, tol):
+    statuses = set()
+    for seed in (1, 2):
+        X = battery_samples(d, seed, 60, 4.0, [np.zeros(d)])
+        for f, C in _support_distance_cases(d):
+            rep = check_support_distance(f, C, X, tol=tol)
+            assert report_to_text(rep) == report_to_text(
+                _two_pass_support_distance(f, C, X, tol))
+            statuses.add(rep.status)
+    assert statuses == {"verified", "hypothesis_fails", "counterexample"}
+
+
+def test_support_distance_scores_one_prox_batch_of_f_and_one_projection(monkeypatch, X2):
+    f, C = pc.SupportBall([0.0, 0.0], 1.0), pc.IndicatorBall([0.0, 0.0], 1.0)
+    calls = {"f": 0, "projection": 0}
+    prox_f, project = f.prox_many, pc.IndicatorBall.prox_many
+
+    def counted_f(lam, X):
+        calls["f"] += 1
+        return prox_f(lam, X)
+
+    def counted_projection(self, lam, X):
+        calls["projection"] += self is not f.indicator  # f's own prox projects too
+        return project(self, lam, X)
+
+    monkeypatch.setattr(f, "prox_many", counted_f)
+    monkeypatch.setattr(pc.IndicatorBall, "prox_many", counted_projection)
+    assert check_support_distance(f, C, X2).status == "verified"
+    assert calls == {"f": 1, "projection": 1}
 
 
 # ---------------------------------------------------------------------------
