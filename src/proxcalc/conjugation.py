@@ -7,10 +7,10 @@ spacings) when the supremum is attained inside the lattice. The grid should
 dominate the query range by a healthy margin (5x by default elsewhere in
 the library), and an argmax landing on the grid boundary signals truncation.
 
-One kernel scores every query against the lattice in blocks of bounded
-size (lattice rows x queries) and keeps the first index of each maximum;
-``conjugate_many``, ``conjugate_argmax`` and ``numerical_conjugate`` (and
-with them ``conjugate --grid``) are views of its result.
+One kernel scores blocks of queries from the grid axes with the bits of
+``fn.dots``, the same alone and in any batch, and keeps the first index of
+each maximum; ``conjugate_many``, ``conjugate_argmax`` and
+``numerical_conjugate`` (so ``conjugate --grid``) are views of its result.
 
 ``ascend`` climbs to a sup of <z, y> - u(y) over a box, a conjugate value, for
 a batch of rows z, u a Moreau envelope of index 1, and bounds each shortfall
@@ -24,11 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import functions as fn
-from .errors import AllInfinite, DimensionMismatch
+from .errors import DimensionMismatch
 from .grids import SampleGrid, ValueTable
 from .reports import HYPOTHESIS_FAILS, VERIFIED, CheckReport, sampled_verdict
 
-_BLOCK_ROWS = 200_000
 _BLOCK_ENTRIES = 5_000_000
 # an ascent row stops once its shortfall bound is this small, or after so many steps
 _CERTIFIED = 1e-8
@@ -57,36 +56,28 @@ def conjugate_many(table: ValueTable, queries: np.ndarray):
 def _conjugate_kernel(table: ValueTable, Q: np.ndarray):
     """(values, argmax indices) of the discrete sup for each query row of Q.
 
-    Scores are built in blocks of at most _BLOCK_ROWS lattice rows and
-    _BLOCK_ENTRIES rows x queries, so memory stays bounded however many
-    queries come in. Ties go to the first lattice index.
+    A block of at most _BLOCK_ENTRIES scores sums 0 + q_0 axis_0 + q_1 axis_1
+    + ... left to right, as ``fn.dots`` does, queries first, so each query's
+    scores are one contiguous row; a +inf value, or a NaN score (inf - inf
+    past the float range), scores -inf. Ties go to the first lattice index.
     """
-    finite = np.isfinite(table.values)
-    if not np.any(finite):
-        raise AllInfinite("value table holds no finite entry")
-    P = table.grid.points()
-    vals = np.full(Q.shape[0], -np.inf)
-    arg = np.zeros(Q.shape[0], dtype=int)
-    for start in range(0, P.shape[0], _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, P.shape[0])
-        mask = finite[start:stop]
-        if not np.any(mask):
-            continue
-        width = _BLOCK_ENTRIES // (stop - start)
-        for lo in range(0, Q.shape[0], width):
-            cols = slice(lo, lo + width)
-            S = P[start:stop] @ Q[cols].T
-            S -= table.values[start:stop, None]
-            S[~mask, :] = -np.inf
-            # first index of each column maximum; np.argmax(S, axis=0) would
-            # copy the whole block. A NaN maximum never wins, as under argmax.
-            best = S.max(axis=0)
-            idx = np.argmax(S == best, axis=0)
-            cand = S[idx, np.arange(S.shape[1])]
-            del S  # before the next block is allocated
-            better = best > vals[cols]
-            vals[cols][better] = cand[better]
-            arg[cols][better] = start + idx[better]
+    ones = (1,) * table.grid.dim
+    # axis i along dimension i + 1 of a block, the queries along dimension 0
+    axes = [a.reshape(ones[:i] + (-1,) + ones[i + 1:]) for i, a in enumerate(table.grid.axes())]
+    vals, arg = np.empty(len(Q)), np.empty(len(Q), dtype=int)
+    width = _BLOCK_ENTRIES // table.grid.size
+    for lo in range(0, len(Q), width):
+        q, rows = Q[lo:lo + width], slice(lo, lo + width)
+        S = 0.0
+        for i, a in enumerate(axes):
+            S = S + q[:, i].reshape((-1,) + ones) * a
+        S = S.reshape(len(q), -1)
+        S -= table.values
+        k = np.argmax(S, axis=1)  # the first maximum, or the first NaN
+        if np.isnan(S[np.arange(len(q)), k]).any():
+            S[np.isnan(S)] = -np.inf  # inf - inf where a score overflows
+            k = np.argmax(S, axis=1)
+        arg[rows], vals[rows] = k, S[np.arange(len(q)), k]
     return vals, arg
 
 

@@ -42,7 +42,9 @@ and a ladder of steps out from it, h 4^k away for h half the width: when
 the vertex is lowest among them all up to rounding, convexity puts the
 minimizer within h of it, or its value within four roundings of the
 minimum, and the search stops. At a kink the vertex misses and a rung
-shows it, so the round goes on narrowing the bracket.
+shows it, so the round goes on narrowing the bracket. At a huge lam the
+bracket shifts down by a power of 2, so that no step moves y by 2^480 or
+more and no score overflows.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .errors import (DomainUnreachable, EmptySubdifferential, UnsupportedProx,
 _BRACKET = np.exp2(np.arange(-40.0, 61.0))  # line-search steps, in units of lam
 _ZOOM_POINTS = 257  # points per batched zoom round, both bracket ends included
 _STEP_RTOL = 1e-14  # relative floor of the step accuracy
+_REACH = 480  # a line-search step moves y by less than 2^_REACH: squares stay finite
 
 
 @dataclass
@@ -160,8 +163,8 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
 
     iters = 0
     # steepest or PR+ conjugate descent with a line search (steps in units
-    # of lam, so the bracket steps stay finite for any lam)
-    step_tol = 1e-12 * (1.0 + lam) / (lam * max(lam, 1.0))
+    # of lam); dividing by lam twice, as lam^2 overflows past 1e154
+    step_tol = 1e-12 * (1.0 + lam) / lam / max(lam, 1.0)
     residual = float("inf")
     memory = None  # (s, p) of the last step, kept only where df is a singleton
     while iters < budget.max_iters:
@@ -180,11 +183,14 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
             if beta > 0.0 and float(fn.dots(q, s)) > 0.0:
                 p = q
         memory = (s, p) if smooth else None
-        d = lam * p
-        t, ft = _line_search(lambda T: _objective_many(f, lam, x, y - T[:, None] * d),
-                             fy, step_tol)
+        d, pn = lam * p, float(fn.norms(p))
+        # steps T lam p, T <= 2^60, move y by less than 2^(60 + e) for lam ||p|| < 2^e;
+        # at a huge lam the bracket shifts down by a power of 2 to stay within 2^_REACH
+        shift = _REACH - 60 - math.frexp(lam * pn)[1]
+        t, ft = _line_search(lambda T: _objective_many(f, lam, x, y - T[:, None] * d), fy,
+                             step_tol, _BRACKET if shift >= 0 else np.ldexp(_BRACKET, shift))
         iters += 1
-        disp = t * lam * float(fn.norms(p))
+        disp = t * lam * pn
         if ft < fy and (p is s or disp >= budget.tol):
             y = y - t * d
             fy = ft
@@ -233,11 +239,11 @@ def _fd_gradient(f, y, h: float = 1e-7):
     return (v[:y.size] - v[y.size:]) / (2.0 * h)
 
 
-def _line_search(phi_many, f0: float, tol: float):
+def _line_search(phi_many, f0: float, tol: float, bracket=_BRACKET):
     """(t, phi(t)) near the argmin over t >= 0 of phi, convex, with phi(0) = f0.
 
     ``phi_many`` scores an array of steps at once. One batch scores every
-    bracket step 2^k; rounds of evenly spaced points then narrow the steps
+    ``bracket`` step; rounds of evenly spaced points then narrow the steps
     either side of the lowest until they are ``tol`` apart (plus 1e-14 t,
     the floor float spacing allows). Each round's batch also scores the
     vertex t_p of the parabola through the three bracket points and the
@@ -250,8 +256,8 @@ def _line_search(phi_many, f0: float, tol: float):
     over so short a step.
     A result with t = 0 means no step descends.
     """
-    T = np.concatenate([[0.0], _BRACKET])
-    F = np.concatenate([[f0], phi_many(_BRACKET)])
+    T = np.concatenate([[0.0], bracket])
+    F = np.concatenate([[f0], phi_many(bracket)])
     j = int(np.argmin(F))  # the first of the lowest
     if j == T.size - 1:  # still falling at the last step
         return float(T[j]), float(F[j])

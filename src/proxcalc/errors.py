@@ -29,10 +29,6 @@ class DomainUnreachable(ProxcalcError):
     """Every probe point evaluated to +inf; the solver has nowhere to start."""
 
 
-class AllInfinite(ProxcalcError):
-    """A value table holds no finite entry, so conjugation is undefined."""
-
-
 class NonConservativeField(ProxcalcError):
     """The queried vector field fails the gradient-field consistency checks."""
 

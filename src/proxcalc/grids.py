@@ -150,12 +150,16 @@ def read_table_csv(path: str) -> ValueTable:
     axes = [np.unique(coords[:, i]) for i in range(dim)]
     grid = SampleGrid([a[0] for a in axes], [a[-1] for a in axes], [a.size for a in axes])
     if coords.shape[0] != grid.size:
-        raise ValueError("rows do not form a full lattice")
+        raise ValueError(f"{path}: rows do not form a full lattice")
     # order rows into lattice order regardless of file order
     idx = np.zeros(coords.shape[0], dtype=int)
     for i in range(dim):
         pos = np.searchsorted(axes[i], coords[:, i])
         idx = idx * axes[i].size + pos
+    # as many rows as points, so a repeated point leaves another out
+    repeats = np.bincount(idx, minlength=grid.size)[idx] > 1
+    if np.any(repeats):
+        raise ValueError(f"{path}: lattice point {coords[np.argmax(repeats)].tolist()} repeats")
     ordered = np.empty(grid.size)
     ordered[idx] = values
     return ValueTable(grid, ordered)

@@ -121,6 +121,20 @@ def test_prox_numerical_at_large_lambda_converges(norm_spec, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("lam", ["1e150", "1e200", "1e300"])
+def test_prox_numerical_at_a_huge_lambda_converges(tmp_path, cli_env, lam):
+    # 1e200 ended in an OverflowError traceback, 1e150 and 1e300 made numpy warn
+    spec = write_spec(tmp_path, "q.json", {"atom": "quadratic", "Q": [[2.0, 0.4], [0.4, 1.0]],
+                                           "b": [0.3, -0.1], "c": 0.5})
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "proxcalc.cli",
+                          "prox", "--f", spec, "--numerical", "--lambda", lam, "--x", "3,4"],
+                         capture_output=True, text=True, env=cli_env, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    vals = [float(v) for v in out.stdout.strip().strip("()").split()]
+    assert np.allclose(vals, np.linalg.solve([[2.0, 0.4], [0.4, 1.0]], [-0.3, 0.1]),
+                       rtol=0.0, atol=1e-4)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -586,7 +586,7 @@ def test_table_csv_roundtrip(tmp_path):
 
 def test_conjugate_many_memory_bounded_for_many_queries():
     # 500 queries on a 201^2 table: one score block would hold 20M entries
-    # (160 MB); the kernel caps each block by rows x queries
+    # (160 MB); the kernel caps each block by lattice points x queries
     import tracemalloc
 
     grid = pc.SampleGrid([-4.0, -4.0], [4.0, 4.0], [201, 201])
@@ -601,9 +601,67 @@ def test_conjugate_many_memory_bounded_for_many_queries():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    # each query scored alone; BLAS rounds a score differently in the last
-    # bit depending on the block shape, so values agree to rounding only
+    # each query scored alone gets the same bits as in its block
     for q, v, b in zip(Q, vals, boundary):
         v1, _, b1 = conjugate_argmax(table, q)
-        assert v == pytest.approx(v1, rel=1e-14, abs=1e-14)
+        assert np.float64(v).tobytes() == np.float64(v1).tobytes()
         assert b == b1
+
+
+_AXIS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_VALUE = st.one_of(st.sampled_from([0.0, 1.0, INF]), st.floats(-50.0, 50.0))
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-20.0, 20.0))
+
+
+@st.composite
+def _tables_and_queries(draw):
+    """A 1-3-D value table with +inf entries and ties, and 1-6 queries."""
+    dim = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(_AXIS, min_size=dim, max_size=dim)))
+    width = np.array(draw(st.lists(st.floats(0.5, 50.0), min_size=dim, max_size=dim)))
+    grid = pc.SampleGrid(lo, lo + width, draw(st.lists(st.integers(2, 5), min_size=dim,
+                                                       max_size=dim)))
+    values = np.array(draw(st.lists(_VALUE, min_size=grid.size, max_size=grid.size)))
+    values[0] = min(values[0], 0.0)  # a finite entry
+    n = draw(st.integers(1, 6))
+    Q = np.array(draw(st.lists(_COORD, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    return pc.ValueTable(grid, values), Q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables_and_queries())
+def test_kernel_matches_the_dots_reference(case):
+    # the scores of fn.dots over the lattice points minus the values, where a
+    # +inf value scores -inf, and the first index of each maximum: the same
+    # bits, sign of zero included
+    table, Q = case
+    S = fn.dots(table.grid.points()[:, None], Q[None]) - table.values[:, None]
+    arg = np.argmax(S, axis=0)
+    vals, got = conjugation._conjugate_kernel(table, Q)
+    assert vals.tobytes() == S[arg, np.arange(len(Q))].tobytes()
+    assert np.array_equal(got, arg)
+
+
+def test_a_query_gets_the_same_bits_alone_and_in_any_block(monkeypatch):
+    grid = pc.SampleGrid([-2.0, -1.5, -3.0], [2.5, 1.0, 3.0], [31, 17, 23])
+    table = pc.tabulate(pc.Quadratic([[2.0, 0.4, 0.1], [0.4, 1.0, 0.2], [0.1, 0.2, 1.5]],
+                                     [0.3, -0.1, 0.2], 0.5), grid)
+    Q = pc.Lcg(9).points_in_ball(40, 3, 1.5)
+    whole = conjugation._conjugate_kernel(table, Q)
+    monkeypatch.setattr(conjugation, "_BLOCK_ENTRIES", 3 * grid.size)  # blocks of 3
+    blocks = conjugation._conjugate_kernel(table, Q)
+    alone = [conjugation._conjugate_kernel(table, q[None]) for q in Q]
+    for got in [blocks, tuple(np.concatenate(a) for a in zip(*alone))]:
+        assert got[0].tobytes() == whole[0].tobytes()
+        assert np.array_equal(got[1], whole[1])
+
+
+def test_an_overflowing_score_is_never_the_maximum_as_nan():
+    # past the float range a score is inf, and inf - inf (a +inf value, or
+    # terms of both signs) is NaN, which scores -inf like a +inf value
+    grid = pc.SampleGrid([-2.0, -2.0], [2.0, 2.0], [5, 5])
+    ball = pc.tabulate(pc.IndicatorBall([0.0, 0.0], 1.0), grid)
+    quad = pc.tabulate(pc.Quadratic(np.eye(2)), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert conjugate_argmax(ball, [1e308, 0.0]) == (1e308, 17, False)  # at (1, 0)
+        assert conjugate_argmax(quad, [1e308, -1e308]) == (INF, 5, True)  # at (-1, -2)

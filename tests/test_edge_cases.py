@@ -107,6 +107,14 @@ def test_read_table_csv_rejects_ragged(tmp_path):
         pc.read_table_csv(str(p))
 
 
+def test_read_table_csv_rejects_a_repeated_point(tmp_path):
+    # four rows on a 2 x 2 lattice: (0, 0) twice and (0, 1) missing
+    p = tmp_path / "rep.csv"
+    p.write_text("0,0,1\n0,0,2\n1,0,3\n1,1,4\n")
+    with pytest.raises(ValueError, match=r"rep\.csv: lattice point \[0\.0, 0\.0\] repeats"):
+        pc.read_table_csv(str(p))
+
+
 @pytest.mark.parametrize("text, message", [
     ("0.0,1.0\n0.5\n", "bad.csv:2: expected 2 fields, got 1"),
     ("0.0,1.0\n\n0.5,x\n", "bad.csv:3: could not convert string to float: 'x'"),

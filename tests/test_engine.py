@@ -470,13 +470,18 @@ def test_prox_rows_keeps_evaluate_checks():
             prox_rows(tilt, 1.0, [[1e200], [0.0]])
 
 
-def test_a_line_search_overflow_stays_a_solver_failure():
-    # at lam = 1e300 the far bracket steps overflow to inf rows (numpy warns of
-    # the overflow and of inf - inf): the solver's own rows, so an extended-real
-    # error (exit 2), not a coordinate error
+@pytest.mark.parametrize("lam", [1e150, 1e200, 1e300])
+def test_a_huge_lam_converges_without_overflow(lam):
+    # lam^2 in the step tolerance overflowed past lam ~ 1e154, and the far
+    # bracket steps y - T lam p overflowed the objective; the bracket now
+    # shifts down by a power of 2 to stay in range
     f = pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ExtendedRealError):
-        numerical_prox(f, 1e300, [3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = numerical_prox(f, lam, [3.0, 4.0])
+    assert res.converged
+    assert np.allclose(res.minimizer, f.prox_many(lam, np.array([[3.0, 4.0]]))[0],
+                       rtol=0.0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
