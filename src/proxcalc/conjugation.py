@@ -69,10 +69,11 @@ def _conjugate_kernel(table: ValueTable, Q: np.ndarray):
     for lo in range(0, len(Q), width):
         q, rows = Q[lo:lo + width], slice(lo, lo + width)
         S = 0.0
-        for i, a in enumerate(axes):
-            S = S + q[:, i].reshape((-1,) + ones) * a
-        S = S.reshape(len(q), -1)
-        S -= table.values
+        with np.errstate(over="ignore", invalid="ignore"):  # handled just below
+            for i, a in enumerate(axes):
+                S = S + q[:, i].reshape((-1,) + ones) * a
+            S = S.reshape(len(q), -1)
+            S -= table.values
         k = np.argmax(S, axis=1)  # the first maximum, or the first NaN
         if np.isnan(S[np.arange(len(q)), k]).any():
             S[np.isnan(S)] = -np.inf  # inf - inf where a score overflows

@@ -110,17 +110,6 @@ def prox(f, lam: float, x, budget: SolverBudget | None = None,
     return numerical_prox(f, lam, x, budget)
 
 
-def prox_rows(f, lam: float, X):
-    """(prox_{lam f}, envelope value) at the rows of X: one closed-form
-    batch, with evaluate's checks."""
-    lam = fn.check_scalar("lam", lam)
-    X = np.asarray(X, dtype=float)
-    Y = f.prox_many(lam, X)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("point coordinates must be finite")
-    return Y, _objective_many(f, lam, X, Y)
-
-
 def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> ProxResult:
     """Minimize f(y) + ||x-y||^2/(2 lam) without the closed-form prox table.
 

@@ -30,6 +30,12 @@ per-sample conclusion gaps to ``reports.sampled_verdict``, which decides
 status and witnesses; the Lipschitz and equivalences checks keep composite
 rules.
 
+``standard_battery`` also checks each function's closed forms against each
+other by three identities exact at prox points (``_self_checks``): Moreau's
+decomposition, prox optimality and the Fenchel-Young equality (Rockafellar
+1970, Thm 23.5), each under TOL_CLOSED = 1e-8, with no finite difference
+and no ascent.
+
 Infima of conjugates are exact: inf f* = -f(0) by Fenchel-Moreau, so f* is
 bounded below exactly when 0 lies in dom f (``functions.conjugate_infimum``).
 """
@@ -38,11 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import conjugation, engine
 from . import functions as fn
 from .determination import _constant_gaps, determine_from_norm
 from .errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
-from .grids import SampleGrid
 from .reports import (
     CheckReport,
     COUNTEREXAMPLE,
@@ -55,8 +59,6 @@ from .sampling import Lcg
 from .sets import EmptySet, sets_equal
 
 TOL_CLOSED = 1e-8
-TOL_NUMERICAL = 1e-4
-TOL_GRID = 2e-3
 
 INFIMUM_RADIUS = 50.0
 INFIMUM_POINTS = 10_000
@@ -466,15 +468,8 @@ def standard_battery(f: fn.ConvexFunction, g: fn.ConvexFunction, anchor, seed: i
     rep.name = "equivalences(f,g)"
     reports.append(rep)
 
-    box = SampleGrid(np.full(f.dim, -2.5 * radius), np.full(f.dim, 2.5 * radius), [2] * f.dim)
-    cloud = battery_samples(f.dim, seed + 1, 25, radius / 4)
     for tag, h in (("f", f), ("g", g)):
-        reports += [_decomposition_report(h, X, tag), _envelope_gradient_report(h, X, tag)]
-        # envelope gradients x - prox_h(x) lie in dom h*, even on a ray; the sup is at x
-        queries = np.vstack([cloud, X[:25] - h.prox_many(1.0, X[:25])])
-        rep = conjugation.verify_envelope_conjugate(h, 1.0, box, queries, TOL_GRID)
-        rep.name = f"envelope_conjugate({tag})"
-        reports.append(rep)
+        reports += _self_checks(h, X, tag)
 
     if ell is not None:
         Y = battery_samples(f.dim, seed + 2, 12, radius / 2)
@@ -501,30 +496,37 @@ def _guarded(name, tol, errors, check, *args, **kwargs) -> CheckReport:
     return rep
 
 
-def _decomposition_report(h, X, tag) -> CheckReport:
+def _self_checks(h, X, tag) -> list[CheckReport]:
+    """Three exact identities at the prox points of one batch, p = prox_h(x)
+    and s = x - p, so that s lies in dh(p), each scored per sample under
+    TOL_CLOSED:
+
+    * moreau_decomposition: ||p + prox_{h*}(x) - x||;
+    * envelope_gradient: prox optimality, ||G(p) - s|| / max(1, ||s||) where
+      ``gradient_many`` marks p smooth, +inf where h(p) = +inf, and 0 on the
+      other rows, which the next identity decides;
+    * envelope_conjugate: the Fenchel-Young equality h(p) + h*(s) = <p, s>,
+      which holds exactly when s lies in dh(p), as the relative gap
+      |h(p) + h*(s) - <p, s>| / (1 + |h(p)| + |h*(s)| + |<p, s>|), +inf
+      where either value is.
+    """
     conj = fn.conjugate_closed_form(h)
-    P = engine.prox_rows(h, 1.0, X)[0] + engine.prox_rows(conj, 1.0, X)[0]
-    residuals = fn.norms(P - X)
-    return sampled_verdict(f"moreau_decomposition({tag})", X, 0.0, 0.0, residuals,
-                           TOL_CLOSED, lambda i: f"residual={residuals[i]:.3e}",
-                           {"samples": int(X.shape[0])})
-
-
-def _envelope_gradient_report(h, X, tag, lam: float = 1.0,
-                              step: float = 1e-5, tol: float = TOL_NUMERICAL) -> CheckReport:
-    """Envelope gradient (x - prox x)/lam against central differences of the
-    envelope, at every sample and its 2 d shifted copies in one prox batch."""
-    n, d = X.shape
-    E = step * np.eye(d)
-    shifted = np.concatenate([X[:, None] + E, X[:, None] - E]).reshape(-1, d)
-    Y, env = engine.prox_rows(h, lam, np.vstack([X, shifted]))
-    ga = (X - Y[:n]) / lam
-    # +inf among a row's 2 d + 1 envelope values (a prox outside dom h) is an infinite residual
-    inf = env == np.inf
-    wrong = inf[:n] | inf[n:].reshape(2, n, d).any(axis=(0, 2))
-    up, down = np.where(inf, 0.0, env)[n:].reshape(2, n, d)
-    gfd = (up - down) / (2 * step)
-    residuals = np.where(wrong, np.inf, fn.norms(ga - gfd) / np.fmax(1.0, fn.norms(ga)))
-    return sampled_verdict(f"envelope_gradient({tag})", X, 0.0, 0.0, residuals, tol,
-                           lambda i: f"relative_error={residuals[i]:.3e}",
-                           {"samples": int(X.shape[0]), "fd_step": step, "lam": lam})
+    P = h.prox_many(1.0, X)
+    S = X - P
+    hp, hs = fn.evaluate_many(h, P), fn.evaluate_many(conj, S)
+    G, smooth = h.gradient_many(P)
+    inclusion = np.where(smooth, fn.norms(G - S) / np.fmax(1.0, fn.norms(S)), 0.0)
+    inclusion[hp == np.inf] = np.inf
+    finite = (hp < np.inf) & (hs < np.inf)
+    a, b, c = hp[finite], hs[finite], fn.dots(P, S)[finite]
+    fenchel_young = np.full(X.shape[0], np.inf)
+    fenchel_young[finite] = np.abs(a + b - c) / (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
+    table = {  # report: (residual per sample, witness label)
+        "moreau_decomposition": (fn.norms(P + conj.prox_many(1.0, X) - X), "residual"),
+        "envelope_gradient": (inclusion, "relative_error"),
+        "envelope_conjugate": (fenchel_young, "gap"),
+    }
+    return [sampled_verdict(f"{name}({tag})", X, 0.0, 0.0, r, TOL_CLOSED,
+                            lambda i, r=r, label=label: f"{label}={r[i]:.3e}",
+                            {"samples": int(X.shape[0])})
+            for name, (r, label) in table.items()]

@@ -665,3 +665,13 @@ def test_an_overflowing_score_is_never_the_maximum_as_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         assert conjugate_argmax(ball, [1e308, 0.0]) == (1e308, 17, False)  # at (1, 0)
         assert conjugate_argmax(quad, [1e308, -1e308]) == (INF, 5, True)  # at (-1, -2)
+
+
+def test_an_overflowing_query_warns_nothing():
+    # conjugate --grid on the unit-ball indicator at (1e308, 0): the score
+    # overflows to inf and inf - inf is NaN, both handled by the kernel, so
+    # under the suite's error::RuntimeWarning filter no warning may escape
+    grid = pc.SampleGrid([-2.0, -2.0], [2.0, 2.0], [5, 5])
+    ball = pc.tabulate(pc.IndicatorBall([0.0, 0.0], 1.0), grid)
+    vals, boundary = conjugate_many(ball, [[1e308, 0.0]])
+    assert vals.tolist() == [1e308] and boundary.tolist() == [False]

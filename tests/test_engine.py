@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import proxcalc as pc
 from proxcalc import conjugation, engine
-from proxcalc.engine import SolverBudget, numerical_prox, prox_rows
-from proxcalc.errors import DomainUnreachable, ExtendedRealError
+from proxcalc.engine import SolverBudget, numerical_prox
+from proxcalc.errors import DomainUnreachable
 from proxcalc.functions import prox_many_closed_form
 from proxcalc.verify import battery_samples
 
@@ -276,7 +276,6 @@ def test_lam_must_be_finite_and_positive(lam):
     calls = [
         lambda: pc.prox(f, lam, [3.0, 4.0]),
         lambda: pc.prox(f, lam, [3.0, 4.0], force_numerical=True),
-        lambda: prox_rows(f, lam, [[3.0, 4.0]]),
         lambda: numerical_prox(f, lam, [3.0, 4.0]),
         lambda: pc.prox_closed_form(f, lam, [3.0, 4.0]),
         lambda: prox_many_closed_form(f, lam, [[3.0, 4.0]]),
@@ -428,46 +427,6 @@ def test_decomposition_with_grid_conjugate():
     for x in ([2.0], [-1.0], [0.7]):
         r = pc.moreau_decomposition_residual(f, x, conj=conj)
         assert r < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# prox_rows
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("f", [
-    pc.ScaledNorm(1.5, [0.5, -1.0]),
-    pc.Envelope(pc.ScaledNorm(1.0, [0.0, 0.0]), 1.0),
-    pc.IndicatorBall([0.0, 0.0], 1.0),
-    pc.Quadratic(np.eye(2)),
-    pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5),
-    pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, -0.2]),
-], ids=repr)
-def test_prox_rows_matches_prox_row_by_row(f, rng):
-    X = rng.uniform(-5, 5, (60, 2))
-    Y, env = prox_rows(f, 0.7, X)
-    rows = [pc.prox(f, 0.7, x) for x in X]
-    assert all(r.method == "closed_form" for r in rows)
-    Yr = np.array([r.minimizer for r in rows])
-    envr = np.array([r.envelope_value for r in rows])
-    assert np.array_equal(Y, Yr) and np.array_equal(env, envr)
-
-
-class _NanProx(pc.ScaledNorm):
-    def prox_many(self, lam, X):
-        return np.full_like(X, np.nan)
-
-
-def test_prox_rows_keeps_evaluate_checks():
-    with pytest.raises(ValueError, match="finite"):
-        prox_rows(_NanProx(1.0, [0.0, 0.0]), 1.0, [[1.0, 2.0]])
-    with pytest.raises(ValueError, match="lam"):
-        prox_rows(pc.Quadratic(np.eye(2)), 0.0, [[1.0, 2.0]])
-    # the tilt overflows to inf - inf: the library error, and no numpy warning
-    tilt = pc.Tilt(pc.Quadratic([[1.0]]), [1e200])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ExtendedRealError):
-            prox_rows(tilt, 1.0, [[1e200], [0.0]])
 
 
 @pytest.mark.parametrize("lam", [1e150, 1e200, 1e300])

@@ -1,6 +1,7 @@
 """Theorem checkers: comparison, gradients, norm bound, Lipschitz,
 equivalences, support distance."""
 
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -22,8 +23,7 @@ from proxcalc.errors import (
 from proxcalc.reports import report_to_text, sampled_verdict
 from proxcalc.sets import EmptySet, sets_equal
 from proxcalc.verify import (
-    _decomposition_report,
-    _envelope_gradient_report,
+    _self_checks,
     battery_samples,
     check_comparison,
     check_equivalences,
@@ -670,38 +670,50 @@ def test_battery_no_verified_above_tolerance():
             assert r.conclusion_residual <= r.tolerance
 
 
-def test_battery_envelope_conjugate_rows_3d(monkeypatch):
-    # the benchmark's huber1-halfsq-3d battery: its two envelope_conjugate
-    # checks tabulated 2 x 61^3 = 2 x 226,981 envelope rows, and later a
-    # 21^3 lattice plus refinement; the ascent alone needs fewer than the lattice
-    rows, inside = [0], [False]
-    value_many = pc.Envelope.value_many
-    check = conjugation.verify_envelope_conjugate
-
-    def counted_value_many(self, X):
-        if inside[0]:  # outermost call only: a nested envelope passes through
-            rows[0] += X.shape[0]
-            inside[0] = False
-            try:
-                return value_many(self, X)
-            finally:
-                inside[0] = True
-        return value_many(self, X)
-
-    def counted_check(*args, **kwargs):
-        inside[0] = True
-        try:
-            return check(*args, **kwargs)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(pc.Envelope, "value_many", counted_value_many)
-    monkeypatch.setattr(conjugation, "verify_envelope_conjugate", counted_check)
+def test_battery_self_checks_make_one_prox_batch_of_h_and_of_its_conjugate(monkeypatch):
+    # with the other checkers stubbed out, every prox batch of the battery is
+    # a self-check's: per function h one batch of h and one of h* on the
+    # samples X, and no ascent towards a conjugate value
     huber = pc.Envelope(pc.ScaledNorm(1.0, [0.0] * 3), 1.0)
-    reports = standard_battery(huber, pc.Quadratic(np.eye(3)), [0.0] * 3, seed=7, ell=1.0)
-    conj = [r for r in reports if r.name.startswith("envelope_conjugate(")]
-    assert [r.status for r in conj] == ["verified", "verified"]
-    assert rows[0] <= 2 * 21**3
+    quad = pc.Quadratic(np.eye(3))
+    batches, samples, ascents = [], [], []
+
+    def counted(label, prox_many):
+        def prox(lam, X):
+            batches.append((label, lam, X.copy()))
+            return prox_many(lam, X)
+        return prox
+
+    def recorded(name, original):
+        def call(*args, **kwargs):
+            ascents.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    def conjugate_closed_form(h):
+        conj = h.conjugate()
+        conj.prox_many = counted(f"{h!r}*", conj.prox_many)
+        return conj
+
+    def stub_equivalences(f, g, X):
+        samples.append(X)
+        return pc.CheckReport("equivalences", "verified", 0.0, 0.0, 0.0)
+
+    for h in (huber, quad):
+        monkeypatch.setattr(h, "prox_many", counted(repr(h), h.prox_many))
+    monkeypatch.setattr(fn, "conjugate_closed_form", conjugate_closed_form)
+    monkeypatch.setattr(verify_module, "check_comparison",
+                        lambda *args, **kwargs: pc.CheckReport("c", "verified", 0.0, 0.0, 0.0))
+    monkeypatch.setattr(verify_module, "check_equivalences", stub_equivalences)
+    for name in ("verify_envelope_conjugate", "ascend"):
+        monkeypatch.setattr(conjugation, name, recorded(name, getattr(conjugation, name)))
+    reports = standard_battery(huber, quad, [0.0] * 3, seed=7)
+    assert ascents == []
+    assert sorted(label for label, _, _ in batches) == sorted(
+        [repr(huber), f"{huber!r}*", repr(quad), f"{quad!r}*"])
+    for _, lam, X in batches:
+        assert lam == 1.0 and np.array_equal(X, samples[0])
+    assert all(r.status == "verified" for r in reports)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
@@ -711,8 +723,8 @@ def test_battery_envelope_conjugate_rows_3d(monkeypatch):
     lambda z: pc.Envelope(pc.ScaledNorm(1.0, z), 1.0),
 ], ids=["norm", "tilted_norm", "huber"])
 def test_battery_envelope_conjugate_in_every_dimension(dim, make):
-    # a cloud of radius 1.5 misses the unit ball dom f* almost surely for
-    # d >= 8; the envelope-gradient queries land inside it
+    # the gradient points s = x - prox_f(x) lie in the unit ball dom f* in
+    # every dimension, so the Fenchel-Young gap is finite at each sample
     z = [0.0] * dim
     f = make(z)
     reports = standard_battery(f, f, z, seed=1, count=60)
@@ -720,7 +732,6 @@ def test_battery_envelope_conjugate_in_every_dimension(dim, make):
     assert [r.name for r in conj] == ["envelope_conjugate(f)", "envelope_conjugate(g)"]
     for r in conj:
         assert r.status == "verified", (r.name, r.conclusion_residual)
-        assert r.details["interior_queries"] > 0
 
 
 _HELPER_REPORTS = ("comparison(", "moreau_decomposition(", "envelope_gradient(",
@@ -822,20 +833,6 @@ def _worst_loop(X, residuals):
     return worst, witness
 
 
-def _envelope_gradient_loop(h, X, lam=1.0, step=1e-5):
-    residuals = []
-    for x in X:
-        ga = pc.envelope_gradient(h, lam, x)
-        gfd = np.empty_like(ga)
-        for i in range(x.size):
-            e = np.zeros(x.size)
-            e[i] = step
-            gfd[i] = (pc.moreau_envelope(h, lam, x + e)
-                      - pc.moreau_envelope(h, lam, x - e)) / (2 * step)
-        residuals.append(float(np.linalg.norm(ga - gfd) / max(1.0, np.linalg.norm(ga))))
-    return residuals
-
-
 _SAME_BITS = [  # at lam = 1 these batches round exactly as one-row calls
     pc.ScaledNorm(1.0, [0.0, 0.0]),
     pc.Envelope(pc.ScaledNorm(2.0, [0.0, 0.0]), 1.0),
@@ -846,28 +843,35 @@ _SAME_BITS = [  # at lam = 1 these batches round exactly as one-row calls
 ]
 
 
+def _self_check_loops(h, X):
+    """The three self-check residuals, one sample at a time: the prox of h
+    and of its closed-form conjugate, values by ``pc.evaluate``, and sums
+    left to right as ``fn.dots`` takes them."""
+    conj = pc.conjugate_closed_form(h)
+    norm = lambda w: math.sqrt(sum(w * w))
+    rows = []
+    for x in X:
+        p = pc.prox(h, 1.0, x).minimizer
+        s = x - p
+        hp, hs, ps = pc.evaluate(h, p), pc.evaluate(conj, s), sum(p * s)
+        G, smooth = h.gradient_many(p[None])
+        inclusion = math.inf if hp == math.inf else (
+            norm(G[0] - s) / max(1.0, norm(s)) if smooth[0] else 0.0)
+        gap = (abs(hp + hs - ps) / (1.0 + abs(hp) + abs(hs) + abs(ps))
+               if max(hp, hs) < math.inf else math.inf)
+        rows.append((norm(p + pc.prox(conj, 1.0, x).minimizer - x), inclusion, gap))
+    return zip(*rows)
+
+
 @pytest.mark.parametrize("h", _SAME_BITS, ids=repr)
 def test_sample_reports_match_per_sample_loops(h):
     X = battery_samples(h.dim, 5, 60, 6.0, [np.zeros(h.dim)])
-    rep = _envelope_gradient_report(h, X, "h")
-    worst, witness = _worst_loop(X, _envelope_gradient_loop(h, X))
-    assert rep.conclusion_residual == worst
-    rep = _decomposition_report(h, X, "h")
-    conj = pc.conjugate_closed_form(h)
-    worst, witness = _worst_loop(
-        X, [pc.moreau_decomposition_residual(h, x, conj=conj) for x in X])
-    assert rep.conclusion_residual == worst
-
-
-def test_sample_reports_near_loops_with_blas_batches():
-    # a cross-term quadratic solves its batch in one LAPACK call, which rounds
-    # differently from one call per row; finite differences over a 2e-5 span
-    # of envelope values near 50 carry about 1e-16 * 50 / 2e-5 = 2.5e-10
-    h = pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5)
-    X = battery_samples(2, 5, 60, 6.0)
-    rep = _envelope_gradient_report(h, X, "h")
-    worst, _ = _worst_loop(X, _envelope_gradient_loop(h, X))
-    assert rep.status == "verified" and abs(rep.conclusion_residual - worst) < 1e-9
+    reports = _self_checks(h, X, "h")
+    assert [r.name for r in reports] == [
+        "moreau_decomposition(h)", "envelope_gradient(h)", "envelope_conjugate(h)"]
+    for rep, residuals in zip(reports, _self_check_loops(h, X)):
+        assert rep.conclusion_residual == _worst_loop(X, residuals)[0], rep.name
+        assert rep.status == "verified" and rep.tolerance == 1e-8
 
 
 _RESIDUAL = st.one_of(st.sampled_from([0.0, 0.5, 2.0, float("inf"), float("nan")]),
