@@ -4,8 +4,8 @@ The conjugate at a query q is approximated by the maximum of
 <q, v> - f(v) over the lattice points v with finite f(v), a lower bound
 that for an L-smooth f falls short by at most ||h||^2 L/8 (h the lattice
 spacings) when the supremum is attained inside the lattice. The grid should
-dominate the query range by a healthy margin (5x by default elsewhere in
-the library), and an argmax landing on the grid boundary signals truncation.
+dominate the query range by a healthy margin, and an argmax landing on the
+grid boundary signals truncation.
 
 One kernel scores blocks of queries from the grid axes with the bits of
 ``fn.dots``, the same alone and in any batch, and keeps the first index of

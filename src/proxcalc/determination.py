@@ -392,50 +392,52 @@ def determine_from_norm(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     g* are bounded below guards the claim. Both are exact: inf f* = -f(0) by
     Fenchel-Moreau, so the precondition holds when f(0) and g(0) are finite.
     """
+    return _determination(f, g, samples, x0, tol_h, tol_c)[0]
+
+
+def _determination(f, g, samples, x0, tol_h, tol_c):
+    """``determine_from_norm``'s report, samples and sweep: it reads |e| and |d|."""
     tol_h = fn.check_scalar("tol_h", tol_h, positive=False)
     tol_c = fn.check_scalar("tol_c", tol_c, positive=False)
-    samples = fn.as_queries(samples, f.dim)
-    pf = f.prox_many(1.0, samples)
-    pg = g.prox_many(1.0, samples)
-
+    X = fn.as_queries(samples, f.dim)
     if x0 is not None:
-        variant, diverges = "anchored", False
-        anchor = fn.as_point(x0, f.dim)
-        f0 = fn.evaluate(f, anchor)
-        g0 = fn.evaluate(g, anchor)
+        variant, diverges, anchor, c = "anchored", False, fn.as_point(x0, f.dim), 0.0
+        f0, g0 = fn.evaluate(f, anchor), fn.evaluate(g, anchor)
         if not (np.isfinite(f0) and np.isfinite(g0)):
             raise AnchorOutsideDomain("anchor must lie in dom f and dom g")
-        constant = 0.0
-        details = {"anchor": anchor, "samples": int(samples.shape[0])}
+        details = {"anchor": anchor, "samples": int(X.shape[0])}
     else:
         # origin variant: anchor 0 without domain requirement; needs bounded conjugates
         variant, anchor, f0, g0 = "origin", np.zeros(f.dim), 0.0, 0.0
         inf_f, inf_g = fn.conjugate_infimum(f), fn.conjugate_infimum(g)
         diverges = not (np.isfinite(inf_f) and np.isfinite(inf_g))
-        constant = 0.0 if diverges else inf_g - inf_f
-        details = {"inf_conj_f": inf_f, "inf_conj_g": inf_g,
-                   "samples": int(samples.shape[0])}
-    hyp = float(np.max(np.abs(fn.norms(pf - anchor) - fn.norms(pg - anchor))))
-    fv = fn.evaluate_many(f, samples) - f0
-    gv = fn.evaluate_many(g, samples) - g0
+        c = 0.0 if diverges else inf_g - inf_f
+        details = {"inf_conj_f": inf_f, "inf_conj_g": inf_g, "samples": int(X.shape[0])}
+    sweep = e, d, _, (fv, gv) = _sweep(f, g, X, anchor, f0, g0, c)
     rep = sampled_verdict(
-        f"determine_from_norm({variant})", samples, hyp, tol_h,
-        _constant_gaps(fv, gv, constant), tol_c,
-        lambda i: f"f={float(fv[i])!r} g={float(gv[i])!r} expected_gap={float(constant)!r}",
+        f"determine_from_norm({variant})", X, float(np.max(np.abs(e))), tol_h, np.abs(d),
+        tol_c, lambda i: f"f={float(fv[i] - f0)!r} g={float(gv[i] - g0)!r} expected_gap={c!r}",
         details, first=10)
     if rep.status == HYPOTHESIS_FAILS or diverges:  # the report asserts nothing
         rep.conclusion_residual, rep.witnesses = 0.0, []
         if rep.status != HYPOTHESIS_FAILS:
             rep.status = PRECONDITION_VIOLATED
-    return rep
+    return rep, X, sweep
 
 
-def _constant_gaps(fv, gv, constant) -> np.ndarray:
-    """Per-sample gaps |(f - g) - constant|, extended-real aware: +inf on
-    one side only is an infinite gap, on both sides none."""
-    fin_a, fin_b = np.isfinite(fv), np.isfinite(gv)
-    both = fin_a & fin_b
-    gaps = np.zeros(len(fv))
-    gaps[both] = np.abs((fv[both] - gv[both]) - constant)
-    gaps[fin_a != fin_b] = np.inf
-    return gaps
+def _sweep(f, g, X, anchor, f0=0.0, g0=0.0, c=0.0):
+    """The comparison principle on the samples X, from one prox batch and one
+    value batch of f and of g: (e, d, (prox_f, prox_g), (f, g)).
+
+    e is ||prox_f - anchor|| - ||prox_g - anchor|| per sample, and d the
+    signed value gap ((f - f0) - (g - g0)) - c in the extended reals: +inf
+    where only f is +inf, -inf where only g is, 0 where both are.
+    """
+    pf, pg = f.prox_many(1.0, X), g.prox_many(1.0, X)
+    fv, gv = fn.evaluate_many(f, X), fn.evaluate_many(g, X)
+    fin_f, fin_g = fv < np.inf, gv < np.inf
+    both = fin_f & fin_g
+    d = np.zeros(X.shape[0])
+    d[both] = ((fv[both] - f0) - (gv[both] - g0)) - c
+    d[fin_f < fin_g], d[fin_f > fin_g] = np.inf, -np.inf
+    return fn.norms(pf - anchor) - fn.norms(pg - anchor), d, (pf, pg), (fv, gv)

@@ -172,14 +172,21 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
             if beta > 0.0 and float(fn.dots(q, s)) > 0.0:
                 p = q
         memory = (s, p) if smooth else None
-        d, pn = lam * p, float(fn.norms(p))
-        # steps T lam p, T <= 2^60, move y by less than 2^(60 + e) for lam ||p|| < 2^e;
-        # at a huge lam the bracket shifts down by a power of 2 to stay within 2^_REACH
-        shift = _REACH - 60 - math.frexp(lam * pn)[1]
+        pn = float(fn.norms(p))
+        # steps T lam p, T <= 2^60, move y by less than 2^(60 + e) for lam ||p|| < 2^e,
+        # e read off the mantissas, as lam ||p|| may pass the float range; at a huge
+        # lam the bracket shifts down by a power of 2 to stay within 2^_REACH, and
+        # where lam p overflows, 2^k of lam moves from the direction into the steps
+        (ml, el), (mp, ep) = math.frexp(lam), math.frexp(pn)
+        e = el + ep + math.frexp(ml * mp)[1]
+        k = 0 if lam * pn < math.inf else e - 1000
+        unit = math.ldexp(lam, -k)
+        d, shift = unit * p, _REACH - 60 - e + k
         t, ft = _line_search(lambda T: _objective_many(f, lam, x, y - T[:, None] * d), fy,
-                             step_tol, _BRACKET if shift >= 0 else np.ldexp(_BRACKET, shift))
+                             math.ldexp(step_tol, k),
+                             _BRACKET if shift >= 0 else np.ldexp(_BRACKET, shift))
         iters += 1
-        disp = t * lam * pn
+        disp = t * unit * pn
         if ft < fy and (p is s or disp >= budget.tol):
             y = y - t * d
             fy = ft

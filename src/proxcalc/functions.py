@@ -93,7 +93,18 @@ def sq_norms(W):
 
 
 def norms(W):
-    return np.sqrt(sq_norms(W))
+    """||w|| for each row w of W, the square root of ``sq_norms``. A row of
+    finite entries whose squares overflow is divided by its largest |entry|
+    first, so its norm is finite wherever the float range holds it; every
+    other row keeps the plain square root, alone and in any batch."""
+    # one reduction: below 2^508, no sum of up to MAX_DIM squares overflows
+    if np.maximum.reduce(np.abs(W), axis=None, initial=0.0) < 2.0 ** 508:
+        return np.sqrt(sq_norms(W))
+    with np.errstate(over="ignore"):
+        n = np.sqrt(sq_norms(W))
+        m = np.max(np.abs(W), axis=-1)
+        big = (n == INF) & (m < INF)
+        return np.where(big, m * np.sqrt(sq_norms(W / np.where(big, m, 1.0)[..., None])), n)[()]
 
 
 def check_scalar(name: str, value, positive: bool = True) -> float:
@@ -115,7 +126,7 @@ def _finite(name: str, value) -> float:
 
 def _check_no_nan(v: np.ndarray) -> np.ndarray:
     # one reduction: the minimum is NaN if any entry is, and -inf if any entry is
-    if np.size(v) and not np.min(v) > -INF:
+    if np.size(v) and not np.minimum.reduce(v, axis=None) > -INF:
         raise ExtendedRealError("extended-real arithmetic produced -inf or inf - inf")
     return v
 
@@ -208,12 +219,16 @@ class Quadratic(ConvexFunction):
         self.w, self.U = _jacobi(self.Q)
         if self.w.min() < PSD_TOL:
             raise ValueError("Q is not positive semidefinite")
+        self._reach = float(max(np.max(np.abs(self.w)), np.max(np.abs(self.b))))
 
     def value_many(self, X):
         return 0.5 * dots(X, dots(X[:, None, :], self.Q)) + dots(X, self.b) + self.c
 
     def prox_many(self, lam, X):
-        R = dots((X - lam * self.b)[:, None, :], self.U.T) / (1.0 + lam * self.w)
+        if lam * self._reach < INF:
+            R = dots((X - lam * self.b)[:, None, :], self.U.T) / (1.0 + lam * self.w)
+        else:  # lam b or lam w overflows: numerator and denominator divided by lam
+            R = dots((X / lam - self.b)[:, None, :], self.U.T) / (1.0 / lam + self.w)
         return dots(R[:, None, :], self.U)
 
     def conjugate(self):
@@ -280,6 +295,8 @@ class ScaledNorm(ConvexFunction):
             return X.copy()
         D = X - self.center
         thr = lam * self.ell
+        if thr == INF:  # past the float range, above every norm: the prox is the center
+            return np.tile(self.center, (X.shape[0], 1))
         scale = 1.0 - thr / np.maximum(norms(D), thr)
         return self.center + scale[:, None] * D
 

@@ -41,15 +41,15 @@ def sampled_verdict(name, X, hyp, tol_h, gaps, tol, note, details,
     """The report of a sampled implication: hypothesis residual hyp, and one
     conclusion gap per sample row of X (NaN gaps skipped).
 
-    hypothesis_fails when hyp > tol_h, else verified when the largest gap is
-    within tol and counterexample otherwise. Only a counterexample carries
-    witnesses, each (X[i], note(i)): the first ``first`` samples whose gap
-    exceeds tol, or without ``first`` the first sample attaining the
-    largest gap.
+    hypothesis_fails when hyp > tol_h or hyp is NaN, else verified when the
+    largest gap is within tol and counterexample otherwise. Only a
+    counterexample carries witnesses, each (X[i], note(i)): the first
+    ``first`` samples whose gap exceeds tol, or without ``first`` the first
+    sample attaining the largest gap.
     """
     worst = float(np.fmax.reduce(gaps, initial=0.0))
     witnesses = []
-    if hyp > tol_h:
+    if not hyp <= tol_h:  # a NaN residual shows no hypothesis holding
         status = HYPOTHESIS_FAILS
     elif worst <= tol:
         status = VERIFIED

@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import functions as fn
-from .determination import _constant_gaps, determine_from_norm
+from .determination import _determination, _sweep
 from .errors import AnchorOutsideDomain, OriginNotInC, UnsupportedSubdifferential
 from .reports import (
     CheckReport,
@@ -101,22 +101,13 @@ def check_comparison(f: fn.ConvexFunction, g: fn.ConvexFunction, x0, samples,
     tol_h = fn.check_scalar("tol_h", tol_h, positive=False)
     tol_c = fn.check_scalar("tol", tol_c)
     x0 = fn.as_point(x0, f.dim)
-    f0 = fn.evaluate(f, x0)
-    g0 = fn.evaluate(g, x0)
+    f0, g0 = fn.evaluate(f, x0), fn.evaluate(g, x0)
     if not (np.isfinite(f0) and np.isfinite(g0)):
         raise AnchorOutsideDomain("anchor must lie in dom f and dom g")
     X = fn.as_queries(samples, f.dim)
-    pf = f.prox_many(1.0, X)
-    pg = g.prox_many(1.0, X)
-    hyp = float(np.max(np.maximum(fn.norms(pf - x0) - fn.norms(pg - x0), 0.0)))
-    fv = fn.evaluate_many(f, X)
-    gv = fn.evaluate_many(g, X)
-    # want g - g0 <= f - f0 in extended reals: +inf on the right always
-    # holds, +inf on the left alone always fails
-    both = np.isfinite(fv) & np.isfinite(gv)
-    gaps = np.zeros(X.shape[0])
-    gaps[both] = np.maximum((gv[both] - g0) - (fv[both] - f0), 0.0)
-    gaps[np.isinf(gv) & np.isfinite(fv)] = np.inf
+    e, d, _, (fv, gv) = _sweep(f, g, X, x0, f0, g0)
+    hyp = float(np.max(np.maximum(e, 0.0)))
+    gaps = np.maximum(-d, 0.0)
     extended = False
     if hyp <= tol_h and np.any(gaps > tol_c):
         # the hypothesis held on the declared samples but the conclusion did
@@ -188,22 +179,19 @@ def check_norm_lower_bound(g: fn.ConvexFunction, ell: float, samples,
     """
     ell = fn.check_scalar("ell", ell, positive=False)
     tol = fn.check_scalar("tol", tol, positive=False)
-    g0 = fn.evaluate(g, np.zeros(g.dim))
+    norm, origin = fn.ScaledNorm(ell, dim=g.dim), np.zeros(g.dim)
+    g0 = fn.evaluate(g, origin)
     if not np.isfinite(g0):
         raise AnchorOutsideDomain("g(0) must be finite")
     X = fn.as_queries(samples, g.dim)
-    norms = fn.norms(X)
-    hyp = float(np.max(np.maximum(norms - ell - fn.norms(g.prox_many(1.0, X)), 0.0)))
-    gv = fn.evaluate_many(g, X)
-    finite = np.isfinite(gv)
-    gaps = np.full(X.shape[0], np.inf)
-    gaps[finite] = np.maximum(gv[finite] - g0 - ell * norms[finite], 0.0)
+    e, d, _, (_, gv) = _sweep(norm, g, X, origin, 0.0, g0)
+    hyp = float(np.max(np.maximum(e, 0.0)))
+    gaps, finite = np.maximum(-d, 0.0), gv < np.inf
     if ell == 0.0 and np.any(finite):
         # constancy: the spread max g - min g, attained at argmax g
         gaps[finite] = np.maximum(gaps[finite], gv[finite] - np.min(gv[finite]))
     if hyp <= tol and np.any(gaps > tol):
-        origin = np.zeros(g.dim)
-        hyp = max(hyp, _hypothesis_extended(fn.ScaledNorm(ell, dim=g.dim), g, origin, X, tol))
+        hyp = max(hyp, _hypothesis_extended(norm, g, origin, X, tol))
     return sampled_verdict(f"norm_lower_bound(ell={ell})", X, hyp, tol, gaps, tol,
                            lambda i: f"gap={gaps[i]:.3e}",
                            {"samples": int(X.shape[0]), "g_at_0": g0})
@@ -308,19 +296,14 @@ def check_equivalences(f: fn.ConvexFunction, g: fn.ConvexFunction, samples,
     tol_prox = fn.check_scalar("tol_prox", tol_prox, positive=False)
     tol_value = fn.check_scalar("tol_value", tol_value, positive=False)
     X = fn.as_queries(samples, f.dim)
-    pf = f.prox_many(1.0, X)
-    pg = g.prox_many(1.0, X)
-
     inf_f, inf_g = fn.conjugate_infimum(f), fn.conjugate_infimum(g)
     precondition_ok = bool(np.isfinite(inf_f) and np.isfinite(inf_g))
     const = inf_g - inf_f if precondition_ok else 0.0
-    fv = fn.evaluate_many(f, X)
-    gv = fn.evaluate_many(g, X)
+    e, d, (pf, pg), _ = _sweep(f, g, X, np.zeros(f.dim), c=const)
     r3, r4, skipped = _subdiff_items(f, g, X, tol_prox)
     table = {  # item: (residual, tolerance)
-        "i_prox_norms": (float(np.max(np.abs(fn.norms(pf) - fn.norms(pg)))), tol_prox),
-        "ii_constant_shift": (float(np.fmax.reduce(_constant_gaps(fv, gv, const), initial=0.0)),
-                              tol_value),
+        "i_prox_norms": (float(np.max(np.abs(e))), tol_prox),
+        "ii_constant_shift": (float(np.fmax.reduce(np.abs(d), initial=0.0)), tol_value),
         "iii_min_selection": (r3, tol_prox),
         "iv_subdifferentials": (r4, tol_prox),
         "v_prox_maps": (float(np.max(fn.norms(pf - pg))), tol_prox),
@@ -421,7 +404,8 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
     tol = fn.check_scalar("tol", tol, positive=False)
     if fn.evaluate(C, np.zeros(C.dim)) != 0.0:
         raise OriginNotInC("the support-distance check needs 0 in C")
-    back = determine_from_norm(f, support_function_of(C), samples, x0=None, tol_h=tol)
+    back, X, (e, _, (pf, pg), _) = _determination(f, support_function_of(C), samples, None,
+                                                   tol, 1e-6)
     forward, n = back.hypothesis_residual, back.details["samples"]
     if forward <= tol:
         details = {"forward_residual": forward, "backward_status": back.status,
@@ -429,10 +413,8 @@ def check_support_distance(f: fn.ConvexFunction, C: fn.ConvexFunction, samples,
                    "samples": n}
         return CheckReport("support_distance", back.status, forward,
                            back.conclusion_residual, tol, back.witnesses, details)
-    X = fn.as_queries(samples, f.dim)
-    pnorms, dists = fn.norms(f.prox_many(1.0, X)), fn.norms(X - C.prox_many(1.0, X))
-    worst = int(np.argmax(np.abs(pnorms - dists)))
-    note = f"prox norm {float(pnorms[worst])!r} vs distance {float(dists[worst])!r}"
+    worst = int(np.argmax(np.abs(e)))
+    note = f"prox norm {float(fn.norms(pf[worst]))!r} vs distance {float(fn.norms(pg[worst]))!r}"
     return CheckReport("support_distance", HYPOTHESIS_FAILS, forward, 0.0, tol,
                        [(X[worst], note)], {"forward_residual": forward, "samples": n})
 

@@ -135,6 +135,43 @@ def test_prox_numerical_at_a_huge_lambda_converges(tmp_path, cli_env, lam):
                        rtol=0.0, atol=1e-4)
 
 
+_QUADRATIC_2D = {"atom": "quadratic", "Q": [[2.0, 0.4], [0.4, 1.0]], "b": [0.3, -0.1],
+                 "c": 0.5}
+
+
+@pytest.mark.parametrize("lam", ["1e308", "1.7e308"])
+@pytest.mark.parametrize("doc, numerical, expected, atol", [
+    (_QUADRATIC_2D, True, np.linalg.solve(_QUADRATIC_2D["Q"], [-0.3, 0.1]), 1e-7),
+    (_QUADRATIC_2D, False, np.linalg.solve(_QUADRATIC_2D["Q"], [-0.3, 0.1]), 1e-15),
+    ({"atom": "scaled_norm", "ell": 2.0, "center": [0.0, 0.0]}, False, [0.0, 0.0], 0.0),
+], ids=["quadratic_numerical", "quadratic_closed_form", "doubled_norm"])
+def test_prox_at_a_lambda_near_the_float_maximum(tmp_path, capsys, lam, doc, numerical,
+                                                  expected, atol):
+    # lam p overflowed in the solver (exit 2), 1 + lam w in the quadratic's closed
+    # form (a wrong point) and inf / inf in the norm's soft threshold (exit 1);
+    # the suite turns the RuntimeWarnings on the way into errors
+    spec = write_spec(tmp_path, "f.json", doc)
+    argv = ["prox", "--f", spec, "--lambda", lam, "--x", "3,4"] + ["--numerical"] * numerical
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    got = [float(v) for v in out.strip().strip("()").split()]
+    assert np.allclose(got, expected, rtol=0.0, atol=atol)
+
+
+def test_far_finite_points_have_finite_envelopes_and_prox(tmp_path, capsys):
+    # squares of coordinates past 1.34e154 overflowed in the norm: the envelope
+    # read +inf, and the prox of the tilted norm kept the far point
+    norm = write_spec(tmp_path, "norm.json",
+                      {"atom": "scaled_norm", "ell": 1.0, "center": [0.0, 0.0]})
+    tilt = write_spec(tmp_path, "tilt.json", {"op": "tilt", "a": [0.3, 0.2], "f": {
+        "atom": "scaled_norm", "ell": 1.0, "center": [0.0, 0.0]}})
+    for argv, expected in [
+        (["envelope", "--f", norm, "--x", "1e155,0", "--lambda", "1"], "1e+155\n"),
+        (["prox", "--f", tilt, "--x", "3,4", "--lambda", "1e300"], "(0.0 0.0)\n"),
+    ]:
+        assert run_cli(argv, capsys) == (0, expected, "")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import proxcalc as pc
 from proxcalc import conjugation, determination
 from proxcalc.determination import (
-    _constant_gaps,
     _ray_integrals,
     check_path_independence,
     validate_field,
@@ -19,7 +18,6 @@ from proxcalc.errors import (
     NonConservativeField,
     OracleError,
 )
-from proxcalc.reports import sampled_verdict
 from proxcalc.verify import battery_samples
 
 
@@ -559,18 +557,39 @@ def _constant_difference_loop(samples, fv, gv, constant, tol):
 _EXTENDED = st.one_of(st.floats(-10.0, 10.0), st.just(float("inf")))
 
 
+class _Lookup(pc.ConvexFunction):
+    """1-D values read from a table at integer points; prox is the identity,
+    so two lookups always satisfy the hypothesis of determine_from_norm."""
+
+    dim = 1
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def value_many(self, X):
+        return self.values[X[:, 0].astype(int) % self.values.size]
+
+    def prox_many(self, lam, X):
+        return X.copy()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_EXTENDED, _EXTENDED), min_size=1, max_size=40),
-       st.floats(-3.0, 3.0), st.sampled_from([1e-6, 0.5]))
-def test_sampled_verdict_first_witnesses_match_per_sample_loop(pairs, constant, tol):
-    fv = np.array([a for a, _ in pairs])
-    gv = np.array([b for _, b in pairs])
-    samples = np.arange(2.0 * len(pairs)).reshape(-1, 2)
-    got = sampled_verdict(
-        "c", samples, 0.0, 0.0, _constant_gaps(fv, gv, constant), tol,
-        lambda i: f"f={float(fv[i])!r} g={float(gv[i])!r} expected_gap={float(constant)!r}",
-        {}, first=10)
-    status, worst, witnesses = _constant_difference_loop(samples, fv, gv, constant, tol)
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.sampled_from([1e-6, 0.5]),
+       st.booleans())
+def test_sampled_verdict_first_witnesses_match_per_sample_loop(pairs, f0, g0, tol, anchored):
+    # sample 0 is the origin, where f and g take the finite values f0 and g0
+    fv = np.array([f0] + [a for a, _ in pairs])
+    gv = np.array([g0] + [b for _, b in pairs])
+    samples = np.arange(fv.size, dtype=float).reshape(-1, 1)
+    got = pc.determine_from_norm(_Lookup(fv), _Lookup(gv), samples,
+                                 x0=[0.0] if anchored else None, tol_c=tol)
+    if anchored:
+        expected = _constant_difference_loop(samples, fv - f0, gv - g0, 0.0, tol)
+    else:  # the constant inf g* - inf f*, with inf h* = -h(0)
+        expected = _constant_difference_loop(samples, fv, gv, (0.0 - g0) - (0.0 - f0), tol)
+    status, worst, witnesses = expected
+    assert got.hypothesis_residual == 0.0
     assert (got.status, got.conclusion_residual) == (status, worst)
     assert [(p.tolist(), t) for p, t in got.witnesses] == [
         (p.tolist(), t) for p, t in witnesses]

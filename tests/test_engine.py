@@ -429,11 +429,12 @@ def test_decomposition_with_grid_conjugate():
         assert r < 1e-4
 
 
-@pytest.mark.parametrize("lam", [1e150, 1e200, 1e300])
+@pytest.mark.parametrize("lam", [1e150, 1e200, 1e300, 1e308, 1.7e308])
 def test_a_huge_lam_converges_without_overflow(lam):
     # lam^2 in the step tolerance overflowed past lam ~ 1e154, and the far
     # bracket steps y - T lam p overflowed the objective; the bracket now
-    # shifts down by a power of 2 to stay in range
+    # shifts down by a power of 2 to stay in range. Past 1e308, lam p itself
+    # overflowed, and so did 1 + lam w in the closed form
     f = pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -260,6 +260,29 @@ def test_dots_keeps_its_bits(d):
         assert np.array_equal(np.signbit(got)[num], np.signbit(ref)[num])
 
 
+def test_norms_of_finite_rows_do_not_overflow():
+    # squares past the float range made the norm of a finite row +inf, so a
+    # finite function evaluated to +inf and the prox of a tilted norm went wrong
+    assert pc.evaluate(pc.ScaledNorm(1.0, [0.0]), [1e200]) == 1e200
+    tilted = pc.Tilt(pc.ScaledNorm(1.0, [0.0, 0.0]), [0.3, 0.2])
+    assert pc.prox_closed_form(tilted, 1e300, [3.0, 4.0]).tolist() == [0.0, 0.0]
+    big = 2.0 ** 600
+    W = np.array([[1e155, 0.0], [3.0 * big, -4.0 * big], [3.0, 4.0], [1.5e308, 1.5e308],
+                  [INF, 1.0], [np.nan, 1e200]])
+    got = pc.functions.norms(W)
+    assert got.tolist()[:5] == [1e155, 5.0 * big, 5.0, INF, INF] and np.isnan(got[5])
+    # a row gets the same bits alone and in any batch
+    for w, n in zip(W, got):
+        assert np.array_equal(pc.functions.norms(w), n, equal_nan=True)
+    # rows whose squares stay finite keep the plain square root
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 8):
+        X = _entries(rng, (40, d))
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(pc.functions.norms(X),
+                                  np.sqrt(pc.functions.sq_norms(X)), equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # prox_closed_form
 # ---------------------------------------------------------------------------

@@ -169,6 +169,25 @@ def test_comparison_conclusion_matches_per_sample_loop(pairs, f0, g0):
         (p.tolist(), t) for p, t in witnesses]
 
 
+class _NanProx(pc.ScaledNorm):
+    """The norm, with a prox whose first row is NaN."""
+
+    def prox_many(self, lam, X):
+        P = super().prox_many(lam, X)
+        P[0] = np.nan
+        return P
+
+
+def test_a_nan_hypothesis_residual_fails_the_hypothesis(X2):
+    # NaN > tol is false, so a NaN residual passed as a hypothesis that held
+    f = _NanProx(1.0, [0.0, 0.0])
+    for rep in (check_comparison(f, NORM2, [0.0, 0.0], X2),
+                pc.determine_from_norm(f, NORM2, X2, x0=[0.0, 0.0]),
+                pc.determine_from_norm(f, NORM2, X2)):
+        assert math.isnan(rep.hypothesis_residual)
+        assert rep.status == "hypothesis_fails"
+
+
 # ---------------------------------------------------------------------------
 # check_gradient_comparison
 # ---------------------------------------------------------------------------
@@ -633,8 +652,9 @@ def test_support_distance_matches_the_two_pass_check(d, tol):
     assert statuses == {"verified", "hypothesis_fails", "counterexample"}
 
 
-def test_support_distance_scores_one_prox_batch_of_f_and_one_projection(monkeypatch, X2):
-    f, C = pc.SupportBall([0.0, 0.0], 1.0), pc.IndicatorBall([0.0, 0.0], 1.0)
+def _support_distance_batches(monkeypatch, f, C, X):
+    """The status of check_support_distance(f, C, X), and its prox batches of f
+    and its projections onto C."""
     calls = {"f": 0, "projection": 0}
     prox_f, project = f.prox_many, pc.IndicatorBall.prox_many
 
@@ -648,8 +668,22 @@ def test_support_distance_scores_one_prox_batch_of_f_and_one_projection(monkeypa
 
     monkeypatch.setattr(f, "prox_many", counted_f)
     monkeypatch.setattr(pc.IndicatorBall, "prox_many", counted_projection)
-    assert check_support_distance(f, C, X2).status == "verified"
-    assert calls == {"f": 1, "projection": 1}
+    return check_support_distance(f, C, X).status, calls
+
+
+def test_support_distance_scores_one_prox_batch_of_f_and_one_projection(monkeypatch, X2):
+    f, C = pc.SupportBall([0.0, 0.0], 1.0), pc.IndicatorBall([0.0, 0.0], 1.0)
+    assert _support_distance_batches(monkeypatch, f, C, X2) == (
+        "verified", {"f": 1, "projection": 1})
+
+
+def test_a_failing_support_distance_scores_one_prox_batch_of_f_and_one_projection(
+        monkeypatch, X2):
+    # the witness of a failing forward residual comes from the determination's
+    # batches, where a second prox batch of f and a second projection made it
+    f, C = pc.SupportBall([0.0, 0.0], 2.0), pc.IndicatorBall([0.0, 0.0], 1.0)
+    assert _support_distance_batches(monkeypatch, f, C, X2) == (
+        "hypothesis_fails", {"f": 1, "projection": 1})
 
 
 # ---------------------------------------------------------------------------
