@@ -9,19 +9,23 @@ which is (1/lam)-strongly convex. The numerical path never consults the
 closed-form prox rules, so it serves as an independent cross-check:
 indicator chains short-circuit to their projection subroutines, and
 everything else descends along the least-norm subgradient of F, exact on
-catalog chains (an envelope chain's is its gradient). Where a node has no
-structured subdifferential, and on non-catalog objects, finite differences
-(one batch of 2d shifted rows) stand in; a difference row outside dom f
-leaves no gradient, and the solve stops unconverged with an infinite
-residual.
+catalog chains: where ``gradient_many`` marks y smooth (at every point of
+an envelope chain) it is that gradient plus (y - x)/lam, with no set built,
+and elsewhere the projection of 0 onto the shifted subdifferential. Where
+a node has no structured subdifferential, and on non-catalog objects,
+finite differences (one batch of 2d shifted rows) stand in; a difference
+row outside dom f leaves no gradient, and the solve stops unconverged with
+an infinite residual.
 
 On catalog chains without an envelope node, before descending, the solver
-tests the structured probe points (centres, corners, anchors) in order and
+scores x and each distinct structured probe point (centres, corners,
+anchors) in one batch, then tests the probes in order, each once, and
 returns, with 0 iterations, the first where the least-norm subgradient of
 F is below the tolerance: a prox at a kink of f is then found bit for bit,
 where descent would only land within its tolerance. A probe is never a
 start: descent starts at x, or at the first finite probe when
-F(x) = +inf. Envelope chains skip the walk: they are C^1 and finite
+F(x) = +inf. A probe whose squared distance from x overflows scores +inf
+and is skipped. Envelope chains skip the walk: they are C^1 and finite
 everywhere, with no kink to find and no start to look for.
 
 Each descent step searches t >= 0 on the ray y - t p, relying on the
@@ -58,8 +62,9 @@ from . import functions as fn
 from .errors import (DomainUnreachable, EmptySubdifferential, UnsupportedProx,
                      UnsupportedSubdifferential)
 
-_BRACKET = np.exp2(np.arange(-40.0, 61.0))  # line-search steps, in units of lam
-_ZOOM_POINTS = 257  # points per batched zoom round, both bracket ends included
+# t = 0, then the line-search steps 2^k, k = -40..60, in units of lam
+_BRACKET = np.concatenate([[0.0], np.exp2(np.arange(-40.0, 61.0))])
+_ZOOM = np.arange(257.0)  # a zoom round's evenly spaced points, in units of their spacing
 _STEP_RTOL = 1e-14  # relative floor of the step accuracy
 _REACH = 480  # a line-search step moves y by less than 2^_REACH: squares stay finite
 
@@ -117,7 +122,10 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
     or when no step descends and the least-norm subgradient s of F meets
     ||s|| min(lam, 1) <= 1e-5: for lam <= 1 that bounds the distance to the
     minimizer by 1e-5, for lam >= 1 the error of the envelope gradient
-    (x - y) / lam, and it does not tighten as lam grows. Steps are steepest,
+    (x - y) / lam, and it does not tighten as lam grows. Far from the origin,
+    where the float spacing of y passes 1e-5, lam ||s|| <= ``ROUNDING`` ||y||
+    also stops: strong convexity puts y within lam ||s|| of the minimizer,
+    so within ``ROUNDING`` ||y||. Steps are steepest,
     or PR+ conjugate where df is a singleton (see the module docstring), and
     only a steepest step stops on displacement. ``budget.max_iters`` counts
     descent steps of both kinds. A non-converged result is still returned, with
@@ -133,20 +141,22 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
         y = f.prox_many(lam, x.reshape(1, -1))[0]
         return ProxResult(y, _objective(f, lam, x, y), "numerical", 0, 0.0)
 
+    # x and each distinct probe in one batch; a row whose square overflows is +inf
+    probes = fn.structured_probes(f) if catalog and not fn.contains_envelope(f) else []
+    probes = list({p.tobytes(): p for p in probes}.values())
+    with np.errstate(over="ignore"):
+        fy, *fps = _objective_many(f, lam, x, np.array([x, *probes])).tolist()
     y = x.copy()
-    fy = _objective(f, lam, x, y)
     subgrad = _subgradient_oracle(f, lam, x)
-    if catalog and not fn.contains_envelope(f):
-        # exact kink test, which also takes the first finite probe as the
-        # start when F(x) = +inf (see the module docstring)
-        for p in fn.structured_probes(f):
-            fp = _objective(f, lam, x, p)
-            if math.isfinite(fp):
-                ns = float(fn.norms(subgrad(p)[0]))
-                if ns * lam < budget.tol:
-                    return ProxResult(p, fp, "numerical", 0, ns)
-                if not math.isfinite(fy):
-                    y, fy = p, fp
+    # exact kink test, which also takes the first finite probe as the start
+    # when F(x) = +inf (see the module docstring)
+    for p, fp in zip(probes, fps):
+        if math.isfinite(fp):
+            ns = float(fn.norms(subgrad(p)[0]))
+            if ns * lam < budget.tol:
+                return ProxResult(p, fp, "numerical", 0, ns)
+            if not math.isfinite(fy):
+                y, fy = p, fp
     if not math.isfinite(fy):
         raise DomainUnreachable("all probe points evaluate to +inf")
 
@@ -163,7 +173,7 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
             # a finite-difference row left dom f: no descent direction
             return ProxResult(y, fy, "numerical", iters, residual, converged=False)
         if residual * lam < budget.tol:
-            return ProxResult(y, _objective(f, lam, x, y), "numerical", iters, residual)
+            return ProxResult(y, fy, "numerical", iters, residual)
         p = s
         if smooth and memory is not None:
             s_prev, p_prev = memory
@@ -172,7 +182,7 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
             if beta > 0.0 and float(fn.dots(q, s)) > 0.0:
                 p = q
         memory = (s, p) if smooth else None
-        pn = float(fn.norms(p))
+        pn = residual if p is s else float(fn.norms(p))
         # steps T lam p, T <= 2^60, move y by less than 2^(60 + e) for lam ||p|| < 2^e,
         # e read off the mantissas, as lam ||p|| may pass the float range; at a huge
         # lam the bracket shifts down by a power of 2 to stay within 2^_REACH, and
@@ -196,8 +206,9 @@ def numerical_prox(f, lam: float, x, budget: SolverBudget | None = None) -> Prox
             memory = None  # a conjugate step that stalls: steepest from this y
         else:
             # no descent along the steepest ray: numerical floor reached
-            return ProxResult(y, fy, "numerical", iters, residual,
-                              converged=bool(residual * min(lam, 1.0) <= 1e-5))
+            floor = (residual * min(lam, 1.0) <= 1e-5
+                     or lam * residual <= fn.ROUNDING * float(fn.norms(y)))
+            return ProxResult(y, fy, "numerical", iters, residual, converged=bool(floor))
 
     return ProxResult(y, fy, "numerical", iters, residual, converged=False)
 
@@ -208,13 +219,18 @@ def _subgradient_oracle(f, lam, x):
 
     On catalog chains s is the least-norm element of
     dF(y) = df(y) + (y - x)/lam, exact, and smooth means df(y) is a
-    ``SingletonSet`` (at every point of an envelope chain, C^1). Where no
+    singleton: where ``gradient_many`` marks y smooth (at every point of an
+    envelope chain, C^1), s is G + (y - x)/lam with no set built, else a
+    ``SingletonSet`` from ``subdiff``. Where no
     structured subdifferential exists, and on everything else (tabulated
     functions), s comes from central differences and counts as not smooth.
     """
     def subgrad(y):
         v = (y - x) / lam
         if isinstance(f, fn.ConvexFunction):
+            G, smooth = f.gradient_many(y[None])
+            if smooth[0]:  # df(y) = {G[0]}, bit for bit the set subdiff(y) builds
+                return G[0] + v, True
             try:
                 sd = f.subdiff(y)
                 return sd.shift(v).project(np.zeros(f.dim)), sd.kind == "singleton"
@@ -239,42 +255,47 @@ def _line_search(phi_many, f0: float, tol: float, bracket=_BRACKET):
     """(t, phi(t)) near the argmin over t >= 0 of phi, convex, with phi(0) = f0.
 
     ``phi_many`` scores an array of steps at once. One batch scores every
-    ``bracket`` step; rounds of evenly spaced points then narrow the steps
-    either side of the lowest until they are ``tol`` apart (plus 1e-14 t,
-    the floor float spacing allows). Each round's batch also scores the
-    vertex t_p of the parabola through the three bracket points and the
-    rungs t_p -+ h 4^k (h half that width) out to two grid spacings, beyond
-    which the grid points serve as rungs. When phi(t_p) exceeds the lowest
-    value of the round by at most ``ROUNDING`` of that value, t_p is
-    returned: by convexity the argmin then lies within h of t_p, or phi(t_p)
-    is within four times phi's rounding of the minimum. Rungs at +-h alone
-    could not tell: on a smooth ray phi moves by far less than its rounding
-    over so short a step.
+    ``bracket`` step after its first, t = 0; rounds of evenly spaced points
+    then narrow the steps either side of the lowest until they are ``tol``
+    apart (plus 1e-14 t, the floor float spacing allows). Each round's batch
+    also scores the vertex t_p of the parabola through the three bracket
+    points and the rungs t_p -+ h 4^k (h half that width) out to two grid
+    spacings, beyond which the grid points serve as rungs. When phi(t_p)
+    exceeds the lowest value of the round by at most ``ROUNDING`` of that
+    value, t_p is returned: by convexity the argmin then lies within h of
+    t_p, or phi(t_p) is within four times phi's rounding of the minimum.
+    Rungs at +-h alone could not tell: on a smooth ray phi moves by far less
+    than its rounding over so short a step.
     A result with t = 0 means no step descends.
     """
-    T = np.concatenate([[0.0], bracket])
-    F = np.concatenate([[f0], phi_many(bracket)])
-    j = int(np.argmin(F))  # the first of the lowest
+    T = bracket
+    F = np.concatenate([[f0], phi_many(T[1:])])
+    j = int(F.argmin())  # the first of the lowest
     if j == T.size - 1:  # still falling at the last step
-        return float(T[j]), float(F[j])
+        return T[j].item(), F[j].item()
     while True:
         a, b = max(j - 1, 0), min(j + 1, T.size - 1)
-        if T[b] - T[a] <= tol + _STEP_RTOL * T[b]:
-            return float(T[j]), float(F[j])
-        tp = _vertex(*map(float, (T[a], T[j], T[b], F[a], F[j], F[b])))
+        ta, tj, tb = T[a].item(), T[j].item(), T[b].item()
+        fa, fj, fb = F[a].item(), F[j].item(), F[b].item()
+        if tb - ta <= tol + _STEP_RTOL * tb:
+            return tj, fj
+        tp = _vertex(ta, tj, tb, fa, fj, fb)
         h = 0.5 * (tol + _STEP_RTOL * tp)
-        fa, fb = float(F[a]), float(F[b])
         # rungs h 4^k out to two grid spacings, the grid points serving beyond;
         # a rung past the bracket (even at t < 0) is harmless, phi being convex
-        reach = 2.0 * (T[b] - T[a]) / (_ZOOM_POINTS - 1)
-        L = h * 4.0 ** np.arange(math.ceil(math.log(max(reach / h, 1.0), 4)))
-        T = np.linspace(T[a], T[b], _ZOOM_POINTS)
+        reach = 2.0 * (tb - ta) / (_ZOOM.size - 1)
+        L = np.ldexp(h, np.arange(0, 2 * math.ceil(math.log(max(reach / h, 1.0), 4)), 2))
+        # np.linspace(ta, tb, 257) bit for bit; the step exceeds tol / 256, which
+        # the solver keeps above the least subnormal, so linspace's branch for a
+        # step of 0 never applies
+        T = _ZOOM * ((tb - ta) / (_ZOOM.size - 1)) + ta
+        T[-1] = tb
         V = phi_many(np.concatenate([T[1:-1], tp - L, tp + L, [tp]]))
-        F, vp = np.concatenate([[fa], V[:T.size - 2], [fb]]), float(V[-1])
-        low = min(float(V[:-1].min()), fa, fb)
+        F, vp = np.concatenate([[fa], V[:T.size - 2], [fb]]), V[-1].item()
+        low = min(np.minimum.reduce(V[:-1]).item(), fa, fb)
         if a < j < b and vp <= low + fn.ROUNDING * abs(low):
             return tp, vp
-        j = int(np.argmin(F))
+        j = int(F.argmin())
 
 
 def _vertex(t0, t1, t2, f0, f1, f2) -> float:

@@ -201,7 +201,9 @@ class Quadratic(ConvexFunction):
     """(1/2) <Q x, x> + <b, x> + c with Q symmetric positive semidefinite.
 
     Q = U diag(w) U^T is factored once, by ``_jacobi``; the least eigenvalue
-    must be at least -1e-10, and the prox is U diag(1/(1 + lam w)) U^T (x - lam b).
+    must be at least -1e-10, eigenvalues up to Jacobi's rounding level
+    n eps max|w| (the slightly negative ones too) count as 0, and the prox is
+    U diag(1/(1 + lam w)) U^T (x - lam b).
     """
 
     def __init__(self, Q, b=None, c: float = 0.0):
@@ -219,6 +221,7 @@ class Quadratic(ConvexFunction):
         self.w, self.U = _jacobi(self.Q)
         if self.w.min() < PSD_TOL:
             raise ValueError("Q is not positive semidefinite")
+        self.w[self.w <= n * np.finfo(float).eps * np.max(np.abs(self.w))] = 0.0
         self._reach = float(max(np.max(np.abs(self.w)), np.max(np.abs(self.b))))
 
     def value_many(self, X):

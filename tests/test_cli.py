@@ -172,6 +172,17 @@ def test_far_finite_points_have_finite_envelopes_and_prox(tmp_path, capsys):
         assert run_cli(argv, capsys) == (0, expected, "")
 
 
+def test_prox_numerical_far_from_the_origin_converges(norm_spec, capsys):
+    # the right point, once reported unconverged with exit 2: its float
+    # spacing passed 1e-5, so the floor test ||s|| min(lam, 1) <= 1e-5 could
+    # not hold
+    code, out, err = run_cli(["prox", "--f", norm_spec, "--numerical", "--lambda", "1",
+                              "--x", "3e12,-4e12"], capsys)
+    assert (code, err) == (0, "")
+    got = np.array([float(v) for v in out.strip().strip("()").split()])
+    assert np.allclose(got, [3e12 - 0.6, -4e12 + 0.8], rtol=1e-15, atol=0.0)
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

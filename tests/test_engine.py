@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import proxcalc as pc
 from proxcalc import conjugation, engine
+from proxcalc import functions as fn
 from proxcalc.engine import SolverBudget, numerical_prox
 from proxcalc.errors import DomainUnreachable
 from proxcalc.functions import prox_many_closed_form
@@ -584,3 +585,82 @@ def test_numerical_prox_leaves_scipy_optimize_unimported(cli_env):
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+_FAR = np.array([0.6, -0.8])
+
+
+@pytest.mark.parametrize("f, x", [
+    (pc.ScaledNorm(1.0, [0.0, 0.0]), 1e12 * _FAR),
+    (pc.ScaledNorm(1.0, [0.0, 0.0]), 1e19 * _FAR),
+    (pc.ScaledNorm(1.0, [0.0, 0.0]), 1e200 * _FAR),
+    (pc.SupportBox([-1.0, -0.5], [1.0, 0.5]), 1e16 * _FAR),
+], ids=["norm_1e12", "norm_1e19", "norm_1e200", "support_box_1e16"])
+def test_a_far_point_converges_at_the_rounding_floor(f, x):
+    # the floor test ||s|| min(lam, 1) <= 1e-5 cannot hold once the float
+    # spacing of y passes 1e-5; lam ||s|| <= ROUNDING ||y|| puts y within
+    # ROUNDING ||y|| of the prox. At 1e200 the probe's squared distance
+    # overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = numerical_prox(f, 1.0, x)
+        want = f.prox_many(1.0, x[None])[0]
+        err, scale = fn.norms(res.minimizer - want), fn.norms(want)
+    assert res.converged
+    assert err <= fn.ROUNDING * scale
+
+
+@pytest.mark.parametrize("f, x, distinct", [
+    # the origin is also the norm's centre and the box's midpoint
+    (pc.ScaledNorm(1.0, [0.0, 0.0]), [3.0, 4.0], [[0.0, 0.0]]),
+    (pc.SupportBox([-1.0, -0.5], [1.0, 0.5]), [3.0, 0.2],
+     [[0.0, 0.0], [-1.0, -0.5], [1.0, 0.5]]),
+], ids=["norm", "support_box"])
+def test_each_distinct_probe_takes_one_subgradient_and_one_batch_with_x(
+        monkeypatch, f, x, distinct):
+    batches, points, rows = [], [], []
+    objective, objective_many = engine._objective, engine._objective_many
+    oracle = engine._subgradient_oracle
+
+    def counted_objective_many(f, lam, x, Y):
+        batches.append(Y.copy())
+        return objective_many(f, lam, x, Y)
+
+    def counted_oracle(f, lam, x):
+        subgrad = oracle(f, lam, x)
+
+        def counted(y):
+            points.append(y.copy())
+            return subgrad(y)
+        return counted
+
+    monkeypatch.setattr(engine, "_objective_many", counted_objective_many)
+    monkeypatch.setattr(engine, "_subgradient_oracle", counted_oracle)
+    monkeypatch.setattr(engine, "_objective",
+                        lambda *args: rows.append(args[3]) or objective(*args))
+    res = numerical_prox(f, 1.0, x)
+    assert res.converged and res.iterations > 0  # no probe ended the solve
+    assert np.array_equal(batches[0], np.array([x, *distinct]))
+    assert rows == []
+    for p in distinct:
+        assert sum(np.array_equal(y, p) for y in points) == 1
+
+
+@pytest.mark.parametrize("f", [
+    pc.Envelope(pc.ScaledNorm(1.5, [0.0, 0.0]), 1.0),
+    pc.Quadratic([[2.0, 0.4], [0.4, 1.0]], [0.3, -0.1], 0.5),
+], ids=["huber", "quadratic"])
+def test_smooth_chains_take_their_subgradients_from_gradient_many(monkeypatch, f):
+    # gradient_many marks every row smooth, and there subdiff is {G} bit for
+    # bit: no set objects on the way to s
+    calls = []
+    subdiff = pc.ConvexFunction.subdiff
+
+    def counted(self, y):
+        calls.append(y)
+        return subdiff(self, y)
+
+    monkeypatch.setattr(pc.ConvexFunction, "subdiff", counted)
+    res = numerical_prox(f, 1.0, [3.0, -2.0])
+    assert res.converged and res.iterations > 0
+    assert calls == []

@@ -663,3 +663,35 @@ def test_batch_entry_points_reject_non_finite_rows(row):
                  lambda: pc.functions.prox_many_closed_form(norm2(), 1.0, X)):
         with pytest.raises(ValueError, match="^query coordinates must be finite$"):
             call()
+
+
+def test_a_singular_quadratic_keeps_its_null_space_at_every_lambda():
+    # Q = v v^T: _jacobi leaves two eigenvalues at -+1.9e-18, and 1 + lam w
+    # went wrong from lam ~ 1e10 on (negative at 1e18); they now count as 0,
+    # the conjugate's rank rule
+    v = np.random.default_rng(0).normal(size=3)
+    f, x = pc.Quadratic(np.outer(v, v)), np.array([1.0, 2.0, 3.0])
+    conj = f.conjugate()
+    for lam in (1.0, 1e10, 1e17, 1e18, 1e30, 1e300):
+        want = x - v * (lam * (v @ x) / (1.0 + lam * (v @ v)))
+        got = f.prox_many(lam, x[None])[0]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        # Moreau: prox_{lam f}(x) + lam prox_{f*/lam}(x/lam) = x
+        moreau = got + lam * conj.prox_many(1.0 / lam, (x / lam)[None])[0]
+        assert np.allclose(moreau, x, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("Q, b", [
+    (1e-11 * np.eye(2), None),
+    (np.diag([1.0, 1e-11]), None),
+    (np.diag([1.0, 1e-11]), [1e-12, 2e-12]),
+])
+def test_small_eigenvalues_of_a_nonsingular_quadratic_are_kept(Q, b):
+    # only Jacobi's rounding level counts as 0: at lam = 1e11 the eigenvalue
+    # 1e-11 halves x, in the closed form and in the solver, which reads Q
+    f, lam, x = pc.Quadratic(Q, b), 1e11, np.array([1.0, 1.0])
+    want = np.linalg.solve(np.eye(2) + lam * Q, x - lam * f.b)
+    assert np.allclose(f.prox_many(lam, x[None])[0], want, rtol=1e-12, atol=1e-15)
+    solved = pc.engine.numerical_prox(f, lam, x)
+    assert solved.converged
+    assert np.allclose(solved.minimizer, want, rtol=1e-9, atol=1e-12)
